@@ -106,6 +106,6 @@ pub use replacement::ReplacementPolicy;
 pub use shard::NodeShard;
 pub use snapshot::BoardSnapshot;
 pub use stats::{FillBreakdown, NodeStats};
-pub use tagstore::{EvictedLine, TagStore};
+pub use tagstore::{EvictedLine, TagProbe, TagStore};
 pub use timing::{SdramModel, TimingConfig, TransactionBuffer};
 pub use tracecap::TraceCapture;

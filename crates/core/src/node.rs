@@ -13,7 +13,7 @@ use memories_protocol::{AccessEvent, Action, ActionSet, ProtocolTable, RemoteSum
 use crate::counters::{NodeCounter, NodeCounters};
 use crate::params::CacheParams;
 use crate::stats::NodeStats;
-use crate::tagstore::TagStore;
+use crate::tagstore::{TagProbe, TagStore};
 use crate::timing::{TimingConfig, TransactionBuffer};
 
 /// What one event did to a node controller.
@@ -191,6 +191,9 @@ impl NodeController {
     /// `resp` is the transaction's combined host snoop response, used to
     /// classify where an L2 miss was satisfied (Figure 12): an L2-to-L2
     /// intervention wins over the emulated L3, which wins over memory.
+    ///
+    /// The tag store is probed exactly once; the transition is applied
+    /// through that probe.
     pub fn process_with_resp(
         &mut self,
         event: AccessEvent,
@@ -199,7 +202,29 @@ impl NodeController {
         remote: RemoteSummary,
         resp: SnoopResponse,
     ) -> NodeOutcome {
+        let probe = self.tag_probe(addr);
+        self.apply(event, addr, probe, cycle, remote, resp)
+    }
+
+    /// Probes the directory for the line containing `addr`.
+    pub(crate) fn tag_probe(&self, addr: Address) -> TagProbe {
+        self.tags.probe(self.params.geometry().line_addr(addr))
+    }
+
+    /// [`NodeController::process_with_resp`] with the directory already
+    /// probed: `probe` must come from [`NodeController::tag_probe`] for
+    /// `addr`, with no transition applied to this node since.
+    pub(crate) fn apply(
+        &mut self,
+        event: AccessEvent,
+        addr: Address,
+        probe: TagProbe,
+        cycle: u64,
+        remote: RemoteSummary,
+        resp: SnoopResponse,
+    ) -> NodeOutcome {
         let line = self.params.geometry().line_addr(addr);
+        let state = probe.state();
         if !self.buffer.arrive(cycle) {
             self.counters.incr(NodeCounter::BufferOverflows);
             self.counters.incr(NodeCounter::EventsDropped);
@@ -208,11 +233,10 @@ impl NodeController {
                 accepted: false,
                 hit: false,
                 actions: ActionSet::EMPTY,
-                next: self.tags.state(line),
+                next: state,
             };
         }
 
-        let state = self.tags.state(line);
         let hit = !state.is_invalid();
         let transition = self.protocol.lookup(event, state, remote);
         let first_touch = self.cold.first_touch(line);
@@ -290,18 +314,11 @@ impl NodeController {
             self.counters.incr(NodeCounter::ProtocolWritebacks);
         }
 
-        // State application.
-        if transition.next.is_invalid() {
-            if hit {
-                self.tags.invalidate(line);
-            }
-        } else if hit {
-            self.tags.set_state(line, transition.next);
-            if event.is_demand() {
-                self.tags.touch(line);
-            }
-        } else if transition.actions.contains(Action::Allocate) {
-            if let Some(victim) = self.tags.allocate(line, transition.next) {
+        // State application, through the one probe.
+        if hit {
+            self.tags.update(&probe, transition.next, event.is_demand());
+        } else if !transition.next.is_invalid() && transition.actions.contains(Action::Allocate) {
+            if let Some(victim) = self.tags.fill(&probe, line, transition.next) {
                 self.counters.incr(NodeCounter::VictimEvictions);
                 if self.protocol.is_dirty_state(victim.state) {
                     self.counters.incr(NodeCounter::VictimWritebacks);

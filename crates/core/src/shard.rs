@@ -20,6 +20,7 @@ use memories_protocol::{AccessEvent, RemoteSummary};
 
 use crate::filter::NodePartition;
 use crate::node::NodeController;
+use crate::tagstore::TagProbe;
 
 /// A group of node controllers that snoops the admitted transaction
 /// stream independently of every other shard.
@@ -111,38 +112,51 @@ impl NodeShard {
     /// directory state (same-domain siblings only), phase 2 applies every
     /// transition. Returns whether any member's buffer overflowed.
     ///
+    /// Each member's directory is probed at most once, in phase 1, and
+    /// phase 2 applies the member's transition through that probe. The
+    /// snoop makes no heap allocation.
+    ///
     /// The caller is responsible for admission filtering (the address
     /// filter runs once, on the producer side) and for turning overflow
     /// into a bus retry.
     pub fn snoop(&mut self, txn: &Transaction) -> bool {
-        // Lock step, phase 1: classify and snapshot remote summaries from
-        // pre-transaction directory state.
-        let mut work: Vec<(usize, AccessEvent, RemoteSummary)> =
-            Vec::with_capacity(self.nodes.len());
-        for (pos, _) in self.nodes.iter().enumerate() {
+        let n = self.nodes.len();
+        let mut events: [Option<AccessEvent>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
+        let mut domains = [0u8; NodeId::MAX_NODES];
+        let mut probes: [Option<TagProbe>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
+        let mut summaries = [RemoteSummary::None; NodeId::MAX_NODES];
+
+        // Lock step, phase 1: classify, then probe every member whose
+        // domain has an event, from pre-transaction directory state.
+        for pos in 0..n {
             let id = NodeId::new(self.indices[pos]);
-            let Some(event) = self.partition.event_for(id, txn) else {
+            domains[pos] = self.partition.domain(id);
+            events[pos] = self.partition.event_for(id, txn);
+        }
+        for pos in 0..n {
+            if !(0..n).any(|j| domains[j] == domains[pos] && events[j].is_some()) {
                 continue;
-            };
-            let my_domain = self.partition.domain(id);
-            let mut remote = RemoteSummary::None;
-            for (jpos, other) in self.nodes.iter().enumerate() {
-                if jpos == pos {
-                    continue;
-                }
-                if self.partition.domain(NodeId::new(self.indices[jpos])) != my_domain {
-                    continue;
-                }
-                remote = remote.max(other.summarize(txn.addr));
             }
-            work.push((pos, event, remote));
+            let node = &self.nodes[pos];
+            let probe = node.tag_probe(txn.addr);
+            summaries[pos] = node.protocol().summarize_state(probe.state());
+            probes[pos] = Some(probe);
         }
 
-        // Phase 2: apply transitions.
+        // Phase 2: apply transitions, each seeing its same-domain
+        // siblings' phase-1 summaries.
         let mut overflow = false;
-        for (pos, event, remote) in work {
+        for pos in 0..n {
+            let (Some(event), Some(probe)) = (events[pos], probes[pos]) else {
+                continue;
+            };
+            let remote = (0..n)
+                .filter(|&j| j != pos && domains[j] == domains[pos])
+                .map(|j| summaries[j])
+                .max()
+                .unwrap_or(RemoteSummary::None);
             let outcome =
-                self.nodes[pos].process_with_resp(event, txn.addr, txn.cycle, remote, txn.resp);
+                self.nodes[pos].apply(event, txn.addr, probe, txn.cycle, remote, txn.resp);
             if !outcome.accepted {
                 overflow = true;
             }

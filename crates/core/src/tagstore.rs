@@ -17,9 +17,73 @@ pub struct EvictedLine {
     pub state: StateId,
 }
 
+/// The result of one [`TagStore::probe`]: which set `line` maps to, the
+/// way holding it (if resident) and its protocol state.
+///
+/// A probe is a handle for one transition: apply it with
+/// [`TagStore::update`] (hit) or [`TagStore::fill`] (allocating miss)
+/// before the store changes in any other way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TagProbe {
+    set: usize,
+    way: Option<u32>,
+    state: StateId,
+}
+
+impl TagProbe {
+    /// The set the probed line maps to.
+    pub fn set(&self) -> usize {
+        self.set
+    }
+
+    /// The way holding the line, or `None` on a miss.
+    pub fn way(&self) -> Option<u32> {
+        self.way
+    }
+
+    /// The line's protocol state ([`StateId::INVALID`] on a miss).
+    pub fn state(&self) -> StateId {
+        self.state
+    }
+
+    /// Whether the line was resident.
+    pub fn hit(&self) -> bool {
+        self.way.is_some()
+    }
+}
+
+/// One way of a set: `[tag, age << 3 | state]`. Four ways fill one 64 B
+/// cache line.
+type Way = [u64; 2];
+
+/// Bits of a way's second word that hold the state (`StateId::MAX_STATES`
+/// is 8); the replacement age sits above them.
+const STATE_BITS: u32 = 3;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+
+fn way_state(way: &Way) -> StateId {
+    StateId::new((way[1] & STATE_MASK) as u8)
+}
+
 /// The tag, state, and replacement-metadata tables of one emulated cache
 /// node — the structure the board keeps in four 64 MB SDRAM DIMMs per node
 /// controller (§3).
+///
+/// The tables are one set-major array: each way is a `[tag, age << 3 |
+/// state]` record, and a set's ways sit side by side, so one lookup reads
+/// one contiguous run of memory (one 64 B line for a 4-way set). The age
+/// is the LRU/FIFO stamp; bit-PLRU keeps one mask byte per set beside it.
+/// The array starts as a zeroed allocation (tag 0, age 0, state 0), so
+/// sets that are never touched are never faulted in.
+///
+/// [`TagStore::probe`] reads a set once and returns a [`TagProbe`];
+/// [`TagStore::update`] and [`TagStore::fill`] apply a transition through
+/// it without searching again. The node controller makes exactly one
+/// probe per event. [`state`](TagStore::state),
+/// [`touch`](TagStore::touch), [`set_state`](TagStore::set_state),
+/// [`allocate`](TagStore::allocate) and
+/// [`invalidate`](TagStore::invalidate) are one-probe wrappers over those
+/// three calls.
 ///
 /// States are the *programmable* protocol's [`StateId`]s; state 0 means
 /// the entry is free. The store never interprets states beyond "state 0 is
@@ -35,9 +99,14 @@ pub struct EvictedLine {
 /// let params = CacheParams::builder().capacity(2 << 20).build()?;
 /// let mut store = TagStore::new(&params);
 /// let line = store.geometry().line_addr(memories_bus::Address::new(0x1000));
-/// assert_eq!(store.state(line), StateId::INVALID);
-/// store.allocate(line, StateId::new(1));
-/// assert_eq!(store.state(line), StateId::new(1));
+/// let probe = store.probe(line);
+/// assert!(!probe.hit());
+/// assert!(store.fill(&probe, line, StateId::new(1)).is_none());
+///
+/// let probe = store.probe(line);
+/// assert_eq!(probe.state(), StateId::new(1));
+/// store.update(&probe, StateId::new(2), true);
+/// assert_eq!(store.state(line), StateId::new(2));
 /// # Ok(())
 /// # }
 /// ```
@@ -45,9 +114,7 @@ pub struct EvictedLine {
 pub struct TagStore {
     geom: Geometry,
     policy: ReplacementPolicy,
-    tags: Vec<u64>,
-    states: Vec<StateId>,
-    stamps: Vec<u64>,
+    ways: Vec<Way>,
     plru: Vec<u8>,
     rng: XorShift,
     tick: u64,
@@ -58,18 +125,12 @@ impl TagStore {
     /// Creates an empty tag store for the given parameters.
     pub fn new(params: &CacheParams) -> Self {
         let geom = *params.geometry();
-        let n = geom.lines() as usize;
         let policy = params.replacement();
         TagStore {
             geom,
             policy,
-            tags: vec![0; n],
-            states: vec![StateId::INVALID; n],
-            stamps: if matches!(policy, ReplacementPolicy::Lru | ReplacementPolicy::Fifo) {
-                vec![0; n]
-            } else {
-                Vec::new()
-            },
+            // A zeroed allocation: untouched sets stay unfaulted.
+            ways: vec![[0u64; 2]; geom.lines() as usize],
             plru: if matches!(policy, ReplacementPolicy::PlruBits) {
                 vec![0; geom.sets()]
             } else {
@@ -96,157 +157,197 @@ impl TagStore {
         self.resident
     }
 
-    fn way_range(&self, set: usize) -> std::ops::Range<usize> {
-        let ways = self.geom.ways() as usize;
-        set * ways..(set + 1) * ways
+    fn base(&self, set: usize) -> usize {
+        set * self.geom.ways() as usize
     }
 
-    fn find(&self, line: LineAddr) -> Option<usize> {
+    /// Looks `line` up: one pass over its set.
+    pub fn probe(&self, line: LineAddr) -> TagProbe {
         let set = self.geom.set_index(line);
         let tag = self.geom.tag(line);
-        self.way_range(set)
-            .find(|&i| !self.states[i].is_invalid() && self.tags[i] == tag)
+        let base = self.base(set);
+        let ways = &self.ways[base..base + self.geom.ways() as usize];
+        for (w, way) in ways.iter().enumerate() {
+            if way[1] & STATE_MASK != 0 && way[0] == tag {
+                return TagProbe {
+                    set,
+                    way: Some(w as u32),
+                    state: way_state(way),
+                };
+            }
+        }
+        TagProbe {
+            set,
+            way: None,
+            state: StateId::INVALID,
+        }
+    }
+
+    /// Moves the line a hit `probe` found to state `next`; a move to state
+    /// 0 frees its way. With `touch`, a line that stays resident also
+    /// records a use for the replacement policy (LRU stamp / PLRU bit; no
+    /// effect under FIFO or random). A no-op for a miss.
+    pub fn update(&mut self, probe: &TagProbe, next: StateId, touch: bool) {
+        let Some(way) = probe.way else {
+            return;
+        };
+        let i = self.base(probe.set) + way as usize;
+        let entry = &mut self.ways[i];
+        entry[1] = (entry[1] & !STATE_MASK) | u64::from(next.value());
+        if next.is_invalid() {
+            self.resident -= 1;
+        } else if touch {
+            match self.policy {
+                ReplacementPolicy::Lru => {
+                    self.tick += 1;
+                    entry[1] = (self.tick << STATE_BITS) | u64::from(next.value());
+                }
+                ReplacementPolicy::PlruBits => {
+                    self.plru[probe.set] = plru_touch(self.plru[probe.set], way, self.geom.ways());
+                }
+                ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
+            }
+        }
+    }
+
+    /// Allocates `line`, which a miss `probe` did not find, in `state`:
+    /// into the lowest free way of its set, or else over the replacement
+    /// policy's victim. Returns the victim, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `state` is the invalid state or `probe`
+    /// is a hit.
+    pub fn fill(
+        &mut self,
+        probe: &TagProbe,
+        line: LineAddr,
+        state: StateId,
+    ) -> Option<EvictedLine> {
+        debug_assert!(
+            !state.is_invalid(),
+            "cannot allocate into the invalid state"
+        );
+        debug_assert!(probe.way.is_none(), "fill needs a miss probe");
+        debug_assert_eq!(probe.set, self.geom.set_index(line));
+        let set = probe.set;
+        let ways = self.geom.ways();
+        let base = self.base(set);
+        let entries = &self.ways[base..base + ways as usize];
+
+        // Prefer a free way.
+        let free = entries.iter().position(|w| w[1] & STATE_MASK == 0);
+        let (way, victim) = match free {
+            Some(w) => {
+                self.resident += 1;
+                (w as u32, None)
+            }
+            None => {
+                let way = match self.policy {
+                    // The lowest way with the smallest age (`min_by_key`
+                    // keeps the first of equal minima).
+                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => entries
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, entry)| entry[1] >> STATE_BITS)
+                        .map_or(0, |(w, _)| w as u32),
+                    ReplacementPolicy::Random => (self.rng.next() % u64::from(ways)) as u32,
+                    ReplacementPolicy::PlruBits => plru_victim(self.plru[set], ways),
+                };
+                let entry = &entries[way as usize];
+                let victim = EvictedLine {
+                    line: self.geom.line_from_parts(entry[0], set),
+                    state: way_state(entry),
+                };
+                (way, Some(victim))
+            }
+        };
+
+        let age = match self.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                self.tick += 1;
+                self.tick
+            }
+            ReplacementPolicy::PlruBits => {
+                self.plru[set] = plru_touch(self.plru[set], way, ways);
+                0
+            }
+            ReplacementPolicy::Random => 0,
+        };
+        self.ways[base + way as usize] = [
+            self.geom.tag(line),
+            (age << STATE_BITS) | u64::from(state.value()),
+        ];
+        victim
     }
 
     /// The protocol state of `line` ([`StateId::INVALID`] if absent).
     pub fn state(&self, line: LineAddr) -> StateId {
-        self.find(line).map_or(StateId::INVALID, |i| self.states[i])
+        self.probe(line).state
     }
 
     /// Whether `line` has an entry.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.probe(line).hit()
     }
 
     /// Records a use of `line` for the replacement policy (LRU timestamp /
     /// PLRU bit; no effect under FIFO or random). Returns whether the line
     /// was resident.
     pub fn touch(&mut self, line: LineAddr) -> bool {
-        let Some(i) = self.find(line) else {
-            return false;
-        };
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                self.tick += 1;
-                self.stamps[i] = self.tick;
-            }
-            ReplacementPolicy::PlruBits => {
-                let set = self.geom.set_index(line);
-                let way = (i - set * self.geom.ways() as usize) as u32;
-                self.plru[set] = plru_touch(self.plru[set], way, self.geom.ways());
-            }
-            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
-        }
-        true
+        let probe = self.probe(line);
+        self.update(&probe, probe.state, true);
+        probe.hit()
     }
 
     /// Sets the state of a resident line (no-op when absent); returns the
     /// previous state if resident. A transition back to state 0 frees the
     /// entry.
     pub fn set_state(&mut self, line: LineAddr, state: StateId) -> Option<StateId> {
-        let i = self.find(line)?;
-        let old = self.states[i];
-        self.states[i] = state;
-        if state.is_invalid() {
-            self.resident -= 1;
-        }
-        Some(old)
+        let probe = self.probe(line);
+        self.update(&probe, state, false);
+        probe.hit().then_some(probe.state)
     }
 
     /// Allocates an entry for `line` in `state`, evicting per the
     /// replacement policy if the set is full. Returns the victim, if any.
     ///
-    /// If the line is already resident, only its state is updated.
+    /// If the line is already resident, only its state is updated (and
+    /// the use recorded).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `state` is the invalid state.
     pub fn allocate(&mut self, line: LineAddr, state: StateId) -> Option<EvictedLine> {
-        debug_assert!(
-            !state.is_invalid(),
-            "cannot allocate into the invalid state"
-        );
-        if let Some(i) = self.find(line) {
-            self.states[i] = state;
-            self.touch(line);
+        let probe = self.probe(line);
+        if probe.hit() {
+            debug_assert!(
+                !state.is_invalid(),
+                "cannot allocate into the invalid state"
+            );
+            self.update(&probe, state, true);
             return None;
         }
-        let set = self.geom.set_index(line);
-        let ways = self.geom.ways();
-
-        // Prefer a free way.
-        let free = self.way_range(set).find(|&i| self.states[i].is_invalid());
-        let (idx, victim) = match free {
-            Some(i) => {
-                self.resident += 1;
-                (i, None)
-            }
-            None => {
-                let way = match self.policy {
-                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                        let base = set * ways as usize;
-                        let mut oldest_way = 0u32;
-                        let mut oldest = u64::MAX;
-                        for w in 0..ways {
-                            let s = self.stamps[base + w as usize];
-                            if s < oldest {
-                                oldest = s;
-                                oldest_way = w;
-                            }
-                        }
-                        oldest_way
-                    }
-                    ReplacementPolicy::Random => (self.rng.next() % u64::from(ways)) as u32,
-                    ReplacementPolicy::PlruBits => plru_victim(self.plru[set], ways),
-                };
-                let i = set * ways as usize + way as usize;
-                let victim = EvictedLine {
-                    line: self.geom.line_from_parts(self.tags[i], set),
-                    state: self.states[i],
-                };
-                (i, Some(victim))
-            }
-        };
-
-        self.tags[idx] = self.geom.tag(line);
-        self.states[idx] = state;
-        match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                self.tick += 1;
-                self.stamps[idx] = self.tick;
-            }
-            ReplacementPolicy::PlruBits => {
-                let way = (idx - set * ways as usize) as u32;
-                self.plru[set] = plru_touch(self.plru[set], way, ways);
-            }
-            ReplacementPolicy::Random => {}
-        }
-        victim
+        self.fill(&probe, line, state)
     }
 
     /// Frees the entry of `line`, returning its old state
     /// ([`StateId::INVALID`] if it was absent).
     pub fn invalidate(&mut self, line: LineAddr) -> StateId {
-        match self.find(line) {
-            Some(i) => {
-                let old = self.states[i];
-                self.states[i] = StateId::INVALID;
-                self.resident -= 1;
-                old
-            }
-            None => StateId::INVALID,
-        }
+        let probe = self.probe(line);
+        self.update(&probe, StateId::INVALID, false);
+        probe.state
     }
 
     /// Iterates over `(line, state)` for every resident entry (tests and
     /// statistics extraction).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, StateId)> + '_ {
         let ways = self.geom.ways() as usize;
-        self.states
+        self.ways
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.is_invalid())
-            .map(move |(i, s)| (self.geom.line_from_parts(self.tags[i], i / ways), *s))
+            .filter(|(_, w)| w[1] & STATE_MASK != 0)
+            .map(move |(i, w)| (self.geom.line_from_parts(w[0], i / ways), way_state(w)))
     }
 }
 

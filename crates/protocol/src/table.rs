@@ -45,6 +45,8 @@ pub struct ProtocolTable {
     state_names: Vec<String>,
     initial: StateId,
     cells: Vec<Transition>,
+    /// Per state: the remote summary it reports (derived from `cells`).
+    summaries: [RemoteSummary; StateId::MAX_STATES],
 }
 
 impl ProtocolTable {
@@ -54,12 +56,28 @@ impl ProtocolTable {
         initial: StateId,
         cells: Vec<Transition>,
     ) -> Self {
-        ProtocolTable {
+        let mut table = ProtocolTable {
             name,
             state_names,
             initial,
             cells,
+            summaries: [RemoteSummary::None; StateId::MAX_STATES],
+        };
+        // Dirtiness and summaries are fixed by the cells: compute them
+        // once here, not on every sibling scan and victim check.
+        for state in StateId::all(table.state_count()).skip(1) {
+            // A state is dirty if snooping a remote read from it would
+            // supply modified data or write back.
+            let t = table.lookup(AccessEvent::RemoteRead, state, RemoteSummary::None);
+            let dirty = t.actions.contains(crate::action::Action::InterveneModified)
+                || t.actions.contains(crate::action::Action::Writeback);
+            table.summaries[state.index()] = if dirty {
+                RemoteSummary::Modified
+            } else {
+                RemoteSummary::Shared
+            };
         }
+        table
     }
 
     fn cell_index(&self, event: AccessEvent, state: StateId, remote: RemoteSummary) -> usize {
@@ -120,29 +138,30 @@ impl ProtocolTable {
     /// whose remote-read transition performs a modified intervention.
     ///
     /// Used by victim handling: evicting a dirty line costs a write-back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is outside this table's state count.
     pub fn is_dirty_state(&self, state: StateId) -> bool {
-        if state.is_invalid() {
-            return false;
-        }
-        // A state is dirty if snooping a remote read from it would supply
-        // modified data or write back.
-        let t = self.lookup(AccessEvent::RemoteRead, state, RemoteSummary::None);
-        t.actions.contains(crate::action::Action::InterveneModified)
-            || t.actions.contains(crate::action::Action::Writeback)
+        self.summarize_state(state) == RemoteSummary::Modified
     }
 
     /// The remote summary another node should report when it holds a line
     /// in `state`: [`RemoteSummary::Modified`] for dirty states,
     /// [`RemoteSummary::Shared`] for valid clean states,
     /// [`RemoteSummary::None`] for invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is outside this table's state count.
     pub fn summarize_state(&self, state: StateId) -> RemoteSummary {
-        if state.is_invalid() {
-            RemoteSummary::None
-        } else if self.is_dirty_state(state) {
-            RemoteSummary::Modified
-        } else {
-            RemoteSummary::Shared
-        }
+        assert!(
+            state.index() < self.state_names.len(),
+            "state {state} outside protocol {} ({} states)",
+            self.name,
+            self.state_names.len()
+        );
+        self.summaries[state.index()]
     }
 }
 

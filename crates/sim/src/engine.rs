@@ -26,11 +26,12 @@
 //! the last barrier — reflects exactly the admitted stream so far, and
 //! the engine assembles the replies with the front end's own counters
 //! into a [`BoardSnapshot`] that is bit-identical to what a serial board
-//! would show at the same stream position. Overflow masks are index-
-//! aligned across workers (every worker sees the same batch sequence),
-//! so each barrier OR-merges and popcounts just the masks since the
-//! previous one: retry accounting stays exact *and* incremental, and no
-//! engine-side structure grows with trace length.
+//! would show at the same stream position. Every worker sees the same
+//! batch sequence, so a worker keeps only `(batch sequence, mask)` pairs
+//! for the batches that overflowed, plus a count of the batches it saw;
+//! each barrier checks the counts agree, OR-merges the masks by sequence
+//! and popcounts them: retry accounting stays exact *and* incremental,
+//! and neither worker- nor engine-side state grows with trace length.
 //!
 //! Barriers change where batches end (the partial batch is flushed), but
 //! results are batch-size-invariant, so a monitored run's final board is
@@ -46,6 +47,8 @@
 //! [`sample_now`]: EmulationEngine::sample_now
 //! [`sample_every`]: EmulationEngine::sample_every
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -123,17 +126,33 @@ pub struct MonitorReport {
 /// overflowed some node buffer in the reporting shard.
 type OverflowMask = Vec<u64>;
 
-fn mask_for(len: usize) -> OverflowMask {
-    vec![0u64; len.div_ceil(64)]
+/// One worker's overflow record since the last barrier: how many batches
+/// it snooped, and the mask of each batch that overflowed, keyed by the
+/// batch's sequence number. Overflow-free batches leave no mask, so an
+/// unsampled run without overflows keeps this empty however long it is.
+#[derive(Debug, Default)]
+struct OverflowLog {
+    batches: u64,
+    masks: Vec<(u64, OverflowMask)>,
 }
 
-/// Two shards reported overflow-mask lists of different lengths at a
-/// merge point — the workers disagreed about how many batches they saw,
-/// which means retry accounting can no longer be trusted.
+impl OverflowLog {
+    /// Records the next batch's mask, keeping it only if a bit is set.
+    fn record(&mut self, mask: &[u64]) {
+        if mask.iter().any(|w| *w != 0) {
+            self.masks.push((self.batches, mask.to_vec()));
+        }
+        self.batches += 1;
+    }
+}
+
+/// Two shards reported different batch counts at a merge point — the
+/// workers disagreed about how many batches they saw, which means retry
+/// accounting can no longer be trusted.
 #[derive(Debug)]
 struct MaskMismatch {
-    expected: usize,
-    got: usize,
+    expected: u64,
+    got: u64,
 }
 
 impl fmt::Display for MaskMismatch {
@@ -152,15 +171,15 @@ impl std::error::Error for MaskMismatch {}
 struct ShardReport {
     /// `(global node id, counters)` for every node the shard owns.
     nodes: Vec<(u8, NodeCounters)>,
-    /// Overflow masks for the batches since the previous barrier.
-    masks: Vec<OverflowMask>,
+    /// Overflows in the batches since the previous barrier.
+    overflows: OverflowLog,
 }
 
 /// What a worker returns when its queue closes.
 struct WorkerDone {
     shard: NodeShard,
-    /// Overflow masks for the batches since the last barrier.
-    masks: Vec<OverflowMask>,
+    /// Overflows in the batches since the last barrier.
+    overflows: OverflowLog,
     snooped: u64,
     busy: Duration,
 }
@@ -505,20 +524,20 @@ impl EmulationEngine {
                 }
                 drop(reply);
                 let mut parts = Vec::with_capacity(*node_count);
-                let mut mask_lists = Vec::with_capacity(workers.len());
+                let mut logs = Vec::with_capacity(workers.len());
                 for _ in 0..workers.len() {
                     match reports.recv() {
                         Ok(report) => {
                             parts.extend(report.nodes);
-                            mask_lists.push(report.masks);
+                            logs.push(report.overflows);
                         }
                         Err(_) => propagate_worker_failure(std::mem::take(workers)),
                     }
                 }
-                // Masks since the last barrier are index-aligned across
-                // workers; merge just those and fold the overflows into
+                // Every worker saw the same batches since the last
+                // barrier; merge just those overflows and fold them into
                 // the retry account incrementally.
-                front.record_overflows(or_and_count(mask_lists)?);
+                front.record_overflows(or_and_count(logs)?);
                 Ok(BoardSnapshot::assemble(
                     front.global().clone(),
                     *front.filter().stats(),
@@ -596,7 +615,7 @@ impl EmulationEngine {
                 drop(senders); // Closes the channels; workers drain and exit.
 
                 let mut shards = Vec::with_capacity(handles.len());
-                let mut mask_lists = Vec::with_capacity(handles.len());
+                let mut logs = Vec::with_capacity(handles.len());
                 for (i, handle) in handles.into_iter().enumerate() {
                     let done = handle
                         .join()
@@ -608,12 +627,12 @@ impl EmulationEngine {
                         busy: done.busy,
                     });
                     shards.push(done.shard);
-                    mask_lists.push(done.masks);
+                    logs.push(done.overflows);
                 }
                 // One retry per admitted transaction that overflowed in
                 // any shard — exactly the serial board's accounting.
-                // (Masks before the last barrier were already folded in.)
-                front.record_overflows(or_and_count(mask_lists)?);
+                // (Overflows before the last barrier were already folded in.)
+                front.record_overflows(or_and_count(logs)?);
                 telemetry.seen = front.filter().stats().seen;
                 telemetry.admitted = front.filter().stats().forwarded;
                 MemoriesBoard::assemble(front, shards)?
@@ -648,29 +667,38 @@ impl fmt::Debug for EmulationEngine {
 /// keeps the producer and workers overlapped without unbounded queueing.
 const QUEUE_CAPACITY: usize = 4;
 
-/// OR-merges the per-worker overflow-mask lists (which must be
-/// index-aligned: every worker sees the same batch sequence) and counts
-/// the set bits — the number of admitted transactions that overflowed in
-/// at least one shard.
-fn or_and_count(mask_lists: Vec<Vec<OverflowMask>>) -> Result<u64, Error> {
-    let mut lists = mask_lists.into_iter();
-    let mut merged = lists.next().unwrap_or_default();
-    for masks in lists {
-        if masks.len() != merged.len() {
+/// OR-merges the per-worker overflow logs (every worker sees the same
+/// batch sequence, so equal sequence numbers name the same batch) and
+/// counts the set bits — the number of admitted transactions that
+/// overflowed in at least one shard.
+fn or_and_count(logs: Vec<OverflowLog>) -> Result<u64, Error> {
+    let mut logs = logs.into_iter();
+    let Some(first) = logs.next() else {
+        return Ok(0);
+    };
+    let mut merged: BTreeMap<u64, OverflowMask> = first.masks.into_iter().collect();
+    for log in logs {
+        if log.batches != first.batches {
             return Err(Error::other(MaskMismatch {
-                expected: merged.len(),
-                got: masks.len(),
+                expected: first.batches,
+                got: log.batches,
             }));
         }
-        for (acc, m) in merged.iter_mut().zip(&masks) {
-            debug_assert_eq!(acc.len(), m.len());
-            for (a, b) in acc.iter_mut().zip(m) {
-                *a |= *b;
+        for (seq, mask) in log.masks {
+            match merged.entry(seq) {
+                Entry::Vacant(slot) => {
+                    slot.insert(mask);
+                }
+                Entry::Occupied(mut slot) => {
+                    for (a, b) in slot.get_mut().iter_mut().zip(&mask) {
+                        *a |= *b;
+                    }
+                }
             }
         }
     }
     Ok(merged
-        .iter()
+        .values()
         .flat_map(|m| m.iter())
         .map(|w| u64::from(w.count_ones()))
         .sum())
@@ -724,15 +752,18 @@ fn spawn_worker(mut shard: NodeShard) -> Worker {
     let nodes = shard.len();
     let (sender, receiver) = sync_channel::<Request>(QUEUE_CAPACITY);
     let handle = std::thread::spawn(move || {
-        // Masks since the last snapshot barrier (drained at each one).
-        let mut masks: Vec<OverflowMask> = Vec::new();
+        // Overflows since the last snapshot barrier (drained at each
+        // one), and the reused mask of the batch in hand.
+        let mut overflows = OverflowLog::default();
+        let mut mask: OverflowMask = Vec::new();
         let mut snooped: u64 = 0;
         let mut busy = Duration::ZERO;
         while let Ok(request) = receiver.recv() {
             match request {
                 Request::Batch(batch) => {
                     let t0 = Instant::now();
-                    let mut mask = mask_for(batch.len());
+                    mask.clear();
+                    mask.resize(batch.len().div_ceil(64), 0);
                     for (i, txn) in batch.iter().enumerate() {
                         if shard.snoop(txn) {
                             mask[i / 64] |= 1u64 << (i % 64);
@@ -740,21 +771,21 @@ fn spawn_worker(mut shard: NodeShard) -> Worker {
                     }
                     busy += t0.elapsed();
                     snooped += batch.len() as u64;
-                    masks.push(mask);
+                    overflows.record(&mask);
                 }
                 Request::Snapshot(reply) => {
                     // If the engine dropped the reply receiver it is
                     // already unwinding; keep draining until close.
                     let _ = reply.send(ShardReport {
                         nodes: shard.counters_snapshot(),
-                        masks: std::mem::take(&mut masks),
+                        overflows: std::mem::take(&mut overflows),
                     });
                 }
             }
         }
         WorkerDone {
             shard,
-            masks,
+            overflows,
             snooped,
             busy,
         }
@@ -1029,17 +1060,49 @@ mod tests {
 
     #[test]
     fn mask_length_mismatch_is_a_real_error() {
-        // Diverged mask lists must surface as an Error (the old
+        // Diverged batch counts must surface as an Error (the old
         // debug_assert vanished in release builds).
-        let lists = vec![vec![mask_for(64), mask_for(64)], vec![mask_for(64)]];
-        let err = or_and_count(lists).expect_err("mismatch must error");
+        let clean = vec![0u64; 64];
+        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
+        a.record(&clean);
+        a.record(&clean);
+        b.record(&clean);
+        let err = or_and_count(vec![a, b]).expect_err("mismatch must error");
         assert!(err.to_string().contains("diverged"), "got: {err}");
-        // Aligned lists still count exactly.
-        let mut a = mask_for(64);
-        a[0] = 0b1011;
-        let mut b = mask_for(64);
-        b[0] = 0b0110;
-        assert_eq!(or_and_count(vec![vec![a], vec![b]]).unwrap(), 4);
+        // Aligned logs still count exactly.
+        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
+        let mut m = clean.clone();
+        m[0] = 0b1011;
+        a.record(&m);
+        m[0] = 0b0110;
+        b.record(&m);
+        assert_eq!(or_and_count(vec![a, b]).unwrap(), 4);
+    }
+
+    #[test]
+    fn overflow_logs_keep_only_overflowing_batches() {
+        const BATCHES: u64 = 10_000;
+        let clean = vec![0u64; 4096 / 64];
+        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
+        for _ in 0..BATCHES {
+            a.record(&clean);
+            b.record(&clean);
+        }
+        assert!(a.masks.is_empty() && b.masks.is_empty());
+        assert_eq!(or_and_count(vec![a, b]).unwrap(), 0);
+
+        // One transaction overflows in both shards: still one retry.
+        let mut hit = clean.clone();
+        hit[17] = 1 << 5;
+        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
+        for seq in 0..BATCHES {
+            let mask = if seq == 4_321 { &hit } else { &clean };
+            a.record(mask);
+            b.record(mask);
+        }
+        assert_eq!(a.masks.len(), 1);
+        assert_eq!(a.masks[0].0, 4_321);
+        assert_eq!(or_and_count(vec![a, b]).unwrap(), 1);
     }
 
     #[test]
