@@ -336,7 +336,13 @@ impl BoardFrontEnd {
 pub struct MemoriesBoard {
     front: BoardFrontEnd,
     shard: NodeShard,
+    /// The admitted part of the raw chunk in hand, reused across blocks.
+    admitted: Vec<Transaction>,
 }
+
+/// Raw transactions [`MemoriesBoard::observe_block`] filters at a time
+/// before snooping what it admitted, which bounds its scratch buffer.
+const ADMIT_CHUNK: usize = 1024;
 
 impl MemoriesBoard {
     /// Builds a board from its configuration.
@@ -378,6 +384,7 @@ impl MemoriesBoard {
                 retries_posted: 0,
             },
             shard: NodeShard::new(partition, indices, nodes),
+            admitted: Vec::new(),
         })
     }
 
@@ -388,7 +395,7 @@ impl MemoriesBoard {
     /// effective shard count is capped at the number of domains; at least
     /// one shard is always returned. Feed every transaction through
     /// [`BoardFrontEnd::observe`] once, give each admitted transaction to
-    /// *every* shard's [`NodeShard::snoop`] in stream order, then rebuild
+    /// *every* shard's [`NodeShard::snoop_block`] in stream order, then rebuild
     /// the board with [`MemoriesBoard::assemble`].
     pub fn split(self, shards: usize) -> (BoardFrontEnd, Vec<NodeShard>) {
         let partition = self.front.filter.partition().clone();
@@ -454,6 +461,7 @@ impl MemoriesBoard {
         Ok(MemoriesBoard {
             front,
             shard: NodeShard::new(partition, indices, nodes),
+            admitted: Vec::new(),
         })
     }
 
@@ -584,13 +592,19 @@ impl MemoriesBoard {
     /// throughput, which §3.3 reports is how the board behaved in practice
     /// (no retry ever posted in months of lab use).
     pub fn observe_block(&mut self, txns: &[Transaction]) -> ListenerReaction {
-        let mut reaction = ListenerReaction::Proceed;
-        for txn in txns {
-            if self.observe(txn) == ListenerReaction::Retry {
-                reaction = ListenerReaction::Retry;
-            }
+        let mut overflows = 0u64;
+        for chunk in txns.chunks(ADMIT_CHUNK) {
+            self.admitted.clear();
+            self.admitted
+                .extend(chunk.iter().filter(|txn| self.front.observe(txn)));
+            self.shard.snoop_block(&self.admitted, |_| overflows += 1);
         }
-        reaction
+        self.front.record_overflows(overflows);
+        if overflows > 0 && self.front.allow_retry {
+            ListenerReaction::Retry
+        } else {
+            ListenerReaction::Proceed
+        }
     }
 }
 

@@ -136,6 +136,12 @@ impl NodePartition {
         self.nodes[node.index()].0
     }
 
+    /// The CPUs, as a bit mask, whose traffic is local or remote to
+    /// `node`: every CPU of its domain, added remotes included.
+    pub(crate) fn domain_cpus(&self, node: NodeId) -> u64 {
+        self.domain_masks[node.index()]
+    }
+
     /// How `proc`'s traffic relates to `node`.
     pub fn locality(&self, node: NodeId, proc: ProcId) -> Locality {
         let bit = 1u64 << proc.index();

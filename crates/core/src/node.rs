@@ -211,6 +211,12 @@ impl NodeController {
         self.tags.probe(self.params.geometry().line_addr(addr))
     }
 
+    /// Reads the directory set [`NodeController::tag_probe`] searches for
+    /// `addr`, and nothing else (see [`TagStore::read_set`]).
+    pub(crate) fn read_tag_set(&self, addr: Address) -> u64 {
+        self.tags.read_set(self.params.geometry().line_addr(addr))
+    }
+
     /// [`NodeController::process_with_resp`] with the directory already
     /// probed: `probe` must come from [`NodeController::tag_probe`] for
     /// `addr`, with no transition applied to this node since.

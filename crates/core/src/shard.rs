@@ -15,12 +15,16 @@
 //! [`MemoriesBoard::split`](crate::MemoriesBoard::split) enforces this
 //! grouping; the serial board itself is just the single full shard.
 
-use memories_bus::{NodeId, Transaction};
+use memories_bus::{BusOp, NodeId, Transaction};
 use memories_protocol::{AccessEvent, RemoteSummary};
 
 use crate::filter::NodePartition;
 use crate::node::NodeController;
 use crate::tagstore::TagProbe;
+
+/// Transactions per group in [`NodeShard::snoop_block`]: the directory
+/// sets of the next group are read before this group is snooped.
+const GROUP: usize = 8;
 
 /// A group of node controllers that snoops the admitted transaction
 /// stream independently of every other shard.
@@ -28,8 +32,8 @@ use crate::tagstore::TagProbe;
 /// Obtained from [`MemoriesBoard::split`](crate::MemoriesBoard::split);
 /// give each shard to one worker thread (it is `Send`: controllers own
 /// all their state), feed every admitted transaction to
-/// [`NodeShard::snoop`] in stream order, then hand the shards back to
-/// [`MemoriesBoard::assemble`](crate::MemoriesBoard::assemble).
+/// [`NodeShard::snoop_block`] in stream order, then hand the shards back
+/// to [`MemoriesBoard::assemble`](crate::MemoriesBoard::assemble).
 #[derive(Clone, Debug)]
 pub struct NodeShard {
     /// The full board partition (classification needs global node ids).
@@ -38,6 +42,12 @@ pub struct NodeShard {
     indices: Vec<u8>,
     /// The owned controllers.
     nodes: Vec<NodeController>,
+    /// Per member: the positions of its same-domain members, itself
+    /// included, as a bit mask.
+    mates: [u8; NodeId::MAX_NODES],
+    /// Per member: the CPUs whose traffic its domain sees, as a bit mask.
+    /// DMA aside, only their transactions can make the member probe.
+    domain_cpus: [u64; NodeId::MAX_NODES],
 }
 
 impl NodeShard {
@@ -47,10 +57,23 @@ impl NodeShard {
         nodes: Vec<NodeController>,
     ) -> Self {
         debug_assert_eq!(indices.len(), nodes.len());
+        let mut mates = [0u8; NodeId::MAX_NODES];
+        let mut domain_cpus = [0u64; NodeId::MAX_NODES];
+        for (pos, &i) in indices.iter().enumerate() {
+            let domain = partition.domain(NodeId::new(i));
+            for (j, &k) in indices.iter().enumerate() {
+                if partition.domain(NodeId::new(k)) == domain {
+                    mates[pos] |= 1 << j;
+                }
+            }
+            domain_cpus[pos] = partition.domain_cpus(NodeId::new(i));
+        }
         NodeShard {
             partition,
             indices,
             nodes,
+            mates,
+            domain_cpus,
         }
     }
 
@@ -106,35 +129,91 @@ impl NodeShard {
             .collect()
     }
 
-    /// Snoops one *admitted* transaction in lock step across this shard's
-    /// controllers, exactly as the serial board does: phase 1 classifies
-    /// each member and snapshots remote summaries from pre-transaction
-    /// directory state (same-domain siblings only), phase 2 applies every
-    /// transition. Returns whether any member's buffer overflowed.
+    /// Snoops one *admitted* transaction: a block of one for
+    /// [`NodeShard::snoop_block`]. Returns whether any member's buffer
+    /// overflowed.
+    pub fn snoop(&mut self, txn: &Transaction) -> bool {
+        let mut overflow = false;
+        self.snoop_block(std::slice::from_ref(txn), |_| overflow = true);
+        overflow
+    }
+
+    /// Snoops a block of *admitted* transactions in stream order, each in
+    /// lock step across this shard's controllers, exactly as the serial
+    /// board does. Calls `overflowed(i)`, in ascending order, for each
+    /// index `i` of `txns` that overflowed some member's buffer.
     ///
-    /// Each member's directory is probed at most once, in phase 1, and
-    /// phase 2 applies the member's transition through that probe. The
-    /// snoop makes no heap allocation.
+    /// The block goes in groups of eight. Before a group is snooped, the
+    /// shard reads the directory set each member will search for every
+    /// transaction of the *next* group, so those host cache misses are in
+    /// flight together instead of one probe at a time (the board's node
+    /// controllers likewise keep many SDRAM accesses open through their
+    /// transaction buffers, §3.1). The reads change nothing, so the
+    /// outcome is that of snooping the transactions one by one.
     ///
     /// The caller is responsible for admission filtering (the address
     /// filter runs once, on the producer side) and for turning overflow
     /// into a bus retry.
-    pub fn snoop(&mut self, txn: &Transaction) -> bool {
+    pub fn snoop_block(&mut self, txns: &[Transaction], mut overflowed: impl FnMut(usize)) {
+        let mut groups = txns.chunks(GROUP);
+        let mut next = groups.next();
+        let mut start = 0;
+        while let Some(group) = next {
+            next = groups.next();
+            if let Some(ahead) = next {
+                std::hint::black_box(self.read_sets(ahead));
+            }
+            for (i, txn) in group.iter().enumerate() {
+                if self.snoop_one(txn) {
+                    overflowed(start + i);
+                }
+            }
+            start += group.len();
+        }
+    }
+
+    /// Reads the directory set that every member which may probe a
+    /// transaction of `group` will search, and folds the words read into
+    /// one value so the reads stay in the program. A member may probe a
+    /// DMA transaction, or one from a CPU its domain sees; that covers
+    /// every member [`NodeShard::snoop_one`] probes.
+    fn read_sets(&self, group: &[Transaction]) -> u64 {
+        let mut sink = 0;
+        for txn in group {
+            let dma = matches!(txn.op, BusOp::DmaRead | BusOp::DmaWrite);
+            let cpu = 1u64 << txn.proc.index();
+            for (pos, node) in self.nodes.iter().enumerate() {
+                if dma || self.domain_cpus[pos] & cpu != 0 {
+                    sink ^= node.read_tag_set(txn.addr);
+                }
+            }
+        }
+        sink
+    }
+
+    /// One transaction in lock step: phase 1 classifies each member and
+    /// snapshots remote summaries from pre-transaction directory state
+    /// (same-domain siblings only), phase 2 applies every transition.
+    /// Returns whether any member's buffer overflowed.
+    ///
+    /// Each member's directory is probed at most once, in phase 1, and
+    /// phase 2 applies the member's transition through that probe. The
+    /// snoop makes no heap allocation.
+    fn snoop_one(&mut self, txn: &Transaction) -> bool {
         let n = self.nodes.len();
         let mut events: [Option<AccessEvent>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
-        let mut domains = [0u8; NodeId::MAX_NODES];
         let mut probes: [Option<TagProbe>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
         let mut summaries = [RemoteSummary::None; NodeId::MAX_NODES];
 
         // Lock step, phase 1: classify, then probe every member whose
         // domain has an event, from pre-transaction directory state.
-        for pos in 0..n {
-            let id = NodeId::new(self.indices[pos]);
-            domains[pos] = self.partition.domain(id);
-            events[pos] = self.partition.event_for(id, txn);
+        let mut with_event = 0u8;
+        for (pos, (event, &id)) in events.iter_mut().zip(&self.indices).enumerate() {
+            *event = self.partition.event_for(NodeId::new(id), txn);
+            with_event |= u8::from(event.is_some()) << pos;
         }
         for pos in 0..n {
-            if !(0..n).any(|j| domains[j] == domains[pos] && events[j].is_some()) {
+            if self.mates[pos] & with_event == 0 {
                 continue;
             }
             let node = &self.nodes[pos];
@@ -150,11 +229,12 @@ impl NodeShard {
             let (Some(event), Some(probe)) = (events[pos], probes[pos]) else {
                 continue;
             };
-            let remote = (0..n)
-                .filter(|&j| j != pos && domains[j] == domains[pos])
-                .map(|j| summaries[j])
-                .max()
-                .unwrap_or(RemoteSummary::None);
+            let mut siblings = self.mates[pos] & !(1 << pos);
+            let mut remote = RemoteSummary::None;
+            while siblings != 0 {
+                remote = remote.max(summaries[siblings.trailing_zeros() as usize]);
+                siblings &= siblings - 1;
+            }
             let outcome =
                 self.nodes[pos].apply(event, txn.addr, probe, txn.cycle, remote, txn.resp);
             if !outcome.accepted {
@@ -193,7 +273,8 @@ pub(crate) fn plan_shards(partition: &NodePartition, shards: usize) -> Vec<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memories_bus::ProcId;
+    use crate::{BoardConfig, CacheParams, MemoriesBoard, NodeCounter, NodeSlot, TimingConfig};
+    use memories_bus::{Address, ProcId, SnoopResponse};
 
     fn partition(domains: &[u8]) -> NodePartition {
         // One distinct CPU per node, to keep shapes valid.
@@ -228,5 +309,86 @@ mod tests {
         let p = partition(&[0, 1, 2, 3]);
         assert_eq!(plan_shards(&p, 2), vec![vec![0, 2], vec![1, 3]]);
         assert_eq!(plan_shards(&p, 4), vec![vec![0], vec![1], vec![2], vec![3]]);
+    }
+
+    /// Two two-node domains behind 2-entry buffers, as one shard.
+    fn overflowing_shard() -> NodeShard {
+        let params = CacheParams::builder()
+            .capacity(4096)
+            .ways(2)
+            .line_size(128)
+            .allow_scaled_down()
+            .build()
+            .unwrap();
+        let slot = |cpus: std::ops::Range<u8>, domain| {
+            NodeSlot::new(params, cpus.map(ProcId::new)).in_domain(domain)
+        };
+        let mut cfg = BoardConfig::from_slots(vec![
+            slot(0..2, 0),
+            slot(2..4, 0),
+            slot(0..2, 1),
+            slot(2..4, 1),
+        ])
+        .unwrap();
+        cfg.timing = TimingConfig {
+            buffer_capacity: 2,
+            ..TimingConfig::default()
+        };
+        let (_, mut shards) = MemoriesBoard::new(cfg).unwrap().split(1);
+        shards.pop().unwrap()
+    }
+
+    #[test]
+    fn snoop_block_reports_the_overflows_of_per_transaction_snoops() {
+        // 8k + 3 transactions in same-cycle bursts of five, with DMA mixed in.
+        let ops = [
+            BusOp::Read,
+            BusOp::Rwitm,
+            BusOp::DClaim,
+            BusOp::WriteBack,
+            BusOp::DmaWrite,
+        ];
+        let txns: Vec<Transaction> = (0..8 * 64 + 3u64)
+            .map(|i| {
+                Transaction::new(
+                    i,
+                    i / 5 * 40,
+                    ProcId::new((i * 3 % 4) as u8),
+                    ops[(i % 5) as usize],
+                    Address::new(i * 11 % 96 * 128),
+                    SnoopResponse::Null,
+                )
+            })
+            .collect();
+
+        let mut single = overflowing_shard();
+        let want: Vec<usize> = (0..txns.len())
+            .filter(|&i| single.snoop(&txns[i]))
+            .collect();
+        let mut block = overflowing_shard();
+        let mut got = Vec::new();
+        block.snoop_block(&txns, |i| got.push(i));
+
+        assert!(
+            !want.is_empty() && want.len() < txns.len(),
+            "test needs some overflows"
+        );
+        assert_eq!(got, want);
+        for pos in 0..block.len() {
+            let (a, b) = (single.node_at(pos), block.node_at(pos));
+            assert_eq!(a.counters(), b.counters(), "member {pos}");
+            assert!(
+                a.counters().get(NodeCounter::RemoteWritesSeen) > 0,
+                "member {pos}"
+            );
+            for t in &txns {
+                assert_eq!(
+                    a.probe(t.addr),
+                    b.probe(t.addr),
+                    "member {pos} at {:?}",
+                    t.addr
+                );
+            }
+        }
     }
 }

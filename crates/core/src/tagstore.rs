@@ -183,6 +183,13 @@ impl TagStore {
         }
     }
 
+    /// Reads one word of the set `line` maps to, without searching it: a
+    /// read-only touch that brings the set into the host cache ahead of
+    /// its [`TagStore::probe`]. The word itself means nothing.
+    pub(crate) fn read_set(&self, line: LineAddr) -> u64 {
+        self.ways[self.base(self.geom.set_index(line))][1]
+    }
+
     /// Moves the line a hit `probe` found to state `next`; a move to state
     /// 0 frees its way. With `touch`, a line that stays resident also
     /// records a use for the replacement policy (LRU stamp / PLRU bit; no

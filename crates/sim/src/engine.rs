@@ -764,11 +764,7 @@ fn spawn_worker(mut shard: NodeShard) -> Worker {
                     let t0 = Instant::now();
                     mask.clear();
                     mask.resize(batch.len().div_ceil(64), 0);
-                    for (i, txn) in batch.iter().enumerate() {
-                        if shard.snoop(txn) {
-                            mask[i / 64] |= 1u64 << (i % 64);
-                        }
-                    }
+                    shard.snoop_block(&batch, |i| mask[i / 64] |= 1u64 << (i % 64));
                     busy += t0.elapsed();
                     snooped += batch.len() as u64;
                     overflows.record(&mask);

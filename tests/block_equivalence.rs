@@ -16,7 +16,7 @@
 //! statistics, and — the part a counter diff can miss — the tag
 //! directories, probed at every address the stream touched.
 
-use memories::{BoardConfig, CacheParams, MemoriesBoard, TimingConfig};
+use memories::{BoardConfig, CacheParams, MemoriesBoard, NodeCounter, TimingConfig};
 use memories_bus::{
     Address, BlockPool, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction,
     TransactionBlock,
@@ -39,6 +39,11 @@ fn params(capacity: u64) -> CacheParams {
 /// overflow path (retry equivalence is still asserted — both paths must
 /// agree on the count, which is then provably zero).
 fn board() -> MemoriesBoard {
+    board_with_buffer(1 << 20)
+}
+
+/// The same board with a `capacity`-entry transaction buffer per node.
+fn board_with_buffer(capacity: usize) -> MemoriesBoard {
     let mut cfg = BoardConfig::parallel_configs(
         vec![
             params(1 << 20),
@@ -50,7 +55,7 @@ fn board() -> MemoriesBoard {
     )
     .unwrap();
     cfg.timing = TimingConfig {
-        buffer_capacity: 1 << 20,
+        buffer_capacity: capacity,
         ..TimingConfig::default()
     };
     MemoriesBoard::new(cfg).unwrap()
@@ -62,6 +67,17 @@ fn arb_step() -> impl Strategy<Value = (u8, u8, u64, u64)> {
         0u8..10, // ids ≥ 8 exercise the filter-drop path
         0u64..512,
         1u64..90,
+    )
+}
+
+/// Like [`arb_step`], but most transactions share the previous one's bus
+/// cycle, so bursts overrun a small node buffer.
+fn burst_step() -> impl Strategy<Value = (u8, u8, u64, u64)> {
+    (
+        0u8..BusOp::ALL.len() as u8,
+        0u8..10,
+        0u64..512,
+        prop::sample::select(vec![0u64, 0, 0, 0, 3, 60]),
     )
 }
 
@@ -212,6 +228,102 @@ proptest! {
             block_size,
             shards
         );
+    }
+}
+
+/// Every node's overflow counters, in node order.
+fn overflow_counts(board: &MemoriesBoard) -> Vec<(u64, u64)> {
+    (0..board.node_count())
+        .map(|n| {
+            let c = board.node(NodeId::new(n as u8)).counters();
+            (
+                c.get(NodeCounter::BufferOverflows),
+                c.get(NodeCounter::EventsDropped),
+            )
+        })
+        .collect()
+}
+
+/// Asserts that `got` ended exactly like the per-transaction `reference`:
+/// retries, overflow counters, every other counter, filter statistics
+/// and tag directories.
+fn assert_same_overflow_outcome(
+    reference: &MemoriesBoard,
+    got: &MemoriesBoard,
+    txns: &[Transaction],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        reference.retries_posted(),
+        got.retries_posted(),
+        "{}: retries diverged",
+        what
+    );
+    prop_assert_eq!(
+        overflow_counts(reference),
+        overflow_counts(got),
+        "{}: overflow counters diverged",
+        what
+    );
+    prop_assert_eq!(
+        reference.statistics_report(),
+        got.statistics_report(),
+        "{}: counters diverged",
+        what
+    );
+    prop_assert_eq!(reference.filter().stats(), got.filter().stats());
+    assert_directories_match(reference, got, txns, what)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Same-cycle bursts into 2-entry buffers overflow often; blocks of
+    /// 1, 7, 8, 9 and 4096 transactions put those overflows on both sides
+    /// of every snoop group boundary, through the board's `on_block` and
+    /// the engine's shard workers alike.
+    #[test]
+    fn overflow_under_block_delivery_matches_per_transaction(
+        raw in prop::collection::vec(burst_step(), 200..1500),
+    ) {
+        let txns = build_stream(&raw);
+        let mut reference = board_with_buffer(2);
+        for t in &txns {
+            reference.on_transaction(t);
+        }
+        prop_assert!(reference.retries_posted() > 0, "the stream must overflow");
+
+        for block_size in [1usize, 7, 8, 9, 4096] {
+            let mut blocked = board_with_buffer(2);
+            for chunk in txns.chunks(block_size) {
+                let mut block = TransactionBlock::with_capacity(block_size);
+                for t in chunk {
+                    block.push(*t);
+                }
+                blocked.on_block(&block);
+            }
+            assert_same_overflow_outcome(
+                &reference,
+                &blocked,
+                &txns,
+                &format!("board on_block, block size {block_size}"),
+            )?;
+
+            for shards in [1usize, 2] {
+                let cfg = EngineConfig::parallel(shards).with_batch(block_size);
+                let mut engine = EmulationEngine::new(board_with_buffer(2), cfg);
+                for chunk in txns.chunks(block_size) {
+                    engine.feed_block(chunk);
+                }
+                let final_board = engine.finish().unwrap();
+                assert_same_overflow_outcome(
+                    &reference,
+                    &final_board,
+                    &txns,
+                    &format!("engine, {shards} shards, block size {block_size}"),
+                )?;
+            }
+        }
     }
 }
 
