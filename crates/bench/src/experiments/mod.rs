@@ -82,25 +82,14 @@ pub(crate) fn run_host_only(
     workload: &mut dyn memories_workloads::Workload,
     refs: u64,
 ) -> memories_host::MachineStats {
-    use memories_host::AccessKind;
-    use memories_workloads::{RefKind, WorkloadEvent};
     let mut machine =
         memories_host::HostMachine::new(host).expect("experiment host configs are valid");
     let mut done = 0u64;
     while done < refs {
-        match workload.next_event() {
-            WorkloadEvent::Ref(r) => {
-                let kind = match r.kind {
-                    RefKind::Load => AccessKind::Load,
-                    RefKind::Store => AccessKind::Store,
-                };
-                machine.access(r.cpu, kind, r.addr);
-                done += 1;
-            }
-            WorkloadEvent::Instructions { cpu, count } => machine.tick_instructions(cpu, count),
-            WorkloadEvent::Dma { write: true, addr } => machine.dma_write(addr),
-            WorkloadEvent::Dma { write: false, addr } => machine.dma_read(addr),
-        }
+        done += u64::from(memories_console::apply_event(
+            &mut machine,
+            workload.next_event(),
+        ));
     }
     machine.stats()
 }

@@ -57,8 +57,9 @@ mod session;
 mod shared;
 
 pub use pipeline::{
-    ChunkedTraceSource, ExecutionOptions, LiveSource, Pipeline, PipelineError, PipelineRun,
-    PipelinedLiveSource, ProducerStats, SourceStats, StreamSource, TraceSource, TransactionSource,
+    apply_event, ChunkedTraceSource, ExecutionOptions, LiveSource, Pipeline, PipelineError,
+    PipelineRun, PipelinedLiveSource, ProducerStats, SourceStats, StreamSource, TraceSource,
+    TransactionSource,
 };
 pub use result::{ExperimentResult, ProfilePoint};
 pub use session::{

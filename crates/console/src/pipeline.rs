@@ -457,6 +457,37 @@ impl BusListener for PipelineFeed {
     }
 }
 
+/// Executes one workload event on the host machine: a reference, an
+/// instruction tick, or a DMA transfer. Returns whether it was a memory
+/// reference, the unit every live run counts.
+///
+/// This is the one event loop body of the live sources and of host-only
+/// runs.
+pub fn apply_event(machine: &mut HostMachine, event: WorkloadEvent) -> bool {
+    match event {
+        WorkloadEvent::Ref(r) => {
+            let kind = match r.kind {
+                RefKind::Load => AccessKind::Load,
+                RefKind::Store => AccessKind::Store,
+            };
+            machine.access(r.cpu, kind, r.addr);
+            true
+        }
+        WorkloadEvent::Instructions { cpu, count } => {
+            machine.tick_instructions(cpu, count);
+            false
+        }
+        WorkloadEvent::Dma { write: true, addr } => {
+            machine.dma_write(addr);
+            false
+        }
+        WorkloadEvent::Dma { write: false, addr } => {
+            machine.dma_read(addr);
+            false
+        }
+    }
+}
+
 /// A live source: builds the host machine, snoops its bus into the
 /// pipeline, and pumps `refs` workload references through it (plus any
 /// interleaved instruction ticks and DMA the workload emits). One
@@ -508,28 +539,11 @@ impl TransactionSource for LiveSource<'_> {
 
         let mut done: u64 = 0;
         while done < self.refs {
-            match self.workload.next_event() {
-                WorkloadEvent::Ref(r) => {
-                    let kind = match r.kind {
-                        RefKind::Load => AccessKind::Load,
-                        RefKind::Store => AccessKind::Store,
-                    };
-                    machine.access(r.cpu, kind, r.addr);
-                    done += 1;
-                    if !batched {
-                        let cycle = machine.bus().current_cycle();
-                        shared.with_mut(|p| p.end_unit(cycle));
-                    }
-                }
-                WorkloadEvent::Instructions { cpu, count } => {
-                    machine.tick_instructions(cpu, count);
-                }
-                WorkloadEvent::Dma { write, addr } => {
-                    if write {
-                        machine.dma_write(addr);
-                    } else {
-                        machine.dma_read(addr);
-                    }
+            if apply_event(&mut machine, self.workload.next_event()) {
+                done += 1;
+                if !batched {
+                    let cycle = machine.bus().current_cycle();
+                    shared.with_mut(|p| p.end_unit(cycle));
                 }
             }
         }
@@ -700,26 +714,7 @@ impl TransactionSource for PipelinedLiveSource<'_> {
 
                 let mut done: u64 = 0;
                 while done < refs && !shipper.with(|s| s.disconnected) {
-                    match workload.next_event() {
-                        WorkloadEvent::Ref(r) => {
-                            let kind = match r.kind {
-                                RefKind::Load => AccessKind::Load,
-                                RefKind::Store => AccessKind::Store,
-                            };
-                            machine.access(r.cpu, kind, r.addr);
-                            done += 1;
-                        }
-                        WorkloadEvent::Instructions { cpu, count } => {
-                            machine.tick_instructions(cpu, count);
-                        }
-                        WorkloadEvent::Dma { write, addr } => {
-                            if write {
-                                machine.dma_write(addr);
-                            } else {
-                                machine.dma_read(addr);
-                            }
-                        }
-                    }
+                    done += u64::from(apply_event(&mut machine, workload.next_event()));
                 }
 
                 let machine_stats = machine.stats();

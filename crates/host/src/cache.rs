@@ -1,4 +1,4 @@
-//! A set-associative, write-back, LRU, snooping cache.
+//! A set-associative, write-back, LRU, snooping cache: the host's L1.
 
 use std::fmt;
 
@@ -16,7 +16,12 @@ pub struct Victim {
 }
 
 /// A set-associative write-back cache with per-line MESI state and LRU
-/// replacement — the building block for the host's private L1s and L2s.
+/// replacement — each host processor's private inner (L1) cache.
+///
+/// The outer (L2) caches do not use it: they share one set-major store
+/// owned by the [`HostMachine`](crate::HostMachine), read through
+/// [`OuterView`](crate::OuterView). [`SnoopCache::snoop`] keeps the
+/// per-cache MESI snoop reaction as a standalone model of one L2.
 ///
 /// The cache stores only tags and states (this is a performance model;
 /// data values never matter). It is deliberately *not* the board's tag

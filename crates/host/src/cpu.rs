@@ -1,12 +1,15 @@
-//! A host processor: private cache hierarchy and counters.
+//! A host processor: its private L1 and its counters, plus the read-only
+//! [`CpuView`] that adds the processor's ways of the machine's outer (L2)
+//! store.
 
 use std::fmt;
 
-use memories_bus::{Geometry, LineAddr, ProcId};
+use memories_bus::{LineAddr, ProcId};
 
 use crate::cache::SnoopCache;
 use crate::config::HostConfig;
 use crate::mesi::MesiState;
+use crate::outer::{OuterStore, OuterView};
 
 /// The kind of a processor memory reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,59 +117,27 @@ impl ProcessorCounters {
     }
 }
 
-/// One host processor: an optional inner (L1) cache, the outer (L2)
-/// coherence-point cache, and counters.
+/// One host processor: an optional inner (L1) cache and counters.
 ///
-/// The processor itself holds no orchestration logic — the
+/// The outer (L2) caches of all processors live in the machine's one
+/// set-major store, and the processor holds no orchestration logic: the
 /// [`HostMachine`](crate::HostMachine) drives accesses because coherence
 /// requires touching *other* processors' caches.
 #[derive(Debug)]
-pub struct Processor {
+pub(crate) struct Processor {
     pub(crate) id: ProcId,
     pub(crate) inner: Option<SnoopCache>,
-    pub(crate) outer: SnoopCache,
     pub(crate) counters: ProcessorCounters,
 }
 
 impl Processor {
     /// Creates a processor per the machine configuration.
-    pub fn new(id: ProcId, config: &HostConfig) -> Self {
+    pub(crate) fn new(id: ProcId, config: &HostConfig) -> Self {
         Processor {
             id,
             inner: config.inner_cache.map(SnoopCache::new),
-            outer: SnoopCache::new(config.outer_cache),
             counters: ProcessorCounters::default(),
         }
-    }
-
-    /// This processor's bus id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// The outer (coherence-point) cache geometry.
-    pub fn outer_geometry(&self) -> &Geometry {
-        self.outer.geometry()
-    }
-
-    /// This processor's counters.
-    pub fn counters(&self) -> &ProcessorCounters {
-        &self.counters
-    }
-
-    /// Read-only view of the outer cache (tests, inclusion checks).
-    pub fn outer_cache(&self) -> &SnoopCache {
-        &self.outer
-    }
-
-    /// Read-only view of the inner cache, if configured.
-    pub fn inner_cache(&self) -> Option<&SnoopCache> {
-        self.inner.as_ref()
-    }
-
-    /// The MESI state of `line` in the outer cache.
-    pub fn outer_state(&self, line: LineAddr) -> MesiState {
-        self.outer.state(line)
     }
 
     /// Enforces inclusion: drops `line` from the inner cache (no-op when
@@ -175,6 +146,50 @@ impl Processor {
         if let Some(inner) = &mut self.inner {
             inner.invalidate(line);
         }
+    }
+}
+
+/// A read-only view of one host processor: its inner (L1) cache, its
+/// counters, and its outer (L2) cache.
+///
+/// Returned by [`HostMachine::cpu`](crate::HostMachine::cpu).
+#[derive(Clone, Copy, Debug)]
+pub struct CpuView<'a> {
+    cpu: &'a Processor,
+    outer: OuterView<'a>,
+}
+
+impl<'a> CpuView<'a> {
+    pub(crate) fn new(cpu: &'a Processor, outer: &'a OuterStore, index: usize) -> Self {
+        CpuView {
+            cpu,
+            outer: OuterView::new(outer, index),
+        }
+    }
+
+    /// This processor's bus id.
+    pub fn id(&self) -> ProcId {
+        self.cpu.id
+    }
+
+    /// This processor's counters.
+    pub fn counters(&self) -> &'a ProcessorCounters {
+        &self.cpu.counters
+    }
+
+    /// Read-only view of the outer cache (tests, inclusion checks).
+    pub fn outer_cache(&self) -> OuterView<'a> {
+        self.outer
+    }
+
+    /// Read-only view of the inner cache, if configured.
+    pub fn inner_cache(&self) -> Option<&'a SnoopCache> {
+        self.cpu.inner.as_ref()
+    }
+
+    /// The MESI state of `line` in the outer cache.
+    pub fn outer_state(&self, line: LineAddr) -> MesiState {
+        self.outer.state(line)
     }
 }
 
@@ -222,18 +237,5 @@ mod tests {
         assert_eq!(a.loads, 11);
         assert_eq!(a.stores, 2);
         assert_eq!(a.writebacks, 5);
-    }
-
-    #[test]
-    fn processor_construction_follows_config() {
-        let cfg = HostConfig::s7a();
-        let p = Processor::new(ProcId::new(0), &cfg);
-        assert!(p.inner_cache().is_some());
-        assert_eq!(p.outer_geometry().capacity(), 8 << 20);
-
-        let cfg = HostConfig::s7a_l2_off();
-        let p = Processor::new(ProcId::new(0), &cfg);
-        assert!(p.inner_cache().is_none());
-        assert_eq!(p.outer_geometry().capacity(), 64 << 10);
     }
 }

@@ -11,12 +11,17 @@
 //! the private caches.
 //!
 //! * [`MesiState`] — the fixed MESI protocol of the host's private caches.
-//! * [`SnoopCache`] — a set-associative, write-back, LRU, snooping cache.
-//! * [`Processor`] — inner (L1) + outer (L2) private hierarchy and
-//!   counters.
+//! * [`SnoopCache`] — a set-associative, write-back, LRU cache: each
+//!   processor's private inner (L1) cache.
 //! * [`HostMachine`] — the bus, processors, I/O bridge, and memory
 //!   controller wired together; passive listeners (the MemorIES board)
-//!   attach to its bus.
+//!   attach to its bus. Each processor holds its L1 and its counters.
+//!   The outer (L2) caches of all processors share one set-major store
+//!   that the machine owns: every L2 on the 6xx bus looks up the same set
+//!   on a snoop, so a snoop scans that set's tags once and changes only
+//!   the processors that hold the line.
+//! * [`CpuView`] and [`OuterView`] — read-only views of one processor
+//!   and of its outer cache, from [`HostMachine::cpu`].
 //! * [`HostConfig`] — machine parameters with an [`HostConfig::s7a`]
 //!   preset.
 //!
@@ -42,12 +47,14 @@ mod cpu;
 mod machine;
 mod memctrl;
 mod mesi;
+mod outer;
 mod stats;
 
 pub use cache::{SnoopCache, Victim};
 pub use config::{ConfigError, HostConfig};
-pub use cpu::{AccessKind, Processor, ProcessorCounters};
+pub use cpu::{AccessKind, CpuView, ProcessorCounters};
 pub use machine::HostMachine;
 pub use memctrl::MemoryController;
 pub use mesi::MesiState;
+pub use outer::OuterView;
 pub use stats::MachineStats;

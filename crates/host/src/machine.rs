@@ -7,9 +7,10 @@ use memories_bus::{
 };
 
 use crate::config::{ConfigError, HostConfig};
-use crate::cpu::{AccessKind, Processor};
+use crate::cpu::{AccessKind, CpuView, Processor};
 use crate::memctrl::MemoryController;
 use crate::mesi::MesiState;
+use crate::outer::{OuterStore, OuterWay};
 use crate::stats::MachineStats;
 
 /// The host SMP machine.
@@ -28,6 +29,8 @@ use crate::stats::MachineStats;
 pub struct HostMachine {
     config: HostConfig,
     cpus: Vec<Processor>,
+    /// Every processor's outer (L2) cache, set-major.
+    outer: OuterStore,
     bus: SystemBus,
     mem: MemoryController,
     io_bridge: ProcId,
@@ -45,12 +48,14 @@ impl HostMachine {
         let cpus = (0..config.num_cpus)
             .map(|i| Processor::new(ProcId::new(i as u8), &config))
             .collect();
+        let outer = OuterStore::new(config.outer_cache, config.num_cpus);
         let io_bridge = ProcId::new(config.num_cpus as u8);
         let mut bus = SystemBus::new(config.bus);
         bus.idle(0);
         Ok(HostMachine {
             config,
             cpus,
+            outer,
             bus,
             mem: MemoryController::new(),
             io_bridge,
@@ -104,8 +109,8 @@ impl HostMachine {
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
-    pub fn cpu(&self, cpu: usize) -> &Processor {
-        &self.cpus[cpu]
+    pub fn cpu(&self, cpu: usize) -> CpuView<'_> {
+        CpuView::new(&self.cpus[cpu], &self.outer, cpu)
     }
 
     /// Number of processors.
@@ -115,7 +120,7 @@ impl HostMachine {
 
     /// A snapshot of all processor counters.
     pub fn stats(&self) -> MachineStats {
-        MachineStats::from_counters(self.cpus.iter().map(|c| c.counters().clone()).collect())
+        MachineStats::from_counters(self.cpus.iter().map(|c| c.counters.clone()).collect())
     }
 
     /// Issues a load from processor `cpu`.
@@ -137,32 +142,29 @@ impl HostMachine {
     }
 
     /// Issues a load or store from processor `cpu`.
+    ///
+    /// The processor's outer ways are probed once, and the touch, upgrade
+    /// or fill that follows reuses that probe.
     pub fn access(&mut self, cpu: usize, kind: AccessKind, addr: Address) {
         let line = self.config.outer_cache.line_addr(addr);
-        {
-            let c = &mut self.cpus[cpu].counters;
-            match kind {
-                AccessKind::Load => c.loads += 1,
-                AccessKind::Store => c.stores += 1,
-            }
+        let p = &mut self.cpus[cpu];
+        match kind {
+            AccessKind::Load => p.counters.loads += 1,
+            AccessKind::Store => p.counters.stores += 1,
         }
-
         // Inner (L1) probe. Stores must still hold the outer cache in a
         // writable state, so they fall through on shared lines.
-        let inner_hit = self.cpus[cpu]
-            .inner
-            .as_mut()
-            .is_some_and(|l1| l1.touch(line));
+        let inner_hit = p.inner.as_mut().is_some_and(|l1| l1.touch(line));
+        let way = self.outer.probe(cpu, line);
         if inner_hit {
-            let outer_state = self.cpus[cpu].outer.state(line);
-            match (kind, outer_state) {
+            match (kind, way.state) {
                 (AccessKind::Load, _) | (AccessKind::Store, MesiState::Modified) => {
-                    self.cpus[cpu].counters.inner_hits += 1;
+                    p.counters.inner_hits += 1;
                     return;
                 }
                 (AccessKind::Store, MesiState::Exclusive) => {
-                    self.cpus[cpu].counters.inner_hits += 1;
-                    self.cpus[cpu].outer.set_state(line, MesiState::Modified);
+                    p.counters.inner_hits += 1;
+                    self.outer.set_state(&way, MesiState::Modified);
                     return;
                 }
                 // Shared: fall through to the upgrade path below.
@@ -171,41 +173,35 @@ impl HostMachine {
             }
         }
 
-        let outer_state = self.cpus[cpu].outer.state(line);
-        match (kind, outer_state) {
+        match (kind, way.state) {
             (AccessKind::Load, s) if s.is_valid() => {
                 self.cpus[cpu].counters.outer_hits += 1;
-                self.cpus[cpu].outer.touch(line);
+                self.outer.touch(&way, s);
                 self.fill_inner(cpu, line);
             }
-            (AccessKind::Load, _) => self.bus_read_miss(cpu, line, BusOp::Read),
-            (AccessKind::Store, MesiState::Modified) => {
+            (AccessKind::Load, _) => self.bus_read_miss(cpu, line, &way, BusOp::Read),
+            (AccessKind::Store, MesiState::Modified | MesiState::Exclusive) => {
                 self.cpus[cpu].counters.outer_hits += 1;
-                self.cpus[cpu].outer.touch(line);
-                self.fill_inner(cpu, line);
-            }
-            (AccessKind::Store, MesiState::Exclusive) => {
-                self.cpus[cpu].counters.outer_hits += 1;
-                self.cpus[cpu].outer.set_state(line, MesiState::Modified);
-                self.cpus[cpu].outer.touch(line);
+                self.outer.touch(&way, MesiState::Modified);
                 self.fill_inner(cpu, line);
             }
             (AccessKind::Store, MesiState::Shared) => {
                 // Upgrade: DClaim invalidates the other copies.
                 self.cpus[cpu].counters.outer_hits += 1;
                 self.cpus[cpu].counters.upgrades += 1;
-                let resp = self.snoop_others(cpu, BusOp::DClaim, line);
+                let resp = self.snoop(Some(cpu), BusOp::DClaim, line);
                 self.bus.transact(
                     self.cpus[cpu].id,
                     BusOp::DClaim,
                     self.config.outer_cache.line_base(line),
                     resp,
                 );
-                self.cpus[cpu].outer.set_state(line, MesiState::Modified);
-                self.cpus[cpu].outer.touch(line);
+                self.outer.touch(&way, MesiState::Modified);
                 self.fill_inner(cpu, line);
             }
-            (AccessKind::Store, MesiState::Invalid) => self.bus_read_miss(cpu, line, BusOp::Rwitm),
+            (AccessKind::Store, MesiState::Invalid) => {
+                self.bus_read_miss(cpu, line, &way, BusOp::Rwitm)
+            }
         }
     }
 
@@ -227,7 +223,7 @@ impl HostMachine {
     /// Performs an inbound DMA read of the line containing `addr`.
     pub fn dma_read(&mut self, addr: Address) {
         let line = self.config.outer_cache.line_addr(addr);
-        let resp = self.snoop_all(BusOp::DmaRead, line);
+        let resp = self.snoop(None, BusOp::DmaRead, line);
         if resp == SnoopResponse::Modified {
             // The downgraded owner pushes data to memory on the way out.
             self.mem.serve_write();
@@ -246,7 +242,7 @@ impl HostMachine {
     /// invalidating every cached copy.
     pub fn dma_write(&mut self, addr: Address) {
         let line = self.config.outer_cache.line_addr(addr);
-        let resp = self.snoop_all(BusOp::DmaWrite, line);
+        let resp = self.snoop(None, BusOp::DmaWrite, line);
         self.mem.serve_write();
         self.bus.transact(
             self.io_bridge,
@@ -260,9 +256,9 @@ impl HostMachine {
     /// data back to memory. Issued on behalf of processor `cpu`.
     pub fn flush(&mut self, cpu: usize, addr: Address) {
         let line = self.config.outer_cache.line_addr(addr);
-        let own = self.cpus[cpu].outer.invalidate(line);
+        let own = self.outer.invalidate(&self.outer.probe(cpu, line));
         self.cpus[cpu].invalidate_inner(line);
-        let resp = self.snoop_others(cpu, BusOp::Flush, line);
+        let resp = self.snoop(Some(cpu), BusOp::Flush, line);
         if own.is_dirty() || resp == SnoopResponse::Modified {
             self.mem.serve_write();
         }
@@ -282,42 +278,26 @@ impl HostMachine {
         }
     }
 
-    /// Snoops every processor except `cpu`; returns the combined response.
-    fn snoop_others(&mut self, cpu: usize, op: BusOp, line: LineAddr) -> SnoopResponse {
-        let mut combined = SnoopResponse::Null;
-        for i in 0..self.cpus.len() {
-            if i == cpu {
-                continue;
+    /// Snoops every processor that holds `line`, except `requester`
+    /// (DMA traffic has none); returns the combined response.
+    ///
+    /// Each holder supplies an intervention; an invalidating `op` also
+    /// drops its inner copy (inclusion).
+    fn snoop(&mut self, requester: Option<usize>, op: BusOp, line: LineAddr) -> SnoopResponse {
+        let cpus = &mut self.cpus;
+        let invalidates = op.invalidates_others();
+        self.outer.snoop(line, op, requester, |i| {
+            let p = &mut cpus[i];
+            if invalidates {
+                p.invalidate_inner(line);
             }
-            combined = combined.combine(self.snoop_one(i, op, line));
-        }
-        combined
+            p.counters.interventions_supplied += 1;
+        })
     }
 
-    /// Snoops every processor (DMA traffic has no CPU requester).
-    fn snoop_all(&mut self, op: BusOp, line: LineAddr) -> SnoopResponse {
-        let mut combined = SnoopResponse::Null;
-        for i in 0..self.cpus.len() {
-            combined = combined.combine(self.snoop_one(i, op, line));
-        }
-        combined
-    }
-
-    fn snoop_one(&mut self, i: usize, op: BusOp, line: LineAddr) -> SnoopResponse {
-        let resp = self.cpus[i].outer.snoop(op, line);
-        if op.invalidates_others() && resp != SnoopResponse::Null {
-            // Inclusion: the inner copy must go when the outer copy goes.
-            self.cpus[i].invalidate_inner(line);
-        }
-        if resp.is_intervention() {
-            self.cpus[i].counters.interventions_supplied += 1;
-        }
-        resp
-    }
-
-    fn bus_read_miss(&mut self, cpu: usize, line: LineAddr, op: BusOp) {
+    fn bus_read_miss(&mut self, cpu: usize, line: LineAddr, way: &OuterWay, op: BusOp) {
         debug_assert!(matches!(op, BusOp::Read | BusOp::Rwitm));
-        let resp = self.snoop_others(cpu, op, line);
+        let resp = self.snoop(Some(cpu), op, line);
         {
             let c = &mut self.cpus[cpu].counters;
             match op {
@@ -358,7 +338,7 @@ impl HostMachine {
             resp,
         );
 
-        let victim = self.cpus[cpu].outer.fill(line, fill_state);
+        let victim = self.outer.fill(way, fill_state);
         self.fill_inner(cpu, line);
         if let Some(v) = victim {
             self.cpus[cpu].invalidate_inner(v.line);
@@ -566,6 +546,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn cpu_view_follows_config() {
+        let m = HostMachine::new(HostConfig::s7a()).unwrap();
+        assert_eq!(m.cpu(7).id(), ProcId::new(7));
+        assert!(m.cpu(0).inner_cache().is_some());
+        assert_eq!(m.cpu(0).outer_cache().geometry().capacity(), 8 << 20);
+        assert_eq!(m.cpu(0).outer_cache().iter().count(), 0);
+
+        let m = HostMachine::new(HostConfig::s7a_l2_off()).unwrap();
+        assert!(m.cpu(0).inner_cache().is_none());
+        assert_eq!(m.cpu(0).outer_cache().geometry().capacity(), 64 << 10);
     }
 
     #[test]
