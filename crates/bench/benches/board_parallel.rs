@@ -69,7 +69,7 @@ fn transactions(n: usize) -> Vec<Transaction> {
 fn run_engine(cfg: &BoardConfig, engine_cfg: EngineConfig, txns: &[Transaction]) -> u64 {
     let board = MemoriesBoard::new(cfg.clone()).expect("valid board");
     let mut engine = EmulationEngine::new(board, engine_cfg);
-    engine.feed_all(txns);
+    engine.feed_block(txns);
     let board = engine.finish().expect("engine finishes cleanly");
     board.global().transactions()
 }

@@ -57,7 +57,7 @@ fn monitored_curve(label: &str, capacity: u64, refs: u64, period: u64) -> Curve 
         ..OltpConfig::scaled_default()
     }));
     let run = session
-        .run_monitored(&mut *workload, refs)
+        .run_monitored_pipelined(&mut *workload, refs)
         .expect("monitored run completes");
     Curve {
         label: label.to_string(),

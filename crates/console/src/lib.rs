@@ -13,11 +13,12 @@
 //!   `.replay_stream(...)` re-run a captured trace. Errors unify under
 //!   [`memories::Error`].
 //! * [`pipeline`] — the machinery underneath: every run mode is a
-//!   [`TransactionSource`] (live host drive, streaming trace replay, raw
-//!   transaction streams) flowing through a [`Pipeline`] whose optional
-//!   sampling/profiling stages observe via snapshot barriers into an
-//!   [`ExecutionBackend`](memories_sim::ExecutionBackend). Custom
-//!   sources and observation mixes compose through
+//!   [`TransactionSource`] (the pipelined live source, streaming trace
+//!   replay, raw transaction streams) packing pooled blocks into a
+//!   [`Pipeline`], whose optional sampling/profiling stages observe via
+//!   snapshot barriers of the one consumer,
+//!   [`EmulationEngine`](memories_sim::EmulationEngine). Custom sources
+//!   and observation mixes compose through
 //!   [`EmulationSession::execute`].
 //! * [`ExperimentResult`] — the statistics extracted from a run
 //!   (including windowed miss-ratio profiles for the Figure 10 style
@@ -57,9 +58,8 @@ mod session;
 mod shared;
 
 pub use pipeline::{
-    apply_event, ChunkedTraceSource, ExecutionOptions, LiveSource, Pipeline, PipelineError,
-    PipelineRun, PipelinedLiveSource, ProducerStats, SourceStats, StreamSource, TraceSource,
-    TransactionSource,
+    apply_event, ChunkedTraceSource, ExecutionOptions, Pipeline, PipelineError, PipelineRun,
+    PipelinedLiveSource, ProducerStats, SourceStats, StreamSource, TraceSource, TransactionSource,
 };
 pub use result::{ExperimentResult, ProfilePoint};
 pub use session::{

@@ -1,31 +1,39 @@
-//! The unified execution pipeline: a [`TransactionSource`] streaming into
-//! an [`ExecutionBackend`] through optional observation stages.
+//! The unified execution pipeline: a [`TransactionSource`] streaming
+//! pooled blocks into an [`EmulationEngine`] through optional observation
+//! stages.
 //!
 //! Every way of exercising the board — driving a live workload through
 //! the host machine, replaying a captured trace, pushing synthetic
-//! transactions — reduces to the same shape: a *source* produces one bus
-//! transaction stream; a *backend* consumes it; observation stages watch
-//! the stream in between. [`Pipeline`] is that shape made concrete:
+//! transactions — reduces to the same shape: a *source* packs one bus
+//! transaction stream into pooled blocks; the *engine* (serial or
+//! sharded) consumes them; observation stages watch the stream in
+//! between. [`Pipeline`] is that shape made concrete:
 //!
 //! ```text
-//!   TransactionSource ──feed──▶ [sampler] ──▶ [profiler] ──▶ ExecutionBackend
-//!   (live / trace / stream)        │              │          (serial board or
-//!                                  └── barrier ───┘           sharded engine)
+//!   TransactionSource ──PooledBlock──▶ [sampler] ──▶ EmulationEngine
+//!   (live / trace / stream)   │            │         (serial or sharded)
+//!                   close_window ─▶ [profiler] ─── barrier
 //! ```
 //!
-//! Both stages observe exclusively through
-//! [`ExecutionBackend::barrier`] — an exact counter snapshot of the
-//! stream position so far. Because a barrier is bit-identical to a
-//! serial board at the same position regardless of backend parallelism,
-//! *every* pipeline composition (plain, sampled, profiled) produces
-//! bit-identical boards at any shard count; the differential suite
-//! enforces this.
+//! The block is the only thing that moves: [`Pipeline::feed_pooled`] is
+//! the one entry point. The sampler splits a block at its sample
+//! positions; the windowed profiler needs no per-unit delivery, because a
+//! source cuts its block at each profile-window boundary
+//! ([`Pipeline::profile_window`]) and closes the window with one
+//! [`Pipeline::close_window`] call carrying `(units, cycle)`.
+//!
+//! Both stages observe exclusively through [`EmulationEngine::barrier`]
+//! — an exact counter snapshot of the stream position so far. Because a
+//! barrier is bit-identical to a serial board at the same position
+//! regardless of parallelism, *every* pipeline composition (plain,
+//! sampled, profiled) produces bit-identical boards at any shard count;
+//! the differential suite enforces this.
 //!
 //! Sources are single-shot: [`TransactionSource::drive`] consumes the
 //! stream and hands the pipeline back together with whatever statistics
 //! the source itself collected (host machine counters for live runs).
 //! [`ChunkedTraceSource`] streams records straight off a reader in
-//! fixed-size batches, so replaying a multi-gigabyte trace holds peak
+//! fixed-size blocks, so replaying a multi-gigabyte trace holds peak
 //! memory to O(chunk) — never a whole-trace `Vec`.
 
 use std::error::Error as StdError;
@@ -35,12 +43,11 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 
 use memories::{BoardSnapshot, Error, MemoriesBoard, NodeStats};
 use memories_bus::{
-    BlockPool, BusListener, BusStats, ListenerReaction, NodeId, PoolStats, PooledBlock,
-    Transaction, TransactionBlock,
+    BlockPool, BusListener, BusStats, ListenerReaction, NodeId, PoolStats, PooledBlock, Transaction,
 };
 use memories_host::{AccessKind, HostConfig, HostMachine, MachineStats};
 use memories_obs::{EngineTelemetry, TimeSeries};
-use memories_sim::ExecutionBackend;
+use memories_sim::EmulationEngine;
 use memories_trace::{TraceReader, TraceRecord};
 use memories_workloads::{RefKind, Workload, WorkloadEvent};
 
@@ -79,8 +86,8 @@ impl From<PipelineError> for Error {
 
 /// What a pipeline should observe while the stream flows.
 ///
-/// The default observes nothing: transactions flow straight to the
-/// backend, which is exactly [`EmulationSession::run`] /
+/// The default observes nothing: blocks flow straight to the engine,
+/// which is exactly [`EmulationSession::run`] /
 /// [`EmulationSession::replay`].
 ///
 /// [`EmulationSession::run`]: crate::EmulationSession::run
@@ -162,7 +169,7 @@ pub struct PipelineRun {
     /// Counter samples (empty unless
     /// [`ExecutionOptions::sample_every`] was set).
     pub series: TimeSeries,
-    /// The backend's own performance telemetry.
+    /// The engine's own performance telemetry.
     pub telemetry: EngineTelemetry,
     /// Source units driven (see [`SourceStats::units`]).
     pub units: u64,
@@ -172,9 +179,8 @@ pub struct PipelineRun {
     pub bus: Option<BusStats>,
 }
 
-/// Counter-sampling stage: replicate the engine's auto-sampling contract
-/// — after each feed, if `admitted >= next_at`, take a barrier, record
-/// it, and re-arm at `admitted + period`.
+/// Counter-sampling stage: when `admitted >= next_at`, take a barrier,
+/// record it, and re-arm at `admitted + period`.
 #[derive(Debug)]
 struct Sampler {
     period: u64,
@@ -182,12 +188,12 @@ struct Sampler {
     series: TimeSeries,
 }
 
-/// Windowed-profiling stage: every `window` source units, take a barrier
-/// and turn per-node demand hit/miss deltas into a [`ProfilePoint`].
+/// Windowed-profiling stage: at every window a source closes, turn the
+/// per-node demand hit/miss deltas since the previous window into a
+/// [`ProfilePoint`].
 #[derive(Debug)]
 struct Profiler {
     window: u64,
-    next_at: u64,
     /// Cumulative (demand hits, demand misses) per node at the previous
     /// window boundary; sized lazily from the first snapshot.
     prev: Vec<(u64, u64)>,
@@ -196,7 +202,6 @@ struct Profiler {
 
 impl Profiler {
     fn record(&mut self, units: u64, cycle: u64, snap: &BoardSnapshot) {
-        self.next_at += self.window;
         if self.prev.len() < snap.node_count() {
             self.prev.resize(snap.node_count(), (0, 0));
         }
@@ -221,27 +226,25 @@ impl Profiler {
     }
 }
 
-/// A backend plus its observation stages, ready to be driven by a
+/// The engine plus its observation stages, ready to be driven by a
 /// [`TransactionSource`].
 ///
-/// Barrier failures inside [`feed`](Self::feed) / [`end_unit`](Self::end_unit)
-/// cannot surface there (sources push unconditionally), so they are
-/// parked and returned by [`finish`](Self::finish) — matching the
-/// engine's own deferred-error contract.
+/// Barrier failures inside [`feed_pooled`](Self::feed_pooled) /
+/// [`close_window`](Self::close_window) cannot surface there (sources
+/// push unconditionally), so they are parked and returned by
+/// [`finish`](Self::finish).
 pub struct Pipeline {
-    backend: Box<dyn ExecutionBackend>,
+    engine: EmulationEngine,
     sampler: Option<Sampler>,
     profiler: Option<Profiler>,
-    units: u64,
     deferred: Option<Error>,
 }
 
 impl fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pipeline")
-            .field("shards", &self.backend.shard_count())
-            .field("admitted", &self.backend.admitted())
-            .field("units", &self.units)
+            .field("engine", &self.engine)
+            .field("admitted", &self.engine.admitted())
             .field("sampler", &self.sampler)
             .field("profiler", &self.profiler)
             .finish_non_exhaustive()
@@ -249,41 +252,57 @@ impl fmt::Debug for Pipeline {
 }
 
 impl Pipeline {
-    /// Wraps a backend in the stages `options` asks for.
-    pub fn new(backend: Box<dyn ExecutionBackend>, options: &ExecutionOptions) -> Self {
+    /// Wraps an engine in the stages `options` asks for.
+    pub fn new(engine: EmulationEngine, options: &ExecutionOptions) -> Self {
         let sampler = options.sample_every.map(|period| {
             let period = period.max(1);
             Sampler {
                 period,
-                next_at: backend.admitted() + period,
+                next_at: engine.admitted() + period,
                 series: TimeSeries::new(),
             }
         });
         let profiler = (options.window_refs > 0).then(|| Profiler {
             window: options.window_refs,
-            next_at: options.window_refs,
             prev: Vec::new(),
             points: Vec::new(),
         });
         Pipeline {
-            backend,
+            engine,
             sampler,
             profiler,
-            units: 0,
             deferred: None,
         }
     }
 
-    /// Feeds one bus transaction, in stream order, then runs the
-    /// sampling stage.
-    pub fn feed(&mut self, txn: &Transaction) {
-        self.backend.feed(txn);
-        let due = self
-            .sampler
-            .as_ref()
-            .is_some_and(|s| self.backend.admitted() >= s.next_at);
-        if due {
-            self.take_sample();
+    /// Feeds one pooled block of transactions, in stream order — the
+    /// pipeline's one entry point.
+    ///
+    /// Without a sampling stage the buffer itself goes to the engine (the
+    /// zero-copy broadcast). With one, the block is fed in sub-slices
+    /// sized to the next sample position: admitted count grows by at most
+    /// one per transaction, so every sample lands at exactly the position
+    /// a block of one transaction at a time would have picked.
+    pub fn feed_pooled(&mut self, block: PooledBlock) {
+        if self.sampler.is_none() {
+            self.engine.feed_pooled(block);
+            return;
+        }
+        let mut rest = block.as_slice();
+        while !rest.is_empty() {
+            let Some(next_at) = self.sampler.as_ref().map(|s| s.next_at) else {
+                self.engine.feed_block(rest);
+                return;
+            };
+            // A sample re-arms past the admitted count, so `next_at` is
+            // always ahead here.
+            let need = usize::try_from(next_at - self.engine.admitted()).unwrap_or(usize::MAX);
+            let (now, later) = rest.split_at(need.min(rest.len()));
+            self.engine.feed_block(now);
+            rest = later;
+            if self.engine.admitted() >= next_at {
+                self.take_sample();
+            }
         }
     }
 
@@ -291,9 +310,9 @@ impl Pipeline {
     /// failure the error is parked and the sampler disabled (don't
     /// repeat the failure).
     fn take_sample(&mut self) {
-        match self.backend.barrier() {
+        match self.engine.barrier() {
             Ok(snap) => {
-                let admitted = self.backend.admitted();
+                let admitted = self.engine.admitted();
                 let s = self.sampler.as_mut().expect("sampler armed by caller");
                 s.series.record(snap);
                 s.next_at = admitted + s.period;
@@ -305,100 +324,47 @@ impl Pipeline {
         }
     }
 
-    /// Feeds a whole block of transactions, in stream order.
-    ///
-    /// Bit-identical to calling [`feed`](Self::feed) once per
-    /// transaction: when the sampling stage is armed, the block is fed
-    /// in sub-slices sized to the next sample position (admitted count
-    /// grows by at most one per transaction, so every sample lands at
-    /// exactly the position the per-transaction path would have picked).
-    /// Without a sampler the whole block goes to the backend in one
-    /// dispatch.
-    pub fn feed_block(&mut self, txns: &[Transaction]) {
-        let mut rest = txns;
-        while !rest.is_empty() {
-            let Some(next_at) = self.sampler.as_ref().map(|s| s.next_at) else {
-                self.backend.feed_block(rest);
-                return;
-            };
-            let admitted = self.backend.admitted();
-            if admitted >= next_at {
-                self.take_sample();
-                continue;
-            }
-            let need = usize::try_from(next_at - admitted).unwrap_or(usize::MAX);
-            let k = need.min(rest.len());
-            self.backend.feed_block(&rest[..k]);
-            rest = &rest[k..];
-            if self.backend.admitted() >= next_at {
-                self.take_sample();
+    /// The profile window, in source units, if a profiling stage is
+    /// armed. A source must cut its block after every `window`-th unit
+    /// and then call [`close_window`](Self::close_window).
+    pub fn profile_window(&self) -> Option<u64> {
+        self.profiler.as_ref().map(|p| p.window)
+    }
+
+    /// Closes one profile window: `units` source units (workload
+    /// references, trace records, transactions) have been fed, the last
+    /// of them ending at bus cycle `cycle`. Takes a barrier and records a
+    /// [`ProfilePoint`]; a no-op without a profiling stage.
+    pub fn close_window(&mut self, units: u64, cycle: u64) {
+        let Some(profiler) = self.profiler.as_mut() else {
+            return;
+        };
+        match self.engine.barrier() {
+            Ok(snap) => profiler.record(units, cycle, &snap),
+            Err(e) => {
+                self.deferred.get_or_insert(e);
+                self.profiler = None;
             }
         }
     }
 
-    /// Feeds an already-pooled block, handing the buffer itself to the
-    /// backend when no sampling stage needs to split it (the zero-copy
-    /// fast path).
-    pub fn feed_pooled(&mut self, block: PooledBlock) {
-        if self.sampler.is_some() {
-            self.feed_block(block.as_slice());
-        } else {
-            self.backend.feed_pooled(block);
-        }
-    }
-
-    /// Whether any stage needs per-unit [`end_unit`](Self::end_unit)
-    /// boundaries (the windowed profiler does). Sources that can batch
-    /// check this to decide between the block path and the exact
-    /// per-unit path.
-    pub fn wants_unit_boundaries(&self) -> bool {
-        self.profiler.is_some()
-    }
-
-    /// Marks the end of one source unit (a workload reference, a trace
-    /// record) at the given bus cycle, then runs the profiling stage.
-    pub fn end_unit(&mut self, cycle: u64) {
-        self.units += 1;
-        let due = self
-            .profiler
-            .as_ref()
-            .is_some_and(|p| self.units >= p.next_at);
-        if due {
-            match self.backend.barrier() {
-                Ok(snap) => {
-                    let p = self.profiler.as_mut().expect("profiler checked above");
-                    p.record(self.units, cycle, &snap);
-                }
-                Err(e) => {
-                    self.deferred.get_or_insert(e);
-                    self.profiler = None;
-                }
-            }
-        }
-    }
-
-    /// Source units fed so far.
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Tears the backend down and collects everything, folding in the
+    /// Tears the engine down and collects everything, folding in the
     /// statistics the source gathered on its side.
     ///
     /// # Errors
     ///
     /// Surfaces any barrier error parked during the run, then any
-    /// backend teardown error.
+    /// engine teardown error.
     pub fn finish(self, stats: SourceStats) -> Result<PipelineRun, Error> {
         if let Some(e) = self.deferred {
             return Err(e);
         }
-        let (board, mut telemetry) = self.backend.finish()?;
+        let (board, report) = self.engine.finish_monitored()?;
+        let mut telemetry = report.telemetry;
         if let Some(p) = stats.producer {
             // In a pipelined run the *source* is the producer stage: its
             // queue stalls take the producer_stalls slot, and the
-            // engine's own worker-queue backpressure (what the feed loop
-            // would have absorbed in an alternating run) moves to
+            // engine's own worker-queue backpressure moves to
             // consumer_stalls.
             telemetry.consumer_stalls = telemetry.producer_stalls;
             telemetry.producer_stalls = p.stalls;
@@ -414,7 +380,7 @@ impl Pipeline {
             profile: self.profiler.map(|p| p.points).unwrap_or_default(),
             series: self.sampler.map(|s| s.series).unwrap_or_default(),
             telemetry,
-            units: stats.units.max(self.units),
+            units: stats.units,
             machine: stats.machine,
             bus: stats.bus,
             board,
@@ -425,10 +391,12 @@ impl Pipeline {
 /// A producer of one bus-transaction stream — the other half of the
 /// pipeline.
 ///
-/// `drive` consumes the whole stream, pushing every transaction through
-/// [`Pipeline::feed`] and closing each source unit with
-/// [`Pipeline::end_unit`], then returns the pipeline together with the
-/// source's own statistics. Sources are single-shot.
+/// `drive` consumes the whole stream, packing it into pooled blocks for
+/// [`Pipeline::feed_pooled`] and cutting a block at every
+/// [`Pipeline::profile_window`] boundary to
+/// [`close`](Pipeline::close_window) the window, then returns the
+/// pipeline together with the source's own statistics. Sources are
+/// single-shot.
 pub trait TransactionSource {
     /// Drives the entire stream through `pipeline`.
     ///
@@ -439,29 +407,42 @@ pub trait TransactionSource {
     fn drive(&mut self, pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error>;
 }
 
-/// Adapts the pipeline to the bus-listener interface for live runs:
-/// every transaction is fed through the stages; the reaction is always
-/// `Proceed` (buffered backends cannot retry the live bus — healthy runs
-/// post zero retries, and the retry *count* stays exact either way).
-struct PipelineFeed(Shared<Pipeline>);
+/// Transactions per pooled block for the sources that pack their own
+/// blocks.
+const BLOCK_CAPACITY: usize = 4096;
 
-impl BusListener for PipelineFeed {
-    fn on_transaction(&mut self, txn: &Transaction) -> ListenerReaction {
-        self.0.with_mut(|p| p.feed(txn));
-        ListenerReaction::Proceed
+/// Packs a stream in which every transaction is one source unit into
+/// pooled blocks, cutting a block at every profile-window boundary and
+/// closing the window at that transaction's cycle. Returns the units fed.
+fn pack_units<E>(
+    pipeline: &mut Pipeline,
+    txns: impl Iterator<Item = Result<Transaction, E>>,
+) -> Result<u64, E> {
+    let pool = BlockPool::new(BLOCK_CAPACITY);
+    let window = pipeline.profile_window();
+    let mut block = pool.take();
+    let mut units = 0u64;
+    for txn in txns {
+        let txn = txn?;
+        block.push(txn);
+        units += 1;
+        let closes = window.is_some_and(|w| units.is_multiple_of(w));
+        if closes || block.is_full() {
+            pipeline.feed_pooled(std::mem::replace(&mut block, pool.take()));
+        }
+        if closes {
+            pipeline.close_window(units, txn.cycle);
+        }
     }
-
-    fn on_block(&mut self, block: &TransactionBlock) -> ListenerReaction {
-        self.0.with_mut(|p| p.feed_block(block.as_slice()));
-        ListenerReaction::Proceed
-    }
+    pipeline.feed_pooled(block);
+    Ok(units)
 }
 
 /// Executes one workload event on the host machine: a reference, an
 /// instruction tick, or a DMA transfer. Returns whether it was a memory
 /// reference, the unit every live run counts.
 ///
-/// This is the one event loop body of the live sources and of host-only
+/// This is the one event loop body of the live source and of host-only
 /// runs.
 pub fn apply_event(machine: &mut HostMachine, event: WorkloadEvent) -> bool {
     match event {
@@ -488,90 +469,18 @@ pub fn apply_event(machine: &mut HostMachine, event: WorkloadEvent) -> bool {
     }
 }
 
-/// A live source: builds the host machine, snoops its bus into the
-/// pipeline, and pumps `refs` workload references through it (plus any
-/// interleaved instruction ticks and DMA the workload emits). One
-/// source unit = one memory reference, closed at the bus cycle the
-/// reference completed on — exactly the windowing the classic profiled
-/// runner used.
-pub struct LiveSource<'w> {
-    host: HostConfig,
-    workload: &'w mut dyn Workload,
-    refs: u64,
+/// One hand-off over the producer queue: a block of bus transactions,
+/// and the profile window it closes as `(units, cycle)`, if any.
+struct Shipment {
+    block: PooledBlock,
+    closes: Option<(u64, u64)>,
 }
 
-impl<'w> LiveSource<'w> {
-    /// Block capacity for batched bus delivery on unprofiled runs.
-    pub const BLOCK_CAPACITY: usize = 4096;
-
-    /// A source driving `refs` references of `workload` through a host
-    /// built from `host`.
-    pub fn new(host: HostConfig, workload: &'w mut dyn Workload, refs: u64) -> Self {
-        LiveSource {
-            host,
-            workload,
-            refs,
-        }
-    }
-}
-
-impl fmt::Debug for LiveSource<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveSource")
-            .field("host", &self.host)
-            .field("refs", &self.refs)
-            .finish()
-    }
-}
-
-impl TransactionSource for LiveSource<'_> {
-    fn drive(&mut self, pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let mut machine = HostMachine::new(self.host.clone()).map_err(Error::host)?;
-        // The windowed profiler needs an end_unit barrier after every
-        // reference, so a profiled run keeps per-transaction delivery;
-        // everything else takes the batched block path.
-        let batched = !pipeline.wants_unit_boundaries();
-        let shared = Shared::new(pipeline);
-        machine.attach_listener(Box::new(PipelineFeed(shared.handle())));
-        if batched {
-            machine.deliver_batched(BlockPool::new(Self::BLOCK_CAPACITY));
-        }
-
-        let mut done: u64 = 0;
-        while done < self.refs {
-            if apply_event(&mut machine, self.workload.next_event()) {
-                done += 1;
-                if !batched {
-                    let cycle = machine.bus().current_cycle();
-                    shared.with_mut(|p| p.end_unit(cycle));
-                }
-            }
-        }
-
-        let machine_stats = machine.stats();
-        let bus = machine.bus().stats().clone();
-        drop(machine.detach_listeners());
-        let pipeline = shared
-            .try_unwrap()
-            .map_err(|_| ())
-            .expect("source holds the last pipeline handle after detaching listeners");
-        Ok((
-            pipeline,
-            SourceStats {
-                units: done,
-                machine: Some(machine_stats),
-                bus: Some(bus),
-                ..SourceStats::default()
-            },
-        ))
-    }
-}
-
-/// How a pipelined producer hands blocks to the consumer loop.
+/// How the producer hands blocks to the consumer loop.
 struct BlockShipper {
     pool: BlockPool,
     block: PooledBlock,
-    tx: SyncSender<PooledBlock>,
+    tx: SyncSender<Shipment>,
     blocks: u64,
     stalls: u64,
     /// Set when the consumer side dropped its receiver (it panicked or
@@ -580,24 +489,23 @@ struct BlockShipper {
 }
 
 impl BlockShipper {
-    fn ship(&mut self, full: PooledBlock) {
+    /// Ships the block in hand, closing the profile window `closes` after
+    /// it. An empty block is shipped only to carry a window mark.
+    fn ship(&mut self, closes: Option<(u64, u64)>) {
+        if self.block.is_empty() && closes.is_none() {
+            return;
+        }
+        let block = std::mem::replace(&mut self.block, self.pool.take());
         self.blocks += 1;
-        match self.tx.try_send(full) {
+        match self.tx.try_send(Shipment { block, closes }) {
             Ok(()) => {}
-            Err(TrySendError::Full(b)) => {
+            Err(TrySendError::Full(shipment)) => {
                 self.stalls += 1;
-                if self.tx.send(b).is_err() {
+                if self.tx.send(shipment).is_err() {
                     self.disconnected = true;
                 }
             }
             Err(TrySendError::Disconnected(_)) => self.disconnected = true,
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.block.is_empty() {
-            let partial = std::mem::replace(&mut self.block, self.pool.take());
-            self.ship(partial);
         }
     }
 }
@@ -606,39 +514,37 @@ impl BusListener for BlockShipper {
     fn on_transaction(&mut self, txn: &Transaction) -> ListenerReaction {
         self.block.push(*txn);
         if self.block.is_full() {
-            let full = std::mem::replace(&mut self.block, self.pool.take());
-            self.ship(full);
+            self.ship(None);
         }
         ListenerReaction::Proceed
     }
 }
 
-/// What the producer thread hands back when it drains.
-struct ProducerSide {
-    units: u64,
-    machine: MachineStats,
-    bus: BusStats,
-    stats: ProducerStats,
-}
-
-/// A live source with its own producer stage: host MESI simulation runs
-/// on a dedicated thread, filling pooled transaction blocks and shipping
-/// them over a bounded queue, while the calling thread drains the queue
-/// into the pipeline. Host simulation and board emulation overlap
-/// instead of alternating, and the handoff is whole blocks — the
-/// software analogue of the board snooping the bus in real time while
-/// the host runs ahead (§2.1).
+/// The live source: builds the host machine and pumps `refs` workload
+/// references through it (plus any interleaved instruction ticks and DMA
+/// the workload emits), with the board snooping its bus through the
+/// pipeline.
 ///
-/// Results are bit-identical to [`LiveSource`]: the stream order is
-/// fixed by the producer, and the pipeline is batch-size-invariant.
-/// Profiled runs (which need per-reference unit boundaries) are not
-/// supported — drive them through [`LiveSource`].
+/// Host MESI simulation runs on a dedicated producer thread, filling
+/// pooled transaction blocks and shipping them over a bounded queue,
+/// while the calling thread drains the queue into the pipeline. Host
+/// simulation and board emulation overlap instead of alternating, and
+/// the handoff is whole blocks — the software analogue of the board
+/// snooping the bus in real time while the host runs ahead (§2.1).
+///
+/// One source unit is one memory reference. On a profiled run the
+/// producer cuts its block after every `window`-th reference, and the
+/// window mark — the reference count and the bus cycle it completed on —
+/// travels with that block over the queue.
+///
+/// The board never retries the live bus (the shipper always reacts
+/// `Proceed`), so the stream order is fixed by the producer alone and
+/// results are bit-identical to a board attached straight to the bus in
+/// every run without retries (§3.3).
 pub struct PipelinedLiveSource<'w> {
     host: HostConfig,
-    workload: &'w mut (dyn Workload + Send),
+    workload: &'w mut dyn Workload,
     refs: u64,
-    queue_depth: usize,
-    block_capacity: usize,
 }
 
 impl<'w> PipelinedLiveSource<'w> {
@@ -646,32 +552,16 @@ impl<'w> PipelinedLiveSource<'w> {
     pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
     /// Transactions per shipped block.
-    pub const DEFAULT_BLOCK_CAPACITY: usize = 4096;
+    pub const DEFAULT_BLOCK_CAPACITY: usize = BLOCK_CAPACITY;
 
-    /// A pipelined source driving `refs` references of `workload`
-    /// through a host built from `host`.
-    pub fn new(host: HostConfig, workload: &'w mut (dyn Workload + Send), refs: u64) -> Self {
+    /// A live source driving `refs` references of `workload` through a
+    /// host built from `host`.
+    pub fn new(host: HostConfig, workload: &'w mut dyn Workload, refs: u64) -> Self {
         PipelinedLiveSource {
             host,
             workload,
             refs,
-            queue_depth: Self::DEFAULT_QUEUE_DEPTH,
-            block_capacity: Self::DEFAULT_BLOCK_CAPACITY,
         }
-    }
-
-    /// Overrides the block-queue depth (0 is treated as 1).
-    #[must_use]
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Overrides the shipped-block capacity (0 is treated as 1).
-    #[must_use]
-    pub fn with_block_capacity(mut self, capacity: usize) -> Self {
-        self.block_capacity = capacity.max(1);
-        self
     }
 }
 
@@ -680,9 +570,7 @@ impl fmt::Debug for PipelinedLiveSource<'_> {
         f.debug_struct("PipelinedLiveSource")
             .field("host", &self.host)
             .field("refs", &self.refs)
-            .field("queue_depth", &self.queue_depth)
-            .field("block_capacity", &self.block_capacity)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -690,8 +578,9 @@ impl TransactionSource for PipelinedLiveSource<'_> {
     fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
         let host = self.host.clone();
         let refs = self.refs;
-        let pool = BlockPool::new(self.block_capacity);
-        let (tx, rx) = sync_channel::<PooledBlock>(self.queue_depth);
+        let window = pipeline.profile_window();
+        let pool = BlockPool::new(Self::DEFAULT_BLOCK_CAPACITY);
+        let (tx, rx) = sync_channel::<Shipment>(Self::DEFAULT_QUEUE_DEPTH);
         let workload = &mut *self.workload;
 
         let produced = std::thread::scope(|scope| {
@@ -700,7 +589,7 @@ impl TransactionSource for PipelinedLiveSource<'_> {
             // fails, and the scope can join the producer instead of
             // deadlocking on a full queue.
             let rx = rx;
-            let producer = scope.spawn(move || -> Result<ProducerSide, Error> {
+            let producer = scope.spawn(move || -> Result<SourceStats, Error> {
                 let mut machine = HostMachine::new(host).map_err(Error::host)?;
                 let shipper = Shared::new(BlockShipper {
                     block: pool.take(),
@@ -714,7 +603,13 @@ impl TransactionSource for PipelinedLiveSource<'_> {
 
                 let mut done: u64 = 0;
                 while done < refs && !shipper.with(|s| s.disconnected) {
-                    done += u64::from(apply_event(&mut machine, workload.next_event()));
+                    if apply_event(&mut machine, workload.next_event()) {
+                        done += 1;
+                        if window.is_some_and(|w| done.is_multiple_of(w)) {
+                            let cycle = machine.bus().current_cycle();
+                            shipper.with_mut(|s| s.ship(Some((done, cycle))));
+                        }
+                    }
                 }
 
                 let machine_stats = machine.stats();
@@ -724,44 +619,39 @@ impl TransactionSource for PipelinedLiveSource<'_> {
                     .try_unwrap()
                     .map_err(|_| ())
                     .expect("producer holds the last shipper handle after detaching");
-                shipper.flush();
-                let stats = ProducerStats {
-                    blocks: shipper.blocks,
-                    stalls: shipper.stalls,
-                    pool: pool.stats(),
-                };
+                shipper.ship(None);
                 // Dropping the shipper here drops the sender; the
                 // consumer's recv loop then ends cleanly.
-                Ok(ProducerSide {
+                Ok(SourceStats {
                     units: done,
-                    machine: machine_stats,
-                    bus,
-                    stats,
+                    machine: Some(machine_stats),
+                    bus: Some(bus),
+                    producer: Some(ProducerStats {
+                        blocks: shipper.blocks,
+                        stalls: shipper.stalls,
+                        pool: pool.stats(),
+                    }),
                 })
             });
 
-            while let Ok(block) = rx.recv() {
+            while let Ok(Shipment { block, closes }) = rx.recv() {
                 pipeline.feed_pooled(block);
+                if let Some((units, cycle)) = closes {
+                    pipeline.close_window(units, cycle);
+                }
             }
             producer.join()
         });
 
-        let side = produced.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
-        Ok((
-            pipeline,
-            SourceStats {
-                units: side.units,
-                machine: Some(side.machine),
-                bus: Some(side.bus),
-                producer: Some(side.stats),
-            },
-        ))
+        let stats = produced.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        Ok((pipeline, stats))
     }
 }
 
 /// An offline trace source over any record iterator, re-timed at
 /// `cycle_spacing` bus cycles per record (60 ≈ the paper's 20%
-/// utilization point). One source unit = one record.
+/// utilization point) and packed into pooled blocks. One source unit =
+/// one record.
 #[derive(Debug)]
 pub struct TraceSource<I> {
     records: Option<I>,
@@ -785,18 +675,16 @@ where
 {
     fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
         let records = self.records.take().ok_or(PipelineError::SourceExhausted)?;
-        let mut n = 0u64;
-        for rec in records {
-            let rec = rec.map_err(Into::into)?;
-            let cycle = n * self.cycle_spacing;
-            pipeline.feed(&rec.to_transaction(n, cycle));
-            pipeline.end_unit(cycle);
-            n += 1;
-        }
+        let spacing = self.cycle_spacing;
+        let txns = (0u64..).zip(records).map(|(n, rec)| {
+            rec.map(|r| r.to_transaction(n, n * spacing))
+                .map_err(Into::into)
+        });
+        let units = pack_units(&mut pipeline, txns)?;
         Ok((
             pipeline,
             SourceStats {
-                units: n,
+                units,
                 ..SourceStats::default()
             },
         ))
@@ -804,8 +692,8 @@ where
 }
 
 /// A *streaming* trace source: decodes records straight off a byte
-/// reader in fixed-size chunks via [`TraceReader::read_chunk`], so the
-/// whole-trace `Vec<TraceRecord>` never exists. Peak memory is
+/// reader into pooled blocks via [`TraceReader::read_block_up_to`], so
+/// the whole-trace `Vec<TraceRecord>` never exists. Peak memory is
 /// O(chunk) no matter how long the trace is — the software face of the
 /// board's billion-reference trace memory (§2.3).
 #[derive(Debug)]
@@ -817,7 +705,7 @@ pub struct ChunkedTraceSource<R: Read> {
 
 impl<R: Read> ChunkedTraceSource<R> {
     /// Records decoded per chunk by default.
-    pub const DEFAULT_CHUNK: usize = 4096;
+    pub const DEFAULT_CHUNK: usize = BLOCK_CAPACITY;
 
     /// Opens `reader` as a trace (validating the header) and prepares to
     /// stream it at `cycle_spacing` cycles per record.
@@ -845,36 +733,23 @@ impl<R: Read> ChunkedTraceSource<R> {
 impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
     fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
         let mut reader = self.reader.take().ok_or(PipelineError::SourceExhausted)?;
+        let window = pipeline.profile_window();
+        let pool = BlockPool::new(self.chunk);
         let mut n = 0u64;
-        if pipeline.wants_unit_boundaries() {
-            // Profiled replay: the windowed profiler needs an end_unit
-            // boundary after every record, so decode and feed per record.
-            let mut buf = Vec::new();
-            loop {
-                let got = reader.read_chunk(&mut buf, self.chunk)?;
-                if got == 0 {
-                    break;
-                }
-                for rec in &buf {
-                    let cycle = n * self.cycle_spacing;
-                    pipeline.feed(&rec.to_transaction(n, cycle));
-                    pipeline.end_unit(cycle);
-                    n += 1;
-                }
+        loop {
+            // A block never crosses a profile-window boundary.
+            let room = window.map_or(usize::MAX, |w| {
+                usize::try_from(w - n % w).unwrap_or(usize::MAX)
+            });
+            let mut block = pool.take();
+            let got = reader.read_block_up_to(&mut block, n, self.cycle_spacing, room)?;
+            if got == 0 {
+                break;
             }
-        } else {
-            // Block-native replay: decode straight into pooled blocks
-            // and hand each buffer to the pipeline whole. Numbering and
-            // timing are identical to the per-record path.
-            let pool = BlockPool::new(self.chunk);
-            loop {
-                let mut block = pool.take();
-                let got = reader.read_block(&mut block, n, self.cycle_spacing)?;
-                if got == 0 {
-                    break;
-                }
-                n += got as u64;
-                pipeline.feed_pooled(block);
+            n += got as u64;
+            pipeline.feed_pooled(block);
+            if window.is_some_and(|w| n.is_multiple_of(w)) {
+                pipeline.close_window(n, (n - 1) * self.cycle_spacing);
             }
         }
         Ok((
@@ -888,9 +763,10 @@ impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
 }
 
 /// A raw transaction stream — synthetic generators, captured
-/// [`Transaction`] vectors, anything already in bus form. Transactions
-/// are fed exactly as given (sequence numbers and cycles included); one
-/// source unit = one transaction, closed at the transaction's own cycle.
+/// [`Transaction`] vectors, anything already in bus form — packed into
+/// pooled blocks. Transactions are fed exactly as given (sequence numbers
+/// and cycles included); one source unit = one transaction, closed at the
+/// transaction's own cycle.
 #[derive(Debug)]
 pub struct StreamSource<I> {
     txns: Option<I>,
@@ -906,16 +782,11 @@ impl<I> StreamSource<I> {
 impl<I: IntoIterator<Item = Transaction>> TransactionSource for StreamSource<I> {
     fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
         let txns = self.txns.take().ok_or(PipelineError::SourceExhausted)?;
-        let mut n = 0u64;
-        for txn in txns {
-            pipeline.feed(&txn);
-            pipeline.end_unit(txn.cycle);
-            n += 1;
-        }
+        let units = pack_units(&mut pipeline, txns.into_iter().map(Ok::<_, Error>))?;
         Ok((
             pipeline,
             SourceStats {
-                units: n,
+                units,
                 ..SourceStats::default()
             },
         ))
@@ -927,7 +798,7 @@ mod tests {
     use super::*;
     use memories::{BoardConfig, CacheParams};
     use memories_bus::{Address, BusOp, ProcId, SnoopResponse};
-    use memories_sim::{EmulationEngine, EngineConfig};
+    use memories_sim::EngineConfig;
     use memories_trace::TraceWriter;
 
     fn board() -> MemoriesBoard {
@@ -959,13 +830,13 @@ mod tests {
         )
     }
 
-    fn backend(shards: usize) -> Box<dyn ExecutionBackend> {
+    fn engine(shards: usize) -> EmulationEngine {
         let cfg = if shards <= 1 {
             EngineConfig::serial()
         } else {
             EngineConfig::parallel(shards).with_batch(128)
         };
-        Box::new(EmulationEngine::new(board(), cfg))
+        EmulationEngine::new(board(), cfg)
     }
 
     /// Profiling and sampling stages run through barriers, so a pipeline
@@ -985,7 +856,7 @@ mod tests {
         let mut runs = Vec::new();
         for shards in [1, 2] {
             let mut source = StreamSource::new((0..3_000).map(txn));
-            let pipeline = Pipeline::new(backend(shards), &options);
+            let pipeline = Pipeline::new(engine(shards), &options);
             let (pipeline, stats) = source.drive(pipeline).unwrap();
             let run = pipeline.finish(stats).unwrap();
             assert_eq!(
@@ -1021,18 +892,17 @@ mod tests {
         }
         w.finish().unwrap();
 
+        // Windows of 100 records are no multiple of the 64-record chunk,
+        // so the chunked source must cut its blocks at each boundary.
+        let options = ExecutionOptions::new().window_refs(100);
         let mut buffered = TraceSource::new(records.into_iter().map(Ok::<_, Error>), 60);
-        let (p, stats) = buffered
-            .drive(Pipeline::new(backend(1), &ExecutionOptions::new()))
-            .unwrap();
+        let (p, stats) = buffered.drive(Pipeline::new(engine(1), &options)).unwrap();
         let want = p.finish(stats).unwrap();
 
         let mut streamed = ChunkedTraceSource::new(bytes.as_slice(), 60)
             .unwrap()
             .with_chunk(64);
-        let (p, stats) = streamed
-            .drive(Pipeline::new(backend(2), &ExecutionOptions::new()))
-            .unwrap();
+        let (p, stats) = streamed.drive(Pipeline::new(engine(2), &options)).unwrap();
         let got = p.finish(stats).unwrap();
 
         assert_eq!(want.units, 1_500);
@@ -1041,10 +911,13 @@ mod tests {
             want.board.statistics_report(),
             got.board.statistics_report()
         );
+        assert_eq!(want.profile.len(), 15);
+        assert_eq!(want.profile[0].bus_cycle, 99 * 60);
+        assert_eq!(want.profile, got.profile);
 
         // Single-shot: a second drive reports exhaustion, not silence.
         let err = streamed
-            .drive(Pipeline::new(backend(1), &ExecutionOptions::new()))
+            .drive(Pipeline::new(engine(1), &ExecutionOptions::new()))
             .unwrap_err();
         assert!(err.to_string().contains("single-shot"), "{err}");
     }

@@ -28,14 +28,14 @@
 //!
 //! Every public entry point — [`run`](EmulationSession::run),
 //! [`run_profiled`](EmulationSession::run_profiled),
-//! [`run_monitored`](EmulationSession::run_monitored),
-//! [`run_pipelined`](EmulationSession::run_pipelined),
-//! [`replay`](EmulationSession::replay),
-//! [`replay_monitored`](EmulationSession::replay_monitored),
+//! [`run_monitored_pipelined`](EmulationSession::run_monitored_pipelined),
+//! [`replay`](EmulationSession::replay) and
 //! [`replay_stream`](EmulationSession::replay_stream) — is a thin
 //! composition over [`execute`](EmulationSession::execute): pick a
 //! [`TransactionSource`], pick the observation stages, drive the
-//! pipeline. Profiling and sampling act through snapshot barriers, so
+//! pipeline. Live runs all use the one [`PipelinedLiveSource`]; custom
+//! sources or observation mixes (a sampled replay, say) call `execute`
+//! directly. Profiling and sampling act through snapshot barriers, so
 //! every mode works at any parallelism and produces bit-identical
 //! counters (see [`crate::pipeline`]).
 //!
@@ -54,14 +54,14 @@ use memories_bus::ProcId;
 use memories_host::{HostConfig, HostMachine};
 use memories_obs::{EngineTelemetry, TimeSeries};
 use memories_protocol::ProtocolTable;
-use memories_sim::{EmulationEngine, EngineConfig, ExecutionBackend, MonitorReport};
+use memories_sim::{EmulationEngine, EngineConfig};
 use memories_trace::TraceRecord;
 use memories_verify::{verify_board, FuzzConfig, VerifyReport};
 use memories_workloads::Workload;
 
 use crate::pipeline::{
-    ChunkedTraceSource, ExecutionOptions, LiveSource, Pipeline, PipelineRun, PipelinedLiveSource,
-    TraceSource, TransactionSource,
+    ChunkedTraceSource, ExecutionOptions, Pipeline, PipelineRun, PipelinedLiveSource, TraceSource,
+    TransactionSource,
 };
 use crate::result::ExperimentResult;
 
@@ -242,10 +242,9 @@ impl EmulationSessionBuilder {
     /// Enables live counter sampling for monitored runs: every `period`
     /// admitted transactions the pipeline snapshots the board's counters
     /// into the time series that
-    /// [`run_monitored`](EmulationSession::run_monitored) /
-    /// [`replay_monitored`](EmulationSession::replay_monitored) return.
-    /// A `period` of 0 is treated as 1. Without this call, monitored
-    /// runs still return telemetry but an empty series.
+    /// [`run_monitored_pipelined`](EmulationSession::run_monitored_pipelined)
+    /// returns. A `period` of 0 is treated as 1. Without this call,
+    /// monitored runs still return telemetry but an empty series.
     #[must_use]
     pub fn sample_every(mut self, period: u64) -> Self {
         self.sample_every = Some(period.max(1));
@@ -316,7 +315,7 @@ pub struct ReplayResult {
     pub records: u64,
 }
 
-/// The outcome of [`EmulationSession::run_monitored`]: the usual
+/// The outcome of [`EmulationSession::run_monitored_pipelined`]: the usual
 /// experiment statistics plus the live counter series and the engine's
 /// own telemetry.
 #[derive(Debug)]
@@ -337,7 +336,7 @@ pub struct MonitoredRun {
 ///
 /// Built by [`EmulationSession::builder`]. Every run mode flows through
 /// the same [`TransactionSource`] → [`Pipeline`] →
-/// [`ExecutionBackend`] path; profiling and sampling observe through
+/// [`EmulationEngine`] path; profiling and sampling observe through
 /// snapshot barriers, so results are bit-identical at any
 /// [`parallelism`](EmulationSessionBuilder::parallelism) (see
 /// [`EmulationEngine`]).
@@ -409,7 +408,7 @@ impl EmulationSession {
     }
 
     /// Drives an arbitrary [`TransactionSource`] through this session's
-    /// backend with the given observation stages — the primitive every
+    /// engine with the given observation stages — the primitive every
     /// run/replay method composes.
     ///
     /// # Errors
@@ -421,10 +420,11 @@ impl EmulationSession {
         mut source: S,
         options: ExecutionOptions,
     ) -> Result<PipelineRun, Error> {
-        let board = MemoriesBoard::new(self.board.clone())?;
-        let backend: Box<dyn ExecutionBackend> =
-            Box::new(EmulationEngine::new(board, self.engine_config()));
-        let (pipeline, stats) = source.drive(Pipeline::new(backend, &options))?;
+        let engine = EmulationEngine::new(
+            MemoriesBoard::new(self.board.clone())?,
+            self.engine_config(),
+        );
+        let (pipeline, stats) = source.drive(Pipeline::new(engine, &options))?;
         pipeline.finish(stats)
     }
 
@@ -434,14 +434,17 @@ impl EmulationSession {
         &self,
         workload: &'w mut dyn Workload,
         refs: u64,
-    ) -> Result<LiveSource<'w>, Error> {
+    ) -> Result<PipelinedLiveSource<'w>, Error> {
         let host = self.host.clone().ok_or(SessionError::MissingHost)?;
-        Ok(LiveSource::new(host, workload, refs))
+        Ok(PipelinedLiveSource::new(host, workload, refs))
     }
 
     /// Drives `refs` workload references through the host machine with
     /// the board snooping, and returns the collected statistics.
     ///
+    /// Host simulation runs on its own producer thread (see
+    /// [`PipelinedLiveSource`]) and overlaps board emulation; the
+    /// workload moves to that thread for the duration of the call.
     /// The board snoops through the pipeline, so its buffer-overflow
     /// retry cannot feed back into the live bus; healthy runs post zero
     /// retries (§3.3), and the retry *count* is exact either way.
@@ -477,7 +480,8 @@ impl EmulationSession {
     /// series (sampled every
     /// [`sample_every`](EmulationSessionBuilder::sample_every) admitted
     /// transactions — the board console's "watch the counters while it
-    /// runs" mode) and the engine's own telemetry.
+    /// runs" mode) and the engine's own telemetry, including the
+    /// producer's block and stall counters.
     ///
     /// With sampling disabled the pipeline takes no barriers, so the
     /// final counters are bit-identical to [`EmulationSession::run`];
@@ -487,7 +491,7 @@ impl EmulationSession {
     /// # Errors
     ///
     /// As [`EmulationSession::run`], plus any sampling-barrier failure.
-    pub fn run_monitored(
+    pub fn run_monitored_pipelined(
         &self,
         workload: &mut dyn Workload,
         refs: u64,
@@ -504,68 +508,6 @@ impl EmulationSession {
             telemetry,
             result: experiment_result(run),
         })
-    }
-
-    /// Like [`EmulationSession::run`], but with host simulation on its
-    /// own producer thread: the host fills pooled transaction blocks and
-    /// ships them over a bounded queue while this thread drains them
-    /// into the board pipeline, so host MESI simulation overlaps board
-    /// emulation instead of alternating with it. Results are
-    /// bit-identical to [`run`](EmulationSession::run); the workload
-    /// must be `Send` because it moves to the producer thread for the
-    /// duration of the call.
-    ///
-    /// # Errors
-    ///
-    /// As [`EmulationSession::run`].
-    pub fn run_pipelined(
-        &self,
-        workload: &mut (dyn Workload + Send),
-        refs: u64,
-    ) -> Result<ExperimentResult, Error> {
-        let source = self.pipelined_source(workload, refs)?;
-        let run = self.execute(source, ExecutionOptions::new())?;
-        Ok(experiment_result(run))
-    }
-
-    /// [`run_monitored`](EmulationSession::run_monitored) with the
-    /// pipelined producer of
-    /// [`run_pipelined`](EmulationSession::run_pipelined): counter
-    /// samples land at the exact same admitted-transaction positions as
-    /// the non-pipelined run, and the telemetry additionally reports the
-    /// producer's block/stall counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`EmulationSession::run_monitored`].
-    pub fn run_monitored_pipelined(
-        &self,
-        workload: &mut (dyn Workload + Send),
-        refs: u64,
-    ) -> Result<MonitoredRun, Error> {
-        let source = self.pipelined_source(workload, refs)?;
-        let mut run = self.execute(
-            source,
-            ExecutionOptions::new().sample_every(self.sample_every),
-        )?;
-        let series = std::mem::take(&mut run.series);
-        let telemetry = std::mem::take(&mut run.telemetry);
-        Ok(MonitoredRun {
-            series,
-            telemetry,
-            result: experiment_result(run),
-        })
-    }
-
-    /// Builds a pipelined live source for this session's host, or
-    /// reports that the builder never got one.
-    fn pipelined_source<'w>(
-        &self,
-        workload: &'w mut (dyn Workload + Send),
-        refs: u64,
-    ) -> Result<PipelinedLiveSource<'w>, Error> {
-        let host = self.host.clone().ok_or(SessionError::MissingHost)?;
-        Ok(PipelinedLiveSource::new(host, workload, refs))
     }
 
     /// Replays captured trace records through a fresh board offline — the
@@ -590,40 +532,6 @@ impl EmulationSession {
             board: run.board,
             records: run.units,
         })
-    }
-
-    /// Like [`EmulationSession::replay`], but also samples the counters
-    /// every [`sample_every`](EmulationSessionBuilder::sample_every)
-    /// admitted transactions and returns the series and telemetry
-    /// alongside the replayed board.
-    ///
-    /// # Errors
-    ///
-    /// As [`EmulationSession::replay`], plus any sampling-barrier
-    /// failure.
-    pub fn replay_monitored<I, E>(
-        &self,
-        records: I,
-        cycle_spacing: u64,
-    ) -> Result<(ReplayResult, MonitorReport), Error>
-    where
-        I: IntoIterator<Item = Result<TraceRecord, E>>,
-        E: Into<Error>,
-    {
-        let run = self.execute(
-            TraceSource::new(records, cycle_spacing),
-            ExecutionOptions::new().sample_every(self.sample_every),
-        )?;
-        Ok((
-            ReplayResult {
-                board: run.board,
-                records: run.units,
-            },
-            MonitorReport {
-                series: run.series,
-                telemetry: run.telemetry,
-            },
-        ))
     }
 
     /// Replays a trace *stream* — any [`Read`] positioned at a trace
@@ -931,7 +839,7 @@ mod tests {
 
             // Sampling disabled: bit-identical to run().
             let mut w = UniformRandom::new(2, 16 << 20, 0.3, 9);
-            let silent = make(None).run_monitored(&mut w, 20_000).unwrap();
+            let silent = make(None).run_monitored_pipelined(&mut w, 20_000).unwrap();
             assert_eq!(
                 plain.board.statistics_report(),
                 silent.result.board.statistics_report()
@@ -941,7 +849,9 @@ mod tests {
 
             // Sampling enabled: still bit-identical, series populated.
             let mut w = UniformRandom::new(2, 16 << 20, 0.3, 9);
-            let monitored = make(Some(1_000)).run_monitored(&mut w, 20_000).unwrap();
+            let monitored = make(Some(1_000))
+                .run_monitored_pipelined(&mut w, 20_000)
+                .unwrap();
             assert_eq!(
                 plain.board.statistics_report(),
                 monitored.result.board.statistics_report()

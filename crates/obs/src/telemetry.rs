@@ -53,11 +53,11 @@ pub struct EngineTelemetry {
     /// Batch-queue slots per worker (the channel bound).
     pub queue_capacity: usize,
     /// Times the stream's producer stage found its downstream queue full
-    /// and had to block (backpressure events). In an alternating run this
-    /// is the feed loop blocking on the worker batch queues; in a
-    /// pipelined run it is the host-simulation producer blocking on the
-    /// block queue (the consumer side's worker-queue stalls are then
-    /// reported separately as
+    /// and had to block (backpressure events). When a trace or stream
+    /// source feeds the engine in the calling thread this is the feed
+    /// loop blocking on the worker batch queues; in a live run it is the
+    /// host-simulation producer blocking on the block queue (the consumer
+    /// side's worker-queue stalls are then reported separately as
     /// [`consumer_stalls`](Self::consumer_stalls)).
     pub producer_stalls: u64,
     /// Batches served by recycling a pooled block (no allocation).
@@ -65,13 +65,13 @@ pub struct EngineTelemetry {
     /// Batches that needed a fresh block allocation (pool free list was
     /// empty — bounded by the blocks simultaneously in flight).
     pub pool_allocs: u64,
-    /// Blocks shipped by a pipelined producer stage (0 when the producer
-    /// was not pipelined).
+    /// Blocks shipped by a live run's producer stage (0 for trace and
+    /// stream sources).
     pub producer_blocks: u64,
-    /// In a pipelined run, backpressure events at the engine's own worker
-    /// queues — the consumer side of the pipeline. 0 in alternating runs
-    /// (those events are the [`producer_stalls`](Self::producer_stalls)
-    /// themselves).
+    /// In a live run, backpressure events at the engine's own worker
+    /// queues — the consumer side of the pipeline. 0 for trace and
+    /// stream sources (those events are the
+    /// [`producer_stalls`](Self::producer_stalls) themselves).
     pub consumer_stalls: u64,
     /// Snapshot barriers taken mid-run.
     pub snapshots: u64,

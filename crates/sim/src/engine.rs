@@ -18,24 +18,27 @@
 //! # Online monitoring
 //!
 //! The board's console reads counters *while the workload runs*; the
-//! engine recovers that with **snapshot barriers**. [`sample_now`] (or
-//! automatic sampling via [`sample_every`]) flushes the partial batch and
-//! sends every worker a snapshot request over the same queue as the
-//! batches. Because each worker processes its queue in order, its reply —
-//! a copy of its node counters plus the overflow masks accumulated since
-//! the last barrier — reflects exactly the admitted stream so far, and
-//! the engine assembles the replies with the front end's own counters
-//! into a [`BoardSnapshot`] that is bit-identical to what a serial board
-//! would show at the same stream position. Every worker sees the same
-//! batch sequence, so a worker keeps only `(batch sequence, mask)` pairs
-//! for the batches that overflowed, plus a count of the batches it saw;
-//! each barrier checks the counts agree, OR-merges the masks by sequence
-//! and popcounts them: retry accounting stays exact *and* incremental,
-//! and neither worker- nor engine-side state grows with trace length.
+//! engine recovers that with **snapshot barriers**. [`barrier`] flushes
+//! the partial batch and sends every worker a snapshot request over the
+//! same queue as the batches. Because each worker processes its queue in
+//! order, its reply — a copy of its node counters plus the overflow masks
+//! accumulated since the last barrier — reflects exactly the admitted
+//! stream so far, and the engine assembles the replies with the front
+//! end's own counters into a [`BoardSnapshot`] that is bit-identical to
+//! what a serial board would show at the same stream position. Every
+//! worker sees the same batch sequence, so a worker keeps only `(batch
+//! sequence, mask)` pairs for the batches that overflowed, plus a count
+//! of the batches it saw; each barrier checks the counts agree, OR-merges
+//! the masks by sequence and popcounts them: retry accounting stays exact
+//! *and* incremental, and neither worker- nor engine-side state grows
+//! with trace length.
 //!
-//! Barriers change where batches end (the partial batch is flushed), but
-//! results are batch-size-invariant, so a monitored run's final board is
-//! still bit-identical to an unmonitored one.
+//! The engine has no sampling schedule of its own: the console
+//! pipeline's sampler and windowed profiler decide *when* to call
+//! [`barrier`], and split their blocks so each barrier lands at an exact
+//! stream position. Barriers change where batches end (the partial batch
+//! is flushed), but results are batch-size-invariant, so an observed
+//! run's final board is still bit-identical to an unobserved one.
 //!
 //! The engine consumes an already-recorded transaction stream (replay,
 //! synthetic generators, capture files). It cannot feed retries back into
@@ -44,8 +47,7 @@
 //! retries (§3.3); the count is still exact.
 //!
 //! [`finish`]: EmulationEngine::finish
-//! [`sample_now`]: EmulationEngine::sample_now
-//! [`sample_every`]: EmulationEngine::sample_every
+//! [`barrier`]: EmulationEngine::barrier
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -57,13 +59,13 @@ use std::time::{Duration, Instant};
 
 use memories::{BoardFrontEnd, BoardSnapshot, Error, MemoriesBoard, NodeCounters, NodeShard};
 use memories_bus::{BlockPool, PooledBlock, Transaction};
-use memories_obs::{EngineTelemetry, ShardTelemetry, TimeSeries};
+use memories_obs::{EngineTelemetry, ShardTelemetry};
 
 /// How the engine drives the node controllers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Snoop in the calling thread, exactly like
-    /// [`MemoriesBoard::on_transaction`](memories_bus::BusListener).
+    /// Snoop in the calling thread: the one serial backend, exactly
+    /// [`MemoriesBoard::observe_block`].
     Serial,
     /// Fan admitted transactions out to up to `shards` worker threads.
     /// The effective count is capped at the board's coherence-domain
@@ -112,12 +114,9 @@ impl EngineConfig {
     }
 }
 
-/// Everything a monitored run produced besides the board itself.
+/// Everything a finished run produced besides the board itself.
 #[derive(Clone, Debug, Default)]
 pub struct MonitorReport {
-    /// Counter samples taken at each barrier (empty if sampling was never
-    /// enabled and [`EmulationEngine::sample_now`] never called).
-    pub series: TimeSeries,
     /// The engine's own performance counters.
     pub telemetry: EngineTelemetry,
 }
@@ -128,8 +127,8 @@ type OverflowMask = Vec<u64>;
 
 /// One worker's overflow record since the last barrier: how many batches
 /// it snooped, and the mask of each batch that overflowed, keyed by the
-/// batch's sequence number. Overflow-free batches leave no mask, so an
-/// unsampled run without overflows keeps this empty however long it is.
+/// batch's sequence number. Overflow-free batches leave no mask, so a
+/// run without overflows keeps this empty however long it is.
 #[derive(Debug, Default)]
 struct OverflowLog {
     batches: u64,
@@ -215,11 +214,13 @@ enum Inner {
 
 /// A running emulation over one transaction stream.
 ///
-/// Feed transactions in stream order with [`EmulationEngine::feed`], then
-/// call [`EmulationEngine::finish`] (or
-/// [`EmulationEngine::finish_monitored`] to also collect the sample
-/// series and telemetry) to get the final board back. The result is
-/// bit-identical across modes, shard counts, and sampling settings.
+/// Feed blocks of transactions in stream order with
+/// [`EmulationEngine::feed_block`] or [`EmulationEngine::feed_pooled`],
+/// observe the exact mid-stream state with
+/// [`EmulationEngine::barrier`], then call [`EmulationEngine::finish`]
+/// (or [`EmulationEngine::finish_monitored`] to also collect the
+/// telemetry) to get the final board back. The result is bit-identical
+/// across modes, shard counts, block sizes and barrier positions.
 ///
 /// # Examples
 ///
@@ -235,27 +236,23 @@ enum Inner {
 ///     vec![params, params], (0..8).map(ProcId::new).collect())?;
 /// let mut engine = EmulationEngine::new(
 ///     MemoriesBoard::new(config)?, EngineConfig::parallel(2));
-/// engine.sample_every(250); // live counter sample per 250 admitted txns
-/// for i in 0..1000u64 {
-///     engine.feed(&Transaction::new(
+/// let stream: Vec<Transaction> = (0..1000u64)
+///     .map(|i| Transaction::new(
 ///         i, i * 60, ProcId::new((i % 8) as u8), BusOp::Read,
-///         Address::new((i % 64) * 128), SnoopResponse::Null));
-/// }
+///         Address::new((i % 64) * 128), SnoopResponse::Null))
+///     .collect();
+/// engine.feed_block(&stream[..250]);
+/// let live = engine.barrier()?; // exact counters after 250 transactions
+/// assert_eq!(live.global.transactions(), 250);
+/// engine.feed_block(&stream[250..]);
 /// let (board, report) = engine.finish_monitored()?;
 /// assert_eq!(board.global().transactions(), 1000);
-/// assert!(report.series.len() >= 3);
+/// assert_eq!(report.telemetry.snapshots, 1);
 /// # Ok(())
 /// # }
 /// ```
 pub struct EmulationEngine {
     inner: Inner,
-    /// Admitted-transaction sampling period, if enabled.
-    sample_period: Option<u64>,
-    /// Next admitted count at which to auto-sample.
-    next_sample_at: u64,
-    series: TimeSeries,
-    /// First error hit inside `feed` auto-sampling (surfaced at finish).
-    deferred: Option<Error>,
     started: Instant,
     batches: u64,
     producer_stalls: u64,
@@ -287,10 +284,6 @@ impl EmulationEngine {
         };
         EmulationEngine {
             inner,
-            sample_period: None,
-            next_sample_at: 0,
-            series: TimeSeries::new(),
-            deferred: None,
             started: Instant::now(),
             batches: 0,
             producer_stalls: 0,
@@ -306,27 +299,6 @@ impl EmulationEngine {
         }
     }
 
-    /// Enables automatic sampling: every `period` admitted transactions
-    /// the engine takes a [`BoardSnapshot`] (a snapshot barrier, in
-    /// parallel mode) and appends it to the series returned by
-    /// [`EmulationEngine::finish_monitored`]. A `period` of 0 is treated
-    /// as 1. Counting starts from the current admitted count.
-    pub fn sample_every(&mut self, period: u64) {
-        let period = period.max(1);
-        self.sample_period = Some(period);
-        self.next_sample_at = self.admitted() + period;
-    }
-
-    /// Disables automatic sampling (already-collected samples are kept).
-    pub fn sample_off(&mut self) {
-        self.sample_period = None;
-    }
-
-    /// Samples collected so far.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
     /// Transactions the filter has admitted so far.
     pub fn admitted(&self) -> u64 {
         match &self.inner {
@@ -335,71 +307,14 @@ impl EmulationEngine {
         }
     }
 
-    /// Feeds one bus transaction, in stream order.
-    pub fn feed(&mut self, txn: &Transaction) {
-        match &mut self.inner {
-            Inner::Serial { board } => {
-                use memories_bus::BusListener as _;
-                board.on_transaction(txn);
-            }
-            Inner::Parallel {
-                front,
-                block,
-                pool,
-                workers,
-                ..
-            } => {
-                if !front.observe(txn) {
-                    return;
-                }
-                block.push(*txn);
-                if block.is_full() {
-                    let full = Arc::new(std::mem::replace(block, pool.take()));
-                    self.batches += 1;
-                    self.producer_stalls += broadcast(workers, full);
-                }
-            }
-        }
-        if let Some(period) = self.sample_period {
-            if self.admitted() >= self.next_sample_at {
-                // `feed` cannot return an error; park it for finish.
-                match self.take_snapshot() {
-                    Ok(snap) => {
-                        self.series.record(snap);
-                    }
-                    Err(e) => {
-                        self.deferred.get_or_insert(e);
-                        self.sample_period = None; // don't repeat the failure
-                    }
-                }
-                self.next_sample_at = self.admitted() + period;
-            }
-        }
-    }
-
-    /// Feeds a whole stream.
-    pub fn feed_all<'a, I: IntoIterator<Item = &'a Transaction>>(&mut self, stream: I) {
-        for txn in stream {
-            self.feed(txn);
-        }
-    }
-
     /// Feeds a whole block of transactions, in stream order.
     ///
-    /// Semantically identical to calling [`feed`](Self::feed) once per
-    /// transaction — the filter, counters, batching, and retry accounting
-    /// all see the same stream — but with the per-transaction dispatch
-    /// amortised over the block (the serial board snoops the slice in one
-    /// call; the parallel front end filters it in a tight loop).
+    /// Any block size gives the same result — a block of one is the
+    /// per-transaction reference — because the filter, counters, batching
+    /// and retry accounting all see the same stream. The serial board
+    /// snoops the slice in one call; the parallel front end filters it in
+    /// a tight loop into the broadcast batch.
     pub fn feed_block(&mut self, txns: &[Transaction]) {
-        if self.sample_period.is_some() {
-            // Auto-sampling checks the stream position after every
-            // transaction; keep those positions exact.
-            for txn in txns {
-                self.feed(txn);
-            }
-            return;
-        }
         match &mut self.inner {
             Inner::Serial { board } => {
                 board.observe_block(txns);
@@ -437,11 +352,10 @@ impl EmulationEngine {
     /// [`feed_block`](Self::feed_block), which preserves stream order.
     /// Results are bit-identical either way (batch-size invariance).
     pub fn feed_pooled(&mut self, mut incoming: PooledBlock) {
-        let zero_copy = self.sample_period.is_none()
-            && match &self.inner {
-                Inner::Serial { .. } => true,
-                Inner::Parallel { block, .. } => block.is_empty(),
-            };
+        let zero_copy = match &self.inner {
+            Inner::Serial { .. } => true,
+            Inner::Parallel { block, .. } => block.is_empty(),
+        };
         if !zero_copy {
             self.feed_block(incoming.as_slice());
             return;
@@ -461,11 +375,11 @@ impl EmulationEngine {
         }
     }
 
-    /// Takes a counter snapshot of the emulation *right now*, recording
-    /// it into the series as well. In parallel mode this is a snapshot
-    /// barrier: the partial batch is flushed and every worker reports its
-    /// counters and overflow masks, so the result is bit-identical to
-    /// what a serial board would show at the same stream position.
+    /// Takes a counter snapshot of the emulation *right now*. In
+    /// parallel mode this is a snapshot barrier: the partial batch is
+    /// flushed and every worker reports its counters and overflow masks,
+    /// so the result is bit-identical to what a serial board would show
+    /// at the same stream position.
     ///
     /// # Errors
     ///
@@ -475,30 +389,7 @@ impl EmulationEngine {
     /// # Panics
     ///
     /// Propagates a worker thread's panic.
-    pub fn sample_now(&mut self) -> Result<BoardSnapshot, Error> {
-        let snap = self.take_snapshot()?;
-        self.series.record(snap.clone());
-        Ok(snap)
-    }
-
-    /// Takes a counter snapshot *without* recording it into the sample
-    /// series — the raw snapshot-barrier primitive pipeline stages build
-    /// on (windowed profiling, external samplers). Identical guarantees
-    /// to [`EmulationEngine::sample_now`].
-    ///
-    /// # Errors
-    ///
-    /// As [`EmulationEngine::sample_now`].
-    ///
-    /// # Panics
-    ///
-    /// Propagates a worker thread's panic.
     pub fn barrier(&mut self) -> Result<BoardSnapshot, Error> {
-        self.take_snapshot()
-    }
-
-    /// The snapshot barrier itself (no series recording).
-    fn take_snapshot(&mut self) -> Result<BoardSnapshot, Error> {
         self.snapshots += 1;
         match &mut self.inner {
             Inner::Serial { board } => Ok(board.snapshot()),
@@ -565,12 +456,17 @@ impl EmulationEngine {
         self.finish_monitored().map(|(board, _)| board)
     }
 
-    /// Like [`EmulationEngine::finish`], but also returns the sample
-    /// series and the engine's own telemetry.
+    /// Like [`EmulationEngine::finish`], but also returns the engine's
+    /// own telemetry.
+    ///
+    /// # Errors
+    ///
+    /// As [`EmulationEngine::finish`].
+    ///
+    /// # Panics
+    ///
+    /// Propagates a worker thread's panic.
     pub fn finish_monitored(self) -> Result<(MemoriesBoard, MonitorReport), Error> {
-        if let Some(e) = self.deferred {
-            return Err(e);
-        }
         let mut telemetry = EngineTelemetry {
             batches: self.batches,
             queue_capacity: QUEUE_CAPACITY,
@@ -639,13 +535,7 @@ impl EmulationEngine {
             }
         };
         telemetry.wall = self.started.elapsed();
-        Ok((
-            board,
-            MonitorReport {
-                series: self.series,
-                telemetry,
-            },
-        ))
+        Ok((board, MonitorReport { telemetry }))
     }
 }
 
@@ -657,7 +547,6 @@ impl fmt::Debug for EmulationEngine {
                 .debug_struct("EmulationEngine(parallel)")
                 .field("shards", &workers.len())
                 .field("pending", &block.len())
-                .field("samples", &self.series.len())
                 .finish(),
         }
     }
@@ -840,8 +729,19 @@ mod tests {
 
     fn run(cfg: &BoardConfig, engine_cfg: EngineConfig, txns: &[Transaction]) -> MemoriesBoard {
         let mut engine = EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
-        engine.feed_all(txns);
+        engine.feed_block(txns);
         engine.finish().unwrap()
+    }
+
+    /// The per-transaction reference: a plain board, one
+    /// `on_transaction` per bus operation.
+    fn reference(cfg: &BoardConfig, txns: &[Transaction]) -> MemoriesBoard {
+        use memories_bus::BusListener as _;
+        let mut board = MemoriesBoard::new(cfg.clone()).unwrap();
+        for t in txns {
+            board.on_transaction(t);
+        }
+        board
     }
 
     fn assert_boards_identical(a: &MemoriesBoard, b: &MemoriesBoard) {
@@ -858,7 +758,8 @@ mod tests {
     fn parallel_is_bit_identical_to_serial() {
         let cfg = four_domain_config();
         let txns = stream(20_000, 60);
-        let serial = run(&cfg, EngineConfig::serial(), &txns);
+        let serial = reference(&cfg, &txns);
+        assert_boards_identical(&serial, &run(&cfg, EngineConfig::serial(), &txns));
         for shards in [1, 2, 3, 4, 8] {
             let parallel = run(&cfg, EngineConfig::parallel(shards), &txns);
             assert_boards_identical(&serial, &parallel);
@@ -885,7 +786,7 @@ mod tests {
             ..TimingConfig::default()
         };
         let txns = stream(5_000, 0);
-        let serial = run(&cfg, EngineConfig::serial(), &txns);
+        let serial = reference(&cfg, &txns);
         assert!(serial.retries_posted() > 0, "test needs overflow pressure");
         let parallel = run(&cfg, EngineConfig::parallel(4), &txns);
         assert_boards_identical(&serial, &parallel);
@@ -910,28 +811,30 @@ mod tests {
     }
 
     #[test]
-    fn monitored_run_is_bit_identical_and_samples_live() {
+    fn barriers_are_bit_identical_and_monotone() {
         let cfg = four_domain_config();
         let txns = stream(20_000, 60);
-        let plain = run(&cfg, EngineConfig::serial(), &txns);
+        let plain = reference(&cfg, &txns);
 
         for engine_cfg in [EngineConfig::serial(), EngineConfig::parallel(4)] {
             let mut engine =
                 EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
-            engine.sample_every(1000);
-            engine.feed_all(&txns);
+            let mut snaps = Vec::new();
+            for slice in txns.chunks(1000) {
+                engine.feed_block(slice);
+                snaps.push(engine.barrier().unwrap());
+            }
             let (board, report) = engine.finish_monitored().unwrap();
             assert_boards_identical(&plain, &board);
-            assert!(report.series.len() >= 10, "expected ≥10 samples");
-            // Samples are monotone in admitted count and end at the total.
-            let pts = report.series.points();
-            for pair in pts.windows(2) {
-                assert!(pair[0].cumulative.admitted < pair[1].cumulative.admitted);
+            // Snapshots are monotone in admitted count and end at the total.
+            for pair in snaps.windows(2) {
+                assert!(pair[0].admitted() < pair[1].admitted());
             }
             let final_admitted = board.filter().stats().forwarded;
-            assert!(pts.last().unwrap().cumulative.admitted <= final_admitted);
+            assert_eq!(snaps.last().unwrap().admitted(), final_admitted);
             assert_eq!(report.telemetry.admitted, final_admitted);
             assert_eq!(report.telemetry.seen, 20_000);
+            assert_eq!(report.telemetry.snapshots, 20);
         }
     }
 
@@ -942,29 +845,21 @@ mod tests {
         let cfg = four_domain_config();
         let txns = stream(10_000, 60);
         let half = &txns[..5_000];
-
-        let mut reference = MemoriesBoard::new(cfg.clone()).unwrap();
-        {
-            use memories_bus::BusListener as _;
-            for t in half {
-                reference.on_transaction(t);
-            }
-        }
-        let want = reference.snapshot();
+        let want = reference(&cfg, half).snapshot();
 
         let mut engine = EmulationEngine::new(
             MemoriesBoard::new(cfg).unwrap(),
             EngineConfig::parallel(4).with_batch(512),
         );
-        engine.feed_all(half);
-        let got = engine.sample_now().unwrap();
+        engine.feed_block(half);
+        let got = engine.barrier().unwrap();
 
         assert_eq!(got.filter, want.filter);
         assert_eq!(got.retries_posted, want.retries_posted);
         assert_eq!(got.global.transactions(), want.global.transactions());
         assert_eq!(got.nodes, want.nodes);
-        // The engine still finishes exactly after an explicit sample.
-        engine.feed_all(&txns[5_000..]);
+        // The engine still finishes exactly after an explicit barrier.
+        engine.feed_block(&txns[5_000..]);
         let board = engine.finish().unwrap();
         assert_eq!(board.global().transactions(), 10_000);
     }
@@ -979,23 +874,25 @@ mod tests {
             ..TimingConfig::default()
         };
         let txns = stream(5_000, 0);
-        let serial = run(&cfg, EngineConfig::serial(), &txns);
+        let serial = reference(&cfg, &txns);
         assert!(serial.retries_posted() > 0);
 
         let mut engine = EmulationEngine::new(
             MemoriesBoard::new(cfg).unwrap(),
             EngineConfig::parallel(4).with_batch(128),
         );
-        engine.sample_every(700);
-        engine.feed_all(&txns);
-        let (board, report) = engine.finish_monitored().unwrap();
-        assert_boards_identical(&serial, &board);
-        // Retries in the series never decrease and end at the total.
-        let pts = report.series.points();
-        for pair in pts.windows(2) {
-            assert!(pair[0].cumulative.retries <= pair[1].cumulative.retries);
+        let mut retries = Vec::new();
+        for slice in txns.chunks(700) {
+            engine.feed_block(slice);
+            retries.push(engine.barrier().unwrap().retries_posted);
         }
-        assert!(pts.last().unwrap().cumulative.retries <= board.retries_posted());
+        let board = engine.finish().unwrap();
+        assert_boards_identical(&serial, &board);
+        // Retries at the barriers never decrease and end at the total.
+        for pair in retries.windows(2) {
+            assert!(pair[0] <= pair[1]);
+        }
+        assert_eq!(*retries.last().unwrap(), board.retries_posted());
     }
 
     /// A Worker whose thread dies with `message` instead of serving its
@@ -1102,10 +999,10 @@ mod tests {
     }
 
     #[test]
-    fn feed_block_is_bit_identical_to_feed() {
+    fn any_block_size_is_bit_identical_to_per_transaction_feeding() {
         let cfg = four_domain_config();
         let txns = stream(9_973, 60);
-        let serial = run(&cfg, EngineConfig::serial(), &txns);
+        let serial = reference(&cfg, &txns);
         for engine_cfg in [
             EngineConfig::serial(),
             EngineConfig::parallel(2).with_batch(512),
@@ -1127,7 +1024,7 @@ mod tests {
     fn feed_pooled_broadcasts_in_place_and_stays_exact() {
         let cfg = four_domain_config();
         let txns = stream(9_973, 60);
-        let serial = run(&cfg, EngineConfig::serial(), &txns);
+        let serial = reference(&cfg, &txns);
         for engine_cfg in [
             EngineConfig::serial(),
             EngineConfig::parallel(4).with_batch(256),
@@ -1158,7 +1055,7 @@ mod tests {
             MemoriesBoard::new(cfg).unwrap(),
             EngineConfig::parallel(4).with_batch(100),
         );
-        engine.feed_all(&txns);
+        engine.feed_block(&txns);
         let (_, report) = engine.finish_monitored().unwrap();
         let t = &report.telemetry;
         // Every batch came off the pool (the one extra take is the block
@@ -1189,7 +1086,7 @@ mod tests {
             MemoriesBoard::new(cfg).unwrap(),
             EngineConfig::parallel(4).with_batch(100),
         );
-        engine.feed_all(&txns);
+        engine.feed_block(&txns);
         let (board, report) = engine.finish_monitored().unwrap();
         let admitted = board.filter().stats().forwarded;
         let t = &report.telemetry;

@@ -19,23 +19,24 @@
 //! extrapolates measured simulator throughput to the paper's huge trace
 //! sizes.
 //!
-//! [`EmulationEngine`] is the sharded replay engine: it fans one
-//! transaction stream out to worker threads that each snoop a
-//! whole-domain group of node controllers, producing a board
-//! bit-identical to a serial run. Monitored runs additionally take
-//! snapshot barriers every N admitted transactions and return a
-//! [`MonitorReport`] (live counter series + engine telemetry, both from
-//! `memories-obs`).
+//! [`EmulationEngine`] is the one stream consumer, serial or sharded:
+//! it takes the stream in blocks, fans it out to worker threads that
+//! each snoop a whole-domain group of node controllers, and produces a
+//! board bit-identical to a serial run. Its [`barrier`] is an exact
+//! mid-stream counter snapshot — the only observation primitive the
+//! console pipeline's sampler and profiler use — and
+//! [`finish_monitored`] returns a [`MonitorReport`] carrying the
+//! engine's own telemetry (`memories-obs`). It is the execution half of
+//! the console's `TransactionSource → Pipeline → EmulationEngine`
+//! pipeline (DESIGN.md §8).
 //!
-//! [`ExecutionBackend`] abstracts over the serial board and the engine
-//! as one stream consumer — the execution half of the console's
-//! `TransactionSource → ExecutionBackend` pipeline (DESIGN.md §8).
+//! [`barrier`]: EmulationEngine::barrier
+//! [`finish_monitored`]: EmulationEngine::finish_monitored
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod augmint;
-mod backend;
 mod compare;
 mod csim;
 mod engine;
@@ -43,7 +44,6 @@ mod multinode;
 mod timing;
 
 pub use augmint::AugmintModel;
-pub use backend::ExecutionBackend;
 pub use compare::{compare_counts, CompareReport};
 pub use csim::{CacheSim, SimCounts};
 pub use engine::{EmulationEngine, EngineConfig, EngineMode, MonitorReport};

@@ -115,17 +115,17 @@ impl<W: Write> Drop for TraceWriter<W> {
 /// truncated final record surfaces as [`TraceError::TruncatedRecord`].
 /// Pass `&mut reader` if you need the underlying reader afterwards.
 ///
-/// For bulk replay, [`TraceReader::read_chunk`] decodes records in
-/// fixed-size batches into a caller-owned buffer, so a trace of any
-/// length streams at O(chunk) peak memory — no whole-trace `Vec` is ever
-/// materialized.
+/// For bulk replay, [`TraceReader::read_block`] decodes records in
+/// fixed-size batches straight into a caller-owned transaction block, so
+/// a trace of any length streams at O(chunk) peak memory — no
+/// whole-trace `Vec` is ever materialized.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     inner: BufReader<R>,
     read: u64,
     fused: bool,
-    /// Reusable byte scratch for [`TraceReader::read_chunk`]; grows to
-    /// one chunk's worth of encoded records and stays there.
+    /// Reusable byte scratch for [`TraceReader::read_block`]; grows to
+    /// one block's worth of encoded records and stays there.
     scratch: Vec<u8>,
 }
 
@@ -164,28 +164,53 @@ impl<R: Read> TraceReader<R> {
         self.read
     }
 
-    /// Decodes up to `max` records into `out` (which is cleared first),
-    /// returning how many were decoded. `Ok(0)` means a clean end of
-    /// stream. Repeated calls with the same buffer stream a trace of any
-    /// length at O(`max`) peak memory: the only allocations are `out` and
-    /// an internal byte scratch, both of one chunk's size.
+    /// Decodes records **directly into a transaction block** — the
+    /// block-native replay path. The block is cleared, then filled with
+    /// up to `block.capacity()` transactions: record `i` of the call
+    /// becomes a transaction with sequence number `base_seq + i` and
+    /// cycle `(base_seq + i) * cycle_spacing`, exactly the numbering the
+    /// record-at-a-time [`Iterator`] path gets from
+    /// [`TraceRecord::to_transaction`]. No intermediate
+    /// `Vec<TraceRecord>` is ever materialized, and repeated calls with
+    /// the same block stream a trace of any length at O(block) memory.
     ///
-    /// Errors fuse the reader exactly like the [`Iterator`]
-    /// implementation: after an `Err`, subsequent calls return `Ok(0)`.
+    /// Returns how many transactions were decoded; `Ok(0)` means a clean
+    /// end of stream. Errors fuse the reader exactly like the
+    /// [`Iterator`] implementation: after an `Err`, subsequent calls
+    /// return `Ok(0)`.
     ///
     /// # Errors
     ///
     /// [`TraceError::TruncatedRecord`] if the stream ends mid-record,
     /// [`TraceError::Corrupt`] for an undecodable record, or an
-    /// underlying I/O error. Records decoded before the failure are left
-    /// in `out` (and counted by [`TraceReader::records_read`]), so a
-    /// caller that tolerates truncated tails can still use the prefix.
-    pub fn read_chunk(
+    /// underlying I/O error. Transactions decoded before the failure are
+    /// left in the block (and counted by [`TraceReader::records_read`]),
+    /// so a caller that tolerates truncated tails can still use the
+    /// prefix.
+    pub fn read_block(
         &mut self,
-        out: &mut Vec<TraceRecord>,
+        block: &mut TransactionBlock,
+        base_seq: u64,
+        cycle_spacing: u64,
+    ) -> Result<usize, TraceError> {
+        self.read_block_up_to(block, base_seq, cycle_spacing, usize::MAX)
+    }
+
+    /// [`TraceReader::read_block`], decoding at most `max` records — how
+    /// a replay cuts its blocks at profile-window boundaries.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReader::read_block`].
+    pub fn read_block_up_to(
+        &mut self,
+        block: &mut TransactionBlock,
+        base_seq: u64,
+        cycle_spacing: u64,
         max: usize,
     ) -> Result<usize, TraceError> {
-        out.clear();
+        block.clear();
+        let max = block.capacity().min(max);
         if self.fused || max == 0 {
             return Ok(0);
         }
@@ -203,75 +228,10 @@ impl<R: Read> TraceReader<R> {
                 }
             }
         }
-        for word_bytes in self.scratch[..filled - filled % 8].chunks_exact(8) {
-            let word = u64::from_le_bytes(word_bytes.try_into().expect("8-byte chunk"));
-            let idx = self.read;
-            match TraceRecord::decode(word, idx) {
-                Ok(rec) => {
-                    self.read += 1;
-                    out.push(rec);
-                }
-                Err(e) => {
-                    self.fused = true;
-                    return Err(e);
-                }
-            }
-        }
-        if filled % 8 != 0 {
-            self.fused = true;
-            return Err(TraceError::TruncatedRecord { record: self.read });
-        }
-        if filled == 0 {
-            self.fused = true;
-        }
-        Ok(out.len())
-    }
-
-    /// Decodes records **directly into a transaction block** — the
-    /// block-native replay path. The block is cleared, then filled with
-    /// up to `block.capacity()` transactions: record `i` of the call
-    /// becomes a transaction with sequence number `base_seq + i` and
-    /// cycle `(base_seq + i) * cycle_spacing`, exactly the numbering the
-    /// record-at-a-time replay path assigns. No intermediate
-    /// `Vec<TraceRecord>` is ever materialized.
-    ///
-    /// Returns how many transactions were decoded; `Ok(0)` means a clean
-    /// end of stream. Error and fusing semantics match
-    /// [`TraceReader::read_chunk`], with the decodable prefix left in the
-    /// block.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceReader::read_chunk`].
-    pub fn read_block(
-        &mut self,
-        block: &mut TransactionBlock,
-        base_seq: u64,
-        cycle_spacing: u64,
-    ) -> Result<usize, TraceError> {
-        block.clear();
-        if self.fused || block.capacity() == 0 {
-            return Ok(0);
-        }
-        let want = block.capacity().saturating_mul(8);
-        self.scratch.resize(want, 0);
-        let mut filled = 0;
-        while filled < want {
-            match self.inner.read(&mut self.scratch[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.fused = true;
-                    return Err(TraceError::Io(e));
-                }
-            }
-        }
         let mut seq = base_seq;
         for word_bytes in self.scratch[..filled - filled % 8].chunks_exact(8) {
             let word = u64::from_le_bytes(word_bytes.try_into().expect("8-byte chunk"));
-            let idx = self.read;
-            match TraceRecord::decode(word, idx) {
+            match TraceRecord::decode(word, self.read) {
                 Ok(rec) => {
                     self.read += 1;
                     block.push(rec.to_transaction(seq, seq * cycle_spacing));
@@ -423,56 +383,15 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reads_stream_the_whole_trace_at_chunk_memory() {
-        // A trace much larger than the chunk buffer: every record comes
-        // back, in order, and the buffer never grows past the chunk size.
-        let recs = records(10_000);
-        let buf = write_all(&recs);
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut chunk = Vec::new();
-        let mut back = Vec::new();
-        let mut chunks = 0;
-        loop {
-            let n = reader.read_chunk(&mut chunk, 256).unwrap();
-            if n == 0 {
-                break;
-            }
-            assert!(chunk.len() <= 256, "chunk overgrew: {}", chunk.len());
-            assert!(chunk.capacity() <= 512, "peak buffer is not O(chunk)");
-            back.extend_from_slice(&chunk);
-            chunks += 1;
-        }
-        assert_eq!(back, recs);
-        assert_eq!(chunks, 10_000usize.div_ceil(256));
-        assert_eq!(reader.records_read(), 10_000);
-        // A fused reader keeps returning a clean end of stream.
-        assert_eq!(reader.read_chunk(&mut chunk, 256).unwrap(), 0);
-    }
+    fn block_reads_handle_empty_trace_and_corrupt_records() {
+        use memories_bus::TransactionBlock;
 
-    #[test]
-    fn chunked_read_reports_truncation_and_keeps_the_prefix() {
-        let mut buf = write_all(&records(70));
-        buf.truncate(buf.len() - 5); // record 69 loses its tail
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut chunk = Vec::new();
-        assert_eq!(reader.read_chunk(&mut chunk, 64).unwrap(), 64);
-        let err = reader.read_chunk(&mut chunk, 64).unwrap_err();
-        assert!(matches!(err, TraceError::TruncatedRecord { record: 69 }));
-        // The decodable prefix of the failing chunk is still delivered.
-        assert_eq!(chunk.len(), 5);
-        assert_eq!(reader.records_read(), 69);
-        // Fused after the error.
-        assert_eq!(reader.read_chunk(&mut chunk, 64).unwrap(), 0);
-    }
-
-    #[test]
-    fn chunked_read_handles_empty_trace_and_corrupt_header() {
+        let mut block = TransactionBlock::with_capacity(64);
         let buf = write_all(&[]);
         let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut chunk = Vec::new();
-        assert_eq!(reader.read_chunk(&mut chunk, 16).unwrap(), 0);
+        assert_eq!(reader.read_block(&mut block, 0, 60).unwrap(), 0);
 
-        // Header corruption is caught at construction, before any chunk.
+        // Header corruption is caught at construction, before any block.
         assert!(matches!(
             TraceReader::new(&b"MIESx"[..]),
             Err(TraceError::Io(_)) // header itself truncated
@@ -481,23 +400,19 @@ mod tests {
             TraceReader::new(&b"JUNKJUNK"[..]),
             Err(TraceError::BadMagic { .. })
         ));
-    }
 
-    #[test]
-    fn chunked_read_rejects_corrupt_records_mid_stream() {
         let mut buf = write_all(&records(10));
         // Stamp an invalid op nibble into record 4 (the little-endian
         // word's top byte holds bits 56..64, so the op nibble is 0xf).
         buf[8 + 4 * 8 + 7] = 0xf0;
         let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut chunk = Vec::new();
-        let err = reader.read_chunk(&mut chunk, 64).unwrap_err();
+        let err = reader.read_block(&mut block, 0, 60).unwrap_err();
         assert!(
             matches!(err, TraceError::Corrupt { record: 4, .. }),
             "{err}"
         );
-        assert_eq!(chunk.len(), 4, "records before the corruption survive");
-        assert_eq!(reader.read_chunk(&mut chunk, 64).unwrap(), 0);
+        assert_eq!(block.len(), 4, "records before the corruption survive");
+        assert_eq!(reader.read_block(&mut block, 4, 60).unwrap(), 0);
     }
 
     #[test]
@@ -542,6 +457,13 @@ mod tests {
         assert_eq!(back, want);
         assert_eq!(reader.records_read(), 1_000);
         assert_eq!(reader.read_block(&mut block, base, 60).unwrap(), 0);
+
+        // A capped read stops at the cap and the next read resumes there.
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
+        assert_eq!(reader.read_block_up_to(&mut block, 0, 60, 7).unwrap(), 7);
+        assert_eq!(block.as_slice(), &want[..7]);
+        let n = reader.read_block(&mut block, 7, 60).unwrap();
+        assert_eq!(block.as_slice(), &want[7..7 + n]);
     }
 
     #[test]

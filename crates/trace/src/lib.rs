@@ -8,10 +8,11 @@
 //!   requester id, snoop response, address).
 //! * [`TraceWriter`] / [`TraceReader`] — buffered, validated file I/O over
 //!   any [`std::io::Write`] / [`std::io::Read`] (pass `&mut reader` if you
-//!   need the reader back). [`TraceReader::read_chunk`] streams records in
-//!   fixed-size batches at O(chunk) peak memory, so traces of any length
-//!   replay without ever materializing a whole-trace `Vec` — the
-//!   `memories-console` replay pipeline is built on it.
+//!   need the reader back). [`TraceReader::read_block`] decodes records
+//!   straight into fixed-size transaction blocks at O(block) peak memory,
+//!   so traces of any length replay without ever materializing a
+//!   whole-trace `Vec` — the `memories-console` replay pipeline is built
+//!   on it.
 //! * [`window`] — trace windowing for the short-trace vs.
 //!   long-trace experiments (Case Study 1).
 //! * [`TraceStats`] — quick per-operation and per-requester profiles.

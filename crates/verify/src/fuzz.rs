@@ -6,10 +6,12 @@
 //! 1. the reference model ([`MultiNodeSim`], untimed, per-line hash maps),
 //! 2. the serial [`MemoriesBoard`] via a serial [`EmulationEngine`],
 //! 3. the parallel [`EmulationEngine`] at each configured shard count,
-//!    with mid-stream snapshot barriers at fixed record indices,
+//!    fed blocks of one transaction, with mid-stream snapshot barriers at
+//!    fixed record indices,
 //! 4. the streaming-replay path: the stream round-trips through the
 //!    on-disk trace codec ([`TraceWriter`] →
-//!    [`TraceReader::read_chunk`]) and replays chunk by chunk,
+//!    [`TraceReader::read_block`]) and replays one decoded block at a
+//!    time,
 //! 5. the block-native path: transactions accumulate in pooled
 //!    [`memories_bus::TransactionBlock`]s and reach the board through
 //!    `BusListener::on_block` (the batched bus-delivery data path), and
@@ -30,7 +32,7 @@ use memories::{
     BoardConfig, BoardSnapshot, CacheParams, Error, MemoriesBoard, NodeCounter, NodeSlot,
     TimingConfig,
 };
-use memories_bus::{BlockPool, BusListener, BusOp, ProcId};
+use memories_bus::{BlockPool, BusListener, BusOp, ProcId, TransactionBlock};
 use memories_protocol::ProtocolTable;
 use memories_sim::{compare_counts, CacheSim, EmulationEngine, EngineConfig, MultiNodeSim};
 use memories_trace::{TraceReader, TraceRecord, TraceWriter};
@@ -208,8 +210,8 @@ impl DifferentialFuzzer {
     }
 
     /// Replays `records` through an engine with `shards` workers
-    /// (1 = serial), taking a snapshot barrier every
-    /// [`FuzzConfig::sample_period`] records.
+    /// (1 = serial) in blocks of one transaction, taking a snapshot
+    /// barrier every [`FuzzConfig::sample_period`] records.
     fn run_engine(&self, records: &[TraceRecord], shards: usize) -> Result<EngineRun, Error> {
         let board = MemoriesBoard::new(self.board_config()?)?;
         let cfg = if shards <= 1 {
@@ -221,9 +223,10 @@ impl DifferentialFuzzer {
         let period = self.config.sample_period.max(1);
         let mut snaps = Vec::new();
         for (i, rec) in records.iter().enumerate() {
-            engine.feed(&rec.to_transaction(i as u64, i as u64 * self.config.cycle_spacing));
+            let txn = rec.to_transaction(i as u64, i as u64 * self.config.cycle_spacing);
+            engine.feed_block(std::slice::from_ref(&txn));
             if (i + 1) % period == 0 {
-                snaps.push(engine.sample_now()?);
+                snaps.push(engine.barrier()?);
             }
         }
         let board = engine.finish()?;
@@ -235,7 +238,7 @@ impl DifferentialFuzzer {
     }
 
     /// Round-trips `records` through the on-disk trace codec and replays
-    /// the decoded stream chunk by chunk through a serial engine — the
+    /// the decoded stream block by block through a serial engine — the
     /// streaming-replay implementation. A small odd chunk size makes
     /// every non-trivial stream span several chunks with a partial last
     /// one, so the chunked reader's re-batching is actually exercised.
@@ -251,17 +254,15 @@ impl DifferentialFuzzer {
         let mut engine =
             EmulationEngine::new(board, EngineConfig::serial().with_batch(self.config.batch));
         let mut reader = TraceReader::new(bytes.as_slice())?;
-        let mut chunk = Vec::new();
+        let mut chunk = TransactionBlock::with_capacity(113);
         let mut n = 0u64;
         loop {
-            let got = reader.read_chunk(&mut chunk, 113)?;
+            let got = reader.read_block(&mut chunk, n, self.config.cycle_spacing)?;
             if got == 0 {
                 break;
             }
-            for rec in &chunk {
-                engine.feed(&rec.to_transaction(n, n * self.config.cycle_spacing));
-                n += 1;
-            }
+            engine.feed_block(&chunk);
+            n += got as u64;
         }
         Ok(engine.finish()?.snapshot())
     }

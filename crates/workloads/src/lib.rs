@@ -57,7 +57,10 @@ pub use zipf::ZipfSampler;
 /// Workloads are seeded at construction; two instances built with the
 /// same parameters and seed produce identical streams. The stream is
 /// infinite — drivers consume as many references as the experiment needs.
-pub trait Workload {
+///
+/// Workloads hold plain data and are `Send`: a live run generates events
+/// on its host-simulation producer thread.
+pub trait Workload: Send {
     /// A short display name (e.g. `"tpcc"`, `"fft"`).
     fn name(&self) -> &str;
 

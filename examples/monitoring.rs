@@ -16,7 +16,7 @@ use memories_workloads::{OltpConfig, OltpWorkload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An 8 MB emulated L3 behind an S7A-like host, as in the quickstart —
-    // but built with a sampling period, so `run_monitored` records a
+    // but built with a sampling period, so `run_monitored_pipelined` records a
     // time series alongside the final result.
     let params = CacheParams::builder()
         .capacity(8 << 20)
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         journal: None,
         ..OltpConfig::scaled_default()
     });
-    let run = session.run_monitored(&mut workload, 500_000)?;
+    let run = session.run_monitored_pipelined(&mut workload, 500_000)?;
 
     // The live series: cumulative miss rate converging with trace
     // length, windowed miss rate showing the cold-start regime end.

@@ -13,7 +13,9 @@
 
 use memories::{CacheParams, Counter40, GlobalCounters};
 use memories_bus::{Address, BusOp, ProcId, SnoopResponse, Transaction};
-use memories_console::{EmulationSession, ExperimentResult, MonitoredRun};
+use memories_console::{
+    EmulationSession, ExecutionOptions, ExperimentResult, MonitoredRun, TraceSource,
+};
 use memories_host::HostConfig;
 use memories_obs::export;
 use memories_workloads::splash::Fmm;
@@ -153,7 +155,9 @@ fn run_monitored(
     }
     let session = builder.build().unwrap();
     let mut workload = make();
-    session.run_monitored(&mut *workload, refs).unwrap()
+    session
+        .run_monitored_pipelined(&mut *workload, refs)
+        .unwrap()
 }
 
 #[test]
@@ -389,25 +393,27 @@ fn replay_monitored_series_is_bit_identical_across_shard_counts() {
             .board(board())
             .parallelism(shards)
             .batch(512)
-            .sample_every(997)
             .build()
             .unwrap();
         session
-            .replay_monitored(records.iter().copied().map(Ok::<_, memories::Error>), 60)
+            .execute(
+                TraceSource::new(records.iter().copied().map(Ok::<_, memories::Error>), 60),
+                ExecutionOptions::new().sample_every(Some(997)),
+            )
             .unwrap()
     };
 
-    let (serial, serial_report) = replay_at(1);
-    assert!(!serial_report.series.is_empty());
+    let serial = replay_at(1);
+    assert!(!serial.series.is_empty());
     for shards in [2usize, 4, 8] {
-        let (parallel, parallel_report) = replay_at(shards);
+        let parallel = replay_at(shards);
         assert_eq!(
             serial.board.statistics_report(),
             parallel.board.statistics_report(),
             "{shards}-shard monitored replay diverged from serial"
         );
-        let s = serial_report.series.points();
-        let p = parallel_report.series.points();
+        let s = serial.series.points();
+        let p = parallel.series.points();
         assert_eq!(s.len(), p.len(), "{shards}-shard sample count diverged");
         for (a, b) in s.iter().zip(p) {
             assert_eq!(
