@@ -47,9 +47,7 @@ use std::error::Error as StdError;
 use std::fmt;
 use std::io::Read;
 
-use memories::{
-    BoardConfig, CacheParams, Error, FilterConfig, MemoriesBoard, NodeSlot, TimingConfig,
-};
+use memories::{BoardConfig, CacheParams, Error, MemoriesBoard, NodeSlot};
 use memories_bus::ProcId;
 use memories_host::{HostConfig, HostMachine};
 use memories_obs::{EngineTelemetry, TimeSeries};
@@ -114,9 +112,6 @@ pub struct EmulationSessionBuilder {
     host: Option<HostConfig>,
     board: Option<BoardConfig>,
     slots: Vec<NodeSlot>,
-    filter: Option<FilterConfig>,
-    timing: Option<TimingConfig>,
-    allow_retry: Option<bool>,
     parallelism: usize,
     batch: Option<usize>,
     sample_every: Option<u64>,
@@ -195,31 +190,11 @@ impl EmulationSessionBuilder {
     }
 
     /// Uses an explicit board configuration instead of accumulated
-    /// `.node(...)` calls (which are then rejected at build).
+    /// `.node(...)` calls (which are then rejected at build). This is
+    /// also where the filter, timing and retry settings go.
     #[must_use]
     pub fn board(mut self, config: BoardConfig) -> Self {
         self.board = Some(config);
-        self
-    }
-
-    /// Overrides the address-filter settings.
-    #[must_use]
-    pub fn filter(mut self, config: FilterConfig) -> Self {
-        self.filter = Some(config);
-        self
-    }
-
-    /// Overrides the SDRAM/buffer timing settings.
-    #[must_use]
-    pub fn timing(mut self, config: TimingConfig) -> Self {
-        self.timing = Some(config);
-        self
-    }
-
-    /// Whether buffer overflow posts a bus retry (default true).
-    #[must_use]
-    pub fn allow_retry(mut self, allow: bool) -> Self {
-        self.allow_retry = Some(allow);
         self
     }
 
@@ -264,7 +239,7 @@ impl EmulationSessionBuilder {
         if let Some(e) = self.parse_error {
             return Err(e.into());
         }
-        let mut board = match (self.board, self.slots) {
+        let board = match (self.board, self.slots) {
             (Some(board), _) => board,
             (None, slots) if slots.is_empty() => return Err(SessionError::NoNodes.into()),
             (None, mut slots) => {
@@ -281,15 +256,6 @@ impl EmulationSessionBuilder {
                 BoardConfig::from_slots(slots)?
             }
         };
-        if let Some(filter) = self.filter {
-            board.filter = filter;
-        }
-        if let Some(timing) = self.timing {
-            board.timing = timing;
-        }
-        if let Some(allow) = self.allow_retry {
-            board.allow_retry = allow;
-        }
         // Validate both configurations eagerly: a session that builds,
         // runs.
         MemoriesBoard::new(board.clone())?;

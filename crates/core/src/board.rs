@@ -3,7 +3,8 @@
 use std::fmt;
 
 use memories_bus::{
-    BusListener, BusOp, ListenerReaction, NodeId, ProcId, Transaction, TransactionBlock,
+    Address, BusListener, BusOp, ListenerReaction, NodeId, ProcId, SnoopResponse, Transaction,
+    TransactionBlock,
 };
 use memories_protocol::{standard, ProtocolTable};
 
@@ -14,7 +15,7 @@ use crate::node::NodeController;
 use crate::params::CacheParams;
 use crate::shard::{plan_shards, NodeShard};
 use crate::stats::NodeStats;
-use crate::timing::TimingConfig;
+use crate::timing::{TimingConfig, TransactionBuffer};
 
 /// Configuration of one emulated shared-cache node (one node-controller
 /// FPGA plus its SDRAM and protocol table).
@@ -82,7 +83,8 @@ pub struct BoardConfig {
     /// SDRAM/buffer timing settings.
     pub timing: TimingConfig,
     /// Whether a full node buffer posts a bus retry (the board's real
-    /// behaviour) or silently drops the event.
+    /// behaviour) or silently drops the event. The board's one retry
+    /// switch.
     pub allow_retry: bool,
 }
 
@@ -239,67 +241,119 @@ impl GlobalCounters {
 }
 
 /// The board's bus-facing stage: address filter, global event counters,
-/// and retry accounting.
+/// every node's transaction buffer, and retry accounting.
+///
+/// On the board the buffers sit between the bus and the cache control
+/// logic, and a full one makes the address filter post a retry during the
+/// address tenure, before any tag is read (§3.3). The front end works the
+/// same way. Buffer occupancy depends only on arrival cycles and on which
+/// nodes a transaction makes an event at, never on cache contents, so the
+/// front end decides alone, per admitted transaction, which nodes drop it
+/// and whether a retry is posted. The node shards behind it only apply
+/// the drops they are told about.
 ///
 /// [`MemoriesBoard::split`] separates a board into one front end plus
 /// node shards. The front end stays with the transaction producer: it
-/// observes and filters each raw transaction exactly once (so filter and
-/// global statistics are identical to a serial run no matter how many
-/// shards snoop behind it), and accumulates the retries the board would
-/// have posted.
+/// observes and admits each raw transaction exactly once, so filter,
+/// global and retry statistics are those of a serial run however many
+/// shards snoop behind it.
 #[derive(Clone, Debug)]
 pub struct BoardFrontEnd {
     filter: AddressFilter,
     global: GlobalCounters,
+    /// One transaction buffer per node, in node-id order.
+    buffers: Vec<TransactionBuffer>,
+    /// [`event_nodes`] of the filter's partition.
+    event_nodes: Vec<u8>,
     allow_retry: bool,
     retries_posted: u64,
 }
 
+/// Tabulates [`NodePartition::event_for`], which reads only a
+/// transaction's op and CPU: entry `op.index() * ProcId::MAX_IDS + cpu`
+/// is the bit mask of the nodes where such a transaction makes an event.
+/// A table lookup keeps the admission loop free of the classification's
+/// data-dependent branches.
+fn event_nodes(partition: &NodePartition) -> Vec<u8> {
+    let mut table = vec![0u8; BusOp::ALL.len() * ProcId::MAX_IDS];
+    for op in BusOp::ALL {
+        for cpu in 0..ProcId::MAX_IDS {
+            let txn = Transaction::new(
+                0,
+                0,
+                ProcId::new(cpu as u8),
+                op,
+                Address::new(0),
+                SnoopResponse::Null,
+            );
+            table[op.index() * ProcId::MAX_IDS + cpu] = (0..partition.node_count())
+                .filter(|&i| partition.event_for(NodeId::new(i as u8), &txn).is_some())
+                .fold(0, |nodes, i| nodes | 1 << i);
+        }
+    }
+    table
+}
+
 impl BoardFrontEnd {
-    /// Observes one raw bus transaction (global counters + filter) and
-    /// returns whether it is admitted to the node controllers.
-    pub fn observe(&mut self, txn: &Transaction) -> bool {
+    /// Observes one raw bus transaction and, if the filter admits it,
+    /// offers it to the buffer of every node it makes an event at
+    /// ([`NodePartition::event_for`]).
+    ///
+    /// Returns `None` if the filter drops the transaction. Otherwise
+    /// returns the nodes whose full buffer drops the event, as a bit mask
+    /// with bit `i` for node `i`: 0 in healthy runs. A transaction that
+    /// any buffer drops counts one posted retry if the board posts them.
+    pub fn admit(&mut self, txn: &Transaction) -> Option<u8> {
         self.global.observe(txn);
-        self.filter.admit(txn)
-    }
-
-    /// Observes a whole raw block and filters it **in place**: every
-    /// transaction passes through the global counters and the address
-    /// filter exactly once (identical statistics to per-transaction
-    /// observation), and the block is left holding only the admitted
-    /// transactions, in stream order, with no allocation.
-    pub fn filter_block(&mut self, block: &mut TransactionBlock) {
-        block.retain(|txn| self.observe(txn));
-    }
-
-    /// Turns a snoop's overflow flag into the bus reaction, counting the
-    /// retry if the board is configured to post one.
-    pub fn reaction(&mut self, overflow: bool) -> ListenerReaction {
-        if overflow && self.allow_retry {
+        if !self.filter.admit(txn) {
+            return None;
+        }
+        let nodes = self.event_nodes[txn.op.index() * ProcId::MAX_IDS + txn.proc.index()];
+        let mut dropped = 0u8;
+        for (i, buffer) in self.buffers.iter_mut().enumerate() {
+            if nodes & 1 << i != 0 && !buffer.arrive(txn.cycle) {
+                dropped |= 1 << i;
+            }
+        }
+        if dropped != 0 && self.allow_retry {
             self.retries_posted += 1;
-            ListenerReaction::Retry
-        } else {
-            ListenerReaction::Proceed
         }
+        Some(dropped)
     }
 
-    /// Credits `overflows` transactions that overflowed some node buffer,
-    /// counting one posted retry each if the board is configured to post
-    /// them — the batched equivalent of [`BoardFrontEnd::reaction`], used
-    /// when shards report overflow after the fact.
-    pub fn record_overflows(&mut self, overflows: u64) {
-        if self.allow_retry {
-            self.retries_posted += overflows;
-        }
+    /// [`BoardFrontEnd::admit`] without the drop mask: returns whether the
+    /// transaction is admitted to the node controllers.
+    pub fn observe(&mut self, txn: &Transaction) -> bool {
+        self.admit(txn).is_some()
     }
 
-    /// Whether buffer overflow posts a bus retry.
-    pub fn allow_retry(&self) -> bool {
-        self.allow_retry
+    /// Admits a whole raw block **in place**: every transaction passes
+    /// through [`BoardFrontEnd::admit`] exactly once, and the block is
+    /// left holding only the admitted ones, in stream order, with no
+    /// allocation. For each kept transaction that some buffer dropped,
+    /// `(its index in the filtered block, drop mask)` is pushed on
+    /// `drops`, ready for [`NodeShard::snoop_block`].
+    pub fn admit_block(&mut self, block: &mut TransactionBlock, drops: &mut Vec<(usize, u8)>) {
+        let mut kept = 0;
+        block.retain(|txn| {
+            let Some(dropped) = self.admit(txn) else {
+                return false;
+            };
+            if dropped != 0 {
+                drops.push((kept, dropped));
+            }
+            kept += 1;
+            true
+        });
     }
 
-    /// Retries credited so far (live in serial operation; batched
-    /// engines credit them via [`BoardFrontEnd::record_overflows`]).
+    /// [`BoardFrontEnd::admit_block`] for a caller that snoops nothing:
+    /// the drops are counted as retries and otherwise discarded.
+    pub fn filter_block(&mut self, block: &mut TransactionBlock) {
+        self.admit_block(block, &mut Vec::new());
+    }
+
+    /// Retries posted so far.
     pub fn retries_posted(&self) -> u64 {
         self.retries_posted
     }
@@ -322,22 +376,26 @@ impl BoardFrontEnd {
 /// it passively emulates its configured caches over the live transaction
 /// stream. Its only possible effect on the host is the buffer-overflow
 /// retry (§3.3/§3.4), surfaced as [`ListenerReaction::Retry`] and counted.
+/// The front end decides the retry when it admits the transaction, before
+/// the snoop.
 ///
 /// Lock-step semantics (§3.1): for each admitted transaction, all remote
 /// summaries are computed from the *pre-transaction* directory states,
 /// then every node controller applies its transition — matching the
 /// hardware, where the four FPGAs run in lock step.
 ///
-/// Internally the board is a [`BoardFrontEnd`] (filter + global counters)
-/// in front of a single [`NodeShard`] holding every controller; the snoop
-/// path is *the same code* the parallel engine runs per shard, and
-/// [`MemoriesBoard::split`] / [`MemoriesBoard::assemble`] convert between
-/// the two shapes losslessly.
+/// Internally the board is a [`BoardFrontEnd`] (filter, global counters
+/// and transaction buffers) in front of a single [`NodeShard`] holding
+/// every controller; the snoop path is *the same code* the parallel
+/// engine runs per shard, and [`MemoriesBoard::split`] /
+/// [`MemoriesBoard::assemble`] convert between the two shapes losslessly.
 pub struct MemoriesBoard {
     front: BoardFrontEnd,
     shard: NodeShard,
     /// The admitted part of the raw chunk in hand, reused across blocks.
     admitted: Vec<Transaction>,
+    /// The drop list of `admitted`, reused likewise.
+    drops: Vec<(usize, u8)>,
 }
 
 /// Raw transactions [`MemoriesBoard::observe_block`] filters at a time
@@ -367,12 +425,7 @@ impl MemoriesBoard {
             .iter()
             .enumerate()
             .map(|(i, slot)| {
-                NodeController::with_timing(
-                    NodeId::new(i as u8),
-                    slot.params,
-                    slot.protocol.clone(),
-                    &config.timing,
-                )
+                NodeController::new(NodeId::new(i as u8), slot.params, slot.protocol.clone())
             })
             .collect();
         let indices = (0..nodes.len() as u8).collect();
@@ -380,11 +433,14 @@ impl MemoriesBoard {
             front: BoardFrontEnd {
                 filter: AddressFilter::new(config.filter, partition.clone()),
                 global: GlobalCounters::default(),
+                buffers: vec![TransactionBuffer::new(&config.timing); nodes.len()],
+                event_nodes: event_nodes(&partition),
                 allow_retry: config.allow_retry,
                 retries_posted: 0,
             },
             shard: NodeShard::new(partition, indices, nodes),
             admitted: Vec::new(),
+            drops: Vec::new(),
         })
     }
 
@@ -394,9 +450,10 @@ impl MemoriesBoard {
     /// Shards own whole coherence domains (see [`NodeShard`]), so the
     /// effective shard count is capped at the number of domains; at least
     /// one shard is always returned. Feed every transaction through
-    /// [`BoardFrontEnd::observe`] once, give each admitted transaction to
-    /// *every* shard's [`NodeShard::snoop_block`] in stream order, then rebuild
-    /// the board with [`MemoriesBoard::assemble`].
+    /// [`BoardFrontEnd::admit`] once, give each admitted transaction and
+    /// its drop mask to *every* shard's [`NodeShard::snoop_block`] in
+    /// stream order, then rebuild the board with
+    /// [`MemoriesBoard::assemble`].
     pub fn split(self, shards: usize) -> (BoardFrontEnd, Vec<NodeShard>) {
         let partition = self.front.filter.partition().clone();
         let piles = plan_shards(&partition, shards);
@@ -462,6 +519,7 @@ impl MemoriesBoard {
             front,
             shard: NodeShard::new(partition, indices, nodes),
             admitted: Vec::new(),
+            drops: Vec::new(),
         })
     }
 
@@ -572,15 +630,26 @@ impl MemoriesBoard {
     }
 
     fn observe(&mut self, txn: &Transaction) -> ListenerReaction {
-        if !self.front.observe(txn) {
+        let Some(dropped) = self.front.admit(txn) else {
             return ListenerReaction::Proceed;
+        };
+        self.shard
+            .snoop_block(std::slice::from_ref(txn), &[(0, dropped)]);
+        self.reaction(dropped != 0)
+    }
+
+    /// The bus reaction after a transaction or block of which some buffer
+    /// `dropped` an event, or none did.
+    fn reaction(&self, dropped: bool) -> ListenerReaction {
+        if dropped && self.front.allow_retry {
+            ListenerReaction::Retry
+        } else {
+            ListenerReaction::Proceed
         }
-        let overflow = self.shard.snoop(txn);
-        self.front.reaction(overflow)
     }
 
     /// Batched ingest: observes every transaction of `txns` in stream
-    /// order through the same snoop/filter/update pipeline as
+    /// order through the same admit/snoop pipeline as
     /// [`BusListener::on_transaction`] — counters, tag directories, and
     /// retry accounting are bit-identical — with one virtual call per
     /// block instead of one per transaction.
@@ -592,19 +661,22 @@ impl MemoriesBoard {
     /// throughput, which §3.3 reports is how the board behaved in practice
     /// (no retry ever posted in months of lab use).
     pub fn observe_block(&mut self, txns: &[Transaction]) -> ListenerReaction {
-        let mut overflows = 0u64;
+        let mut any_dropped = false;
         for chunk in txns.chunks(ADMIT_CHUNK) {
             self.admitted.clear();
-            self.admitted
-                .extend(chunk.iter().filter(|txn| self.front.observe(txn)));
-            self.shard.snoop_block(&self.admitted, |_| overflows += 1);
+            self.drops.clear();
+            for txn in chunk {
+                if let Some(dropped) = self.front.admit(txn) {
+                    if dropped != 0 {
+                        self.drops.push((self.admitted.len(), dropped));
+                    }
+                    self.admitted.push(*txn);
+                }
+            }
+            any_dropped |= !self.drops.is_empty();
+            self.shard.snoop_block(&self.admitted, &self.drops);
         }
-        self.front.record_overflows(overflows);
-        if overflows > 0 && self.front.allow_retry {
-            ListenerReaction::Retry
-        } else {
-            ListenerReaction::Proceed
-        }
+        self.reaction(any_dropped)
     }
 }
 
@@ -814,6 +886,38 @@ mod tests {
     }
 
     #[test]
+    fn buffer_overflow_drops_events() {
+        let mut cfg = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
+        cfg.timing = TimingConfig {
+            buffer_capacity: 2,
+            ..TimingConfig::default()
+        };
+        let mut b = MemoriesBoard::new(cfg).unwrap();
+        // All arrivals in the same cycle: only 2 fit.
+        let mut retried = 0;
+        for i in 0..5u64 {
+            let t = Transaction::new(
+                i,
+                0,
+                ProcId::new(0),
+                BusOp::Read,
+                Address::new(i * 128),
+                SnoopResponse::Null,
+            );
+            if b.on_transaction(&t) == ListenerReaction::Retry {
+                retried += 1;
+            }
+        }
+        assert_eq!(retried, 3);
+        assert_eq!(b.retries_posted(), 3);
+        let n = b.node(NodeId::new(0));
+        assert_eq!(n.counters().get(NodeCounter::BufferOverflows), 3);
+        assert_eq!(n.counters().get(NodeCounter::EventsDropped), 3);
+        // Dropped events changed no cache state.
+        assert_eq!(n.tag_store().resident_lines(), 2);
+    }
+
+    #[test]
     fn board_never_retries_at_paper_utilization() {
         let cfg = BoardConfig::single_node(params(65536), (0..8).map(ProcId::new)).unwrap();
         let mut b = MemoriesBoard::new(cfg).unwrap();
@@ -880,20 +984,14 @@ mod tests {
         }
 
         let (mut front, mut shard_vec) = MemoriesBoard::new(cfg).unwrap().split(shards);
-        let mut overflows = 0u64;
         for t in &stream {
-            if !front.observe(t) {
+            let Some(dropped) = front.admit(t) else {
                 continue;
-            }
-            let mut any = false;
+            };
             for s in &mut shard_vec {
-                any |= s.snoop(t);
-            }
-            if any {
-                overflows += 1;
+                s.snoop_block(std::slice::from_ref(t), &[(0, dropped)]);
             }
         }
-        front.record_overflows(overflows);
         let parallel = MemoriesBoard::assemble(front, shard_vec).unwrap();
 
         assert_eq!(serial.statistics_report(), parallel.statistics_report());

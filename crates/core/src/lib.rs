@@ -16,10 +16,13 @@
 //!   mapped to 8-way, 128 B–16 KB lines, 1–8 processors per node).
 //! * [`TagStore`] + [`ReplacementPolicy`] — the SDRAM tag/state tables
 //!   with LRU / FIFO / random / tree-PLRU victim selection.
-//! * [`NodeController`] — one emulated shared-cache node: protocol engine,
-//!   counters, 512-entry transaction buffer, SDRAM service-rate model.
+//! * [`NodeController`] — one emulated shared-cache node: protocol engine
+//!   and counters.
 //! * [`AddressFilter`] / [`NodePartition`] — transaction filtering and
 //!   CPU-id to emulated-node mapping.
+//! * [`BoardFrontEnd`] — filter, global counters, and every node's
+//!   512-entry [`TransactionBuffer`] drained at the SDRAM service rate:
+//!   it decides drops and retries when it admits a transaction.
 //! * [`MemoriesBoard`] — the assembled board; a
 //!   [`BusListener`](memories_bus::BusListener) you attach to a host
 //!   machine's bus.

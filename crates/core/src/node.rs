@@ -14,16 +14,12 @@ use crate::counters::{NodeCounter, NodeCounters};
 use crate::params::CacheParams;
 use crate::stats::NodeStats;
 use crate::tagstore::{TagProbe, TagStore};
-use crate::timing::{TimingConfig, TransactionBuffer};
 
 /// What one event did to a node controller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeOutcome {
     /// The classified event.
     pub event: AccessEvent,
-    /// Whether the node's transaction buffer accepted the event (a full
-    /// buffer drops it and requests a bus retry).
-    pub accepted: bool,
     /// Whether the line was resident before the transition (for demand
     /// events this is the hit/miss verdict).
     pub hit: bool,
@@ -63,8 +59,10 @@ impl ColdTracker {
     }
 }
 
-/// One emulated shared-cache node: tag store, protocol engine, counters,
-/// and ingress-buffer timing model.
+/// One emulated shared-cache node: tag store, protocol engine and
+/// counters. Its transaction buffer lives in the board's front end
+/// ([`BoardFrontEnd`](crate::BoardFrontEnd)), which decides before any
+/// snoop whether the node drops an event.
 ///
 /// # Examples
 ///
@@ -76,10 +74,9 @@ impl ColdTracker {
 /// # fn main() -> Result<(), memories::ParamError> {
 /// let params = CacheParams::builder().capacity(2 << 20).build()?;
 /// let mut node = NodeController::new(NodeId::new(0), params, standard::mesi());
-/// let out = node.process(AccessEvent::LocalRead, Address::new(0x1000), 0,
+/// let out = node.process(AccessEvent::LocalRead, Address::new(0x1000),
 ///                        RemoteSummary::None);
 /// assert!(!out.hit); // cold miss
-/// assert!(out.accepted);
 /// # Ok(())
 /// # }
 /// ```
@@ -90,30 +87,18 @@ pub struct NodeController {
     protocol: ProtocolTable,
     tags: TagStore,
     counters: NodeCounters,
-    buffer: TransactionBuffer,
     cold: ColdTracker,
 }
 
 impl NodeController {
-    /// Creates a node controller with default timing.
+    /// Creates a node controller.
     pub fn new(id: NodeId, params: CacheParams, protocol: ProtocolTable) -> Self {
-        Self::with_timing(id, params, protocol, &TimingConfig::default())
-    }
-
-    /// Creates a node controller with explicit timing parameters.
-    pub fn with_timing(
-        id: NodeId,
-        params: CacheParams,
-        protocol: ProtocolTable,
-        timing: &TimingConfig,
-    ) -> Self {
         NodeController {
             id,
             tags: TagStore::new(&params),
             params,
             protocol,
             counters: NodeCounters::new(),
-            buffer: TransactionBuffer::new(timing),
             cold: ColdTracker::default(),
         }
     }
@@ -148,11 +133,6 @@ impl NodeController {
         &self.tags
     }
 
-    /// The ingress buffer model.
-    pub fn buffer(&self) -> &TransactionBuffer {
-        &self.buffer
-    }
-
     /// Resets counters (the console's clear-statistics command). Cache
     /// contents are preserved — exactly like the board, where clearing
     /// counters does not flush the SDRAM tables.
@@ -173,20 +153,19 @@ impl NodeController {
         self.protocol.summarize_state(self.probe(addr))
     }
 
-    /// Processes one classified event at bus cycle `cycle`, assuming a
-    /// null host snoop response (no L2-to-L2 intervention). Equivalent to
+    /// Processes one classified event, assuming a null host snoop
+    /// response (no L2-to-L2 intervention). Equivalent to
     /// [`NodeController::process_with_resp`] with [`SnoopResponse::Null`].
     pub fn process(
         &mut self,
         event: AccessEvent,
         addr: Address,
-        cycle: u64,
         remote: RemoteSummary,
     ) -> NodeOutcome {
-        self.process_with_resp(event, addr, cycle, remote, SnoopResponse::Null)
+        self.process_with_resp(event, addr, remote, SnoopResponse::Null)
     }
 
-    /// Processes one classified event at bus cycle `cycle`.
+    /// Processes one classified event.
     ///
     /// `resp` is the transaction's combined host snoop response, used to
     /// classify where an L2 miss was satisfied (Figure 12): an L2-to-L2
@@ -198,12 +177,11 @@ impl NodeController {
         &mut self,
         event: AccessEvent,
         addr: Address,
-        cycle: u64,
         remote: RemoteSummary,
         resp: SnoopResponse,
     ) -> NodeOutcome {
         let probe = self.tag_probe(addr);
-        self.apply(event, addr, probe, cycle, remote, resp)
+        self.apply(event, addr, probe, remote, resp)
     }
 
     /// Probes the directory for the line containing `addr`.
@@ -217,6 +195,13 @@ impl NodeController {
         self.tags.read_set(self.params.geometry().line_addr(addr))
     }
 
+    /// Counts an event that the node's full transaction buffer dropped.
+    /// The directory is left as it was.
+    pub(crate) fn count_dropped(&mut self) {
+        self.counters.incr(NodeCounter::BufferOverflows);
+        self.counters.incr(NodeCounter::EventsDropped);
+    }
+
     /// [`NodeController::process_with_resp`] with the directory already
     /// probed: `probe` must come from [`NodeController::tag_probe`] for
     /// `addr`, with no transition applied to this node since.
@@ -225,24 +210,11 @@ impl NodeController {
         event: AccessEvent,
         addr: Address,
         probe: TagProbe,
-        cycle: u64,
         remote: RemoteSummary,
         resp: SnoopResponse,
     ) -> NodeOutcome {
         let line = self.params.geometry().line_addr(addr);
         let state = probe.state();
-        if !self.buffer.arrive(cycle) {
-            self.counters.incr(NodeCounter::BufferOverflows);
-            self.counters.incr(NodeCounter::EventsDropped);
-            return NodeOutcome {
-                event,
-                accepted: false,
-                hit: false,
-                actions: ActionSet::EMPTY,
-                next: state,
-            };
-        }
-
         let hit = !state.is_invalid();
         let transition = self.protocol.lookup(event, state, remote);
         let first_touch = self.cold.first_touch(line);
@@ -335,7 +307,6 @@ impl NodeController {
 
         NodeOutcome {
             event,
-            accepted: true,
             hit,
             actions: transition.actions,
             next: transition.next,
@@ -377,13 +348,13 @@ mod tests {
     #[test]
     fn read_miss_allocates_then_hits() {
         let mut n = node();
-        let out = n.process(AccessEvent::LocalRead, addr(1), 0, RemoteSummary::None);
+        let out = n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.protocol().state_name(out.next), "E");
         assert_eq!(n.counters().get(NodeCounter::ReadMisses), 1);
         assert_eq!(n.counters().get(NodeCounter::ReadColdMisses), 1);
 
-        let out = n.process(AccessEvent::LocalRead, addr(1), 100, RemoteSummary::None);
+        let out = n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
         assert!(out.hit);
         assert_eq!(n.counters().get(NodeCounter::ReadHits), 1);
     }
@@ -392,10 +363,10 @@ mod tests {
     fn cold_vs_capacity_misses_are_distinguished() {
         let mut n = node();
         // 4 KB / 2-way / 128 B = 16 sets; lines k and k+16 conflict.
-        n.process(AccessEvent::LocalRead, addr(0), 0, RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(16), 0, RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(32), 0, RemoteSummary::None); // evicts line 0
-        let out = n.process(AccessEvent::LocalRead, addr(0), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(0), RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(16), RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(32), RemoteSummary::None); // evicts line 0
+        let out = n.process(AccessEvent::LocalRead, addr(0), RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.counters().get(NodeCounter::ReadMisses), 4);
         // Only the first three were cold.
@@ -406,14 +377,14 @@ mod tests {
     #[test]
     fn write_miss_and_upgrade_paths() {
         let mut n = node();
-        let out = n.process(AccessEvent::LocalWrite, addr(5), 0, RemoteSummary::None);
+        let out = n.process(AccessEvent::LocalWrite, addr(5), RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.protocol().state_name(out.next), "M");
         assert_eq!(n.counters().get(NodeCounter::WriteMisses), 1);
 
         // A shared line upgraded in place.
-        n.process(AccessEvent::LocalRead, addr(6), 0, RemoteSummary::Shared); // fills S
-        let out = n.process(AccessEvent::LocalUpgrade, addr(6), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(6), RemoteSummary::Shared); // fills S
+        let out = n.process(AccessEvent::LocalUpgrade, addr(6), RemoteSummary::None);
         assert!(out.hit);
         assert_eq!(n.protocol().state_name(out.next), "M");
         assert_eq!(n.counters().get(NodeCounter::UpgradeHits), 1);
@@ -424,7 +395,7 @@ mod tests {
         // The host L2 may still hold a line the emulated cache evicted;
         // its DClaim then arrives for an absent line (§3.4).
         let mut n = node();
-        let out = n.process(AccessEvent::LocalUpgrade, addr(9), 0, RemoteSummary::None);
+        let out = n.process(AccessEvent::LocalUpgrade, addr(9), RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.counters().get(NodeCounter::UpgradeMisses), 1);
         // MESI allocates it Modified.
@@ -434,15 +405,15 @@ mod tests {
     #[test]
     fn castout_absorbs_dirty_data() {
         let mut n = node();
-        n.process(AccessEvent::LocalRead, addr(3), 0, RemoteSummary::None); // E
-        let out = n.process(AccessEvent::LocalCastout, addr(3), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(3), RemoteSummary::None); // E
+        let out = n.process(AccessEvent::LocalCastout, addr(3), RemoteSummary::None);
         assert!(out.hit);
         assert_eq!(n.protocol().state_name(out.next), "M");
         assert_eq!(n.counters().get(NodeCounter::CastoutsSeen), 1);
         assert_eq!(n.counters().get(NodeCounter::CastoutAllocates), 0);
 
         // Castout of a line the emulated cache no longer tracks.
-        let out = n.process(AccessEvent::LocalCastout, addr(7), 0, RemoteSummary::None);
+        let out = n.process(AccessEvent::LocalCastout, addr(7), RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.counters().get(NodeCounter::CastoutAllocates), 1);
     }
@@ -450,8 +421,8 @@ mod tests {
     #[test]
     fn remote_write_invalidates_and_counts() {
         let mut n = node();
-        n.process(AccessEvent::LocalWrite, addr(2), 0, RemoteSummary::None); // M
-        let out = n.process(AccessEvent::RemoteWrite, addr(2), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalWrite, addr(2), RemoteSummary::None); // M
+        let out = n.process(AccessEvent::RemoteWrite, addr(2), RemoteSummary::None);
         assert!(out.next.is_invalid());
         assert!(out.actions.contains(Action::InterveneModified));
         assert_eq!(n.counters().get(NodeCounter::RemoteInvalidations), 1);
@@ -462,8 +433,8 @@ mod tests {
     #[test]
     fn io_write_invalidates() {
         let mut n = node();
-        n.process(AccessEvent::LocalRead, addr(4), 0, RemoteSummary::None);
-        n.process(AccessEvent::IoWrite, addr(4), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(4), RemoteSummary::None);
+        n.process(AccessEvent::IoWrite, addr(4), RemoteSummary::None);
         assert_eq!(n.counters().get(NodeCounter::IoInvalidations), 1);
         assert_eq!(n.probe(addr(4)), StateId::INVALID);
     }
@@ -473,57 +444,30 @@ mod tests {
         let mut n = node();
         // Fill set 0 (lines 0 and 16) with modified data, then force an
         // eviction with line 32.
-        n.process(AccessEvent::LocalWrite, addr(0), 0, RemoteSummary::None);
-        n.process(AccessEvent::LocalWrite, addr(16), 0, RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(32), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalWrite, addr(0), RemoteSummary::None);
+        n.process(AccessEvent::LocalWrite, addr(16), RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(32), RemoteSummary::None);
         assert_eq!(n.counters().get(NodeCounter::VictimEvictions), 1);
         assert_eq!(n.counters().get(NodeCounter::VictimWritebacks), 1);
-    }
-
-    #[test]
-    fn buffer_overflow_drops_events() {
-        let params = CacheParams::builder()
-            .capacity(4 * 1024)
-            .ways(2)
-            .allow_scaled_down()
-            .build()
-            .unwrap();
-        let timing = TimingConfig {
-            buffer_capacity: 2,
-            ..TimingConfig::default()
-        };
-        let mut n = NodeController::with_timing(NodeId::new(0), params, standard::mesi(), &timing);
-        // All arrivals in the same cycle: only 2 fit.
-        let mut dropped = 0;
-        for i in 0..5 {
-            let out = n.process(AccessEvent::LocalRead, addr(i), 0, RemoteSummary::None);
-            if !out.accepted {
-                dropped += 1;
-            }
-        }
-        assert_eq!(dropped, 3);
-        assert_eq!(n.counters().get(NodeCounter::BufferOverflows), 3);
-        // Dropped events changed no cache state.
-        assert_eq!(n.tag_store().resident_lines(), 2);
     }
 
     #[test]
     fn summarize_reports_remote_view() {
         let mut n = node();
         assert_eq!(n.summarize(addr(1)), RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(1), 0, RemoteSummary::None); // E: clean
+        n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None); // E: clean
         assert_eq!(n.summarize(addr(1)), RemoteSummary::Shared);
-        n.process(AccessEvent::LocalWrite, addr(1), 0, RemoteSummary::None); // M: dirty
+        n.process(AccessEvent::LocalWrite, addr(1), RemoteSummary::None); // M: dirty
         assert_eq!(n.summarize(addr(1)), RemoteSummary::Modified);
     }
 
     #[test]
     fn reset_counters_preserves_cache_contents() {
         let mut n = node();
-        n.process(AccessEvent::LocalRead, addr(1), 0, RemoteSummary::None);
+        n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
         n.reset_counters();
         assert_eq!(n.counters().get(NodeCounter::ReadMisses), 0);
-        let out = n.process(AccessEvent::LocalRead, addr(1), 0, RemoteSummary::None);
+        let out = n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
         assert!(out.hit, "cache contents must survive a counter reset");
     }
 

@@ -31,9 +31,10 @@ const GROUP: usize = 8;
 ///
 /// Obtained from [`MemoriesBoard::split`](crate::MemoriesBoard::split);
 /// give each shard to one worker thread (it is `Send`: controllers own
-/// all their state), feed every admitted transaction to
-/// [`NodeShard::snoop_block`] in stream order, then hand the shards back
-/// to [`MemoriesBoard::assemble`](crate::MemoriesBoard::assemble).
+/// all their state), feed every admitted transaction, with the front
+/// end's drop list, to [`NodeShard::snoop_block`] in stream order, then
+/// hand the shards back to
+/// [`MemoriesBoard::assemble`](crate::MemoriesBoard::assemble).
 #[derive(Clone, Debug)]
 pub struct NodeShard {
     /// The full board partition (classification needs global node ids).
@@ -129,19 +130,18 @@ impl NodeShard {
             .collect()
     }
 
-    /// Snoops one *admitted* transaction: a block of one for
-    /// [`NodeShard::snoop_block`]. Returns whether any member's buffer
-    /// overflowed.
-    pub fn snoop(&mut self, txn: &Transaction) -> bool {
-        let mut overflow = false;
-        self.snoop_block(std::slice::from_ref(txn), |_| overflow = true);
-        overflow
-    }
-
     /// Snoops a block of *admitted* transactions in stream order, each in
     /// lock step across this shard's controllers, exactly as the serial
-    /// board does. Calls `overflowed(i)`, in ascending order, for each
-    /// index `i` of `txns` that overflowed some member's buffer.
+    /// board does.
+    ///
+    /// `drops` lists, in ascending index order, the transactions of
+    /// `txns` that some node buffers dropped, as `(index, nodes)` pairs
+    /// where bit `i` of `nodes` is global node `i` (see
+    /// [`BoardFrontEnd::admit`](crate::BoardFrontEnd::admit)). A member
+    /// that drops a transaction counts the overflow and skips its
+    /// transition; its directory still feeds its siblings' summaries. An
+    /// entry with an empty mask drops nothing. The list is empty in
+    /// healthy runs.
     ///
     /// The block goes in groups of eight. Before a group is snooped, the
     /// shard reads the directory set each member will search for every
@@ -151,10 +151,10 @@ impl NodeShard {
     /// transaction buffers, §3.1). The reads change nothing, so the
     /// outcome is that of snooping the transactions one by one.
     ///
-    /// The caller is responsible for admission filtering (the address
-    /// filter runs once, on the producer side) and for turning overflow
-    /// into a bus retry.
-    pub fn snoop_block(&mut self, txns: &[Transaction], mut overflowed: impl FnMut(usize)) {
+    /// Admission filtering, buffer occupancy and retries are the front
+    /// end's; the shard only snoops.
+    pub fn snoop_block(&mut self, txns: &[Transaction], drops: &[(usize, u8)]) {
+        let mut drops = drops.iter().peekable();
         let mut groups = txns.chunks(GROUP);
         let mut next = groups.next();
         let mut start = 0;
@@ -164,9 +164,8 @@ impl NodeShard {
                 std::hint::black_box(self.read_sets(ahead));
             }
             for (i, txn) in group.iter().enumerate() {
-                if self.snoop_one(txn) {
-                    overflowed(start + i);
-                }
+                let dropped = drops.next_if(|d| d.0 == start + i).map_or(0, |d| d.1);
+                self.snoop_one(txn, dropped);
             }
             start += group.len();
         }
@@ -193,13 +192,14 @@ impl NodeShard {
 
     /// One transaction in lock step: phase 1 classifies each member and
     /// snapshots remote summaries from pre-transaction directory state
-    /// (same-domain siblings only), phase 2 applies every transition.
-    /// Returns whether any member's buffer overflowed.
+    /// (same-domain siblings only), phase 2 applies every transition
+    /// except at the members whose global id is set in `dropped`, which
+    /// count the drop instead.
     ///
     /// Each member's directory is probed at most once, in phase 1, and
     /// phase 2 applies the member's transition through that probe. The
     /// snoop makes no heap allocation.
-    fn snoop_one(&mut self, txn: &Transaction) -> bool {
+    fn snoop_one(&mut self, txn: &Transaction, dropped: u8) {
         let n = self.nodes.len();
         let mut events: [Option<AccessEvent>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
         let mut probes: [Option<TagProbe>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
@@ -224,24 +224,22 @@ impl NodeShard {
 
         // Phase 2: apply transitions, each seeing its same-domain
         // siblings' phase-1 summaries.
-        let mut overflow = false;
         for pos in 0..n {
             let (Some(event), Some(probe)) = (events[pos], probes[pos]) else {
                 continue;
             };
+            if dropped & (1 << self.indices[pos]) != 0 {
+                self.nodes[pos].count_dropped();
+                continue;
+            }
             let mut siblings = self.mates[pos] & !(1 << pos);
             let mut remote = RemoteSummary::None;
             while siblings != 0 {
                 remote = remote.max(summaries[siblings.trailing_zeros() as usize]);
                 siblings &= siblings - 1;
             }
-            let outcome =
-                self.nodes[pos].apply(event, txn.addr, probe, txn.cycle, remote, txn.resp);
-            if !outcome.accepted {
-                overflow = true;
-            }
+            self.nodes[pos].apply(event, txn.addr, probe, remote, txn.resp);
         }
-        overflow
     }
 }
 
@@ -273,7 +271,9 @@ pub(crate) fn plan_shards(partition: &NodePartition, shards: usize) -> Vec<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BoardConfig, CacheParams, MemoriesBoard, NodeCounter, NodeSlot, TimingConfig};
+    use crate::{
+        BoardConfig, BoardFrontEnd, CacheParams, MemoriesBoard, NodeCounter, NodeSlot, TimingConfig,
+    };
     use memories_bus::{Address, ProcId, SnoopResponse};
 
     fn partition(domains: &[u8]) -> NodePartition {
@@ -311,8 +311,9 @@ mod tests {
         assert_eq!(plan_shards(&p, 4), vec![vec![0], vec![1], vec![2], vec![3]]);
     }
 
-    /// Two two-node domains behind 2-entry buffers, as one shard.
-    fn overflowing_shard() -> NodeShard {
+    /// Two two-node domains behind 2-entry buffers, as one shard, and the
+    /// front end that decides its drops.
+    fn overflowing_board() -> (BoardFrontEnd, NodeShard) {
         let params = CacheParams::builder()
             .capacity(4096)
             .ways(2)
@@ -334,12 +335,12 @@ mod tests {
             buffer_capacity: 2,
             ..TimingConfig::default()
         };
-        let (_, mut shards) = MemoriesBoard::new(cfg).unwrap().split(1);
-        shards.pop().unwrap()
+        let (front, mut shards) = MemoriesBoard::new(cfg).unwrap().split(1);
+        (front, shards.pop().unwrap())
     }
 
     #[test]
-    fn snoop_block_reports_the_overflows_of_per_transaction_snoops() {
+    fn block_snoop_with_a_drop_list_equals_per_transaction_snoops() {
         // 8k + 3 transactions in same-cycle bursts of five, with DMA mixed in.
         let ops = [
             BusOp::Read,
@@ -361,19 +362,32 @@ mod tests {
             })
             .collect();
 
-        let mut single = overflowing_shard();
-        let want: Vec<usize> = (0..txns.len())
-            .filter(|&i| single.snoop(&txns[i]))
-            .collect();
-        let mut block = overflowing_shard();
-        let mut got = Vec::new();
-        block.snoop_block(&txns, |i| got.push(i));
+        let (mut front, mut single) = overflowing_board();
+        let mut block = single.clone();
+        let mut drops = Vec::new();
+        for (i, t) in txns.iter().enumerate() {
+            let dropped = front.admit(t).expect("every transaction is admitted");
+            single.snoop_block(std::slice::from_ref(t), &[(0, dropped)]);
+            if dropped != 0 {
+                drops.push((i, dropped));
+            }
+        }
+        block.snoop_block(&txns, &drops);
 
         assert!(
-            !want.is_empty() && want.len() < txns.len(),
-            "test needs some overflows"
+            !drops.is_empty() && drops.len() < txns.len(),
+            "test needs some drops"
         );
-        assert_eq!(got, want);
+        let dropped_events: u64 = drops.iter().map(|d| u64::from(d.1.count_ones())).sum();
+        let overflows: u64 = (0..block.len())
+            .map(|pos| {
+                block
+                    .node_at(pos)
+                    .counters()
+                    .get(NodeCounter::BufferOverflows)
+            })
+            .sum();
+        assert_eq!(overflows, dropped_events);
         for pos in 0..block.len() {
             let (a, b) = (single.node_at(pos), block.node_at(pos));
             assert_eq!(a.counters(), b.counters(), "member {pos}");

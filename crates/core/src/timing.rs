@@ -19,9 +19,6 @@ pub struct TimingConfig {
     pub sdram_cycles_per_op: f64,
     /// Node-controller transaction buffer capacity (512 on the board).
     pub buffer_capacity: usize,
-    /// Whether a full buffer posts a bus retry (true on the real board)
-    /// or silently drops the event for that node (useful in tests).
-    pub retry_on_overflow: bool,
 }
 
 impl Default for TimingConfig {
@@ -29,7 +26,6 @@ impl Default for TimingConfig {
         TimingConfig {
             sdram_cycles_per_op: 4.0 / 0.42,
             buffer_capacity: 512,
-            retry_on_overflow: true,
         }
     }
 }
@@ -77,7 +73,8 @@ pub struct TransactionBuffer {
     /// Current occupancy in micro-entries (≤ capacity · 10⁶).
     occupancy_micro: u64,
     last_cycle: u64,
-    peak: usize,
+    /// Highest occupancy reached, in micro-entries.
+    peak_micro: u64,
     overflows: u64,
 }
 
@@ -98,7 +95,7 @@ impl TransactionBuffer {
             },
             occupancy_micro: 0,
             last_cycle: 0,
-            peak: 0,
+            peak_micro: 0,
             overflows: 0,
         }
     }
@@ -107,13 +104,12 @@ impl TransactionBuffer {
     /// on overflow (the event was not buffered).
     pub fn arrive(&mut self, cycle: u64) -> bool {
         // Drain since the last arrival. The 128-bit product keeps huge
-        // idle gaps (cycle deltas up to 2^64) exact.
+        // idle gaps (cycle deltas up to 2^64) exact, and what is left
+        // never exceeds the old occupancy, so it fits back in 64 bits.
         if cycle > self.last_cycle {
             let drained =
                 u128::from(cycle - self.last_cycle) * u128::from(self.drain_micro_per_cycle);
-            self.occupancy_micro = u128::from(self.occupancy_micro)
-                .saturating_sub(drained)
-                .min(u128::from(u64::MAX)) as u64;
+            self.occupancy_micro = u128::from(self.occupancy_micro).saturating_sub(drained) as u64;
         }
         self.last_cycle = self.last_cycle.max(cycle);
         if self.occupancy_micro + MICRO > self.capacity as u64 * MICRO {
@@ -121,7 +117,7 @@ impl TransactionBuffer {
             return false;
         }
         self.occupancy_micro += MICRO;
-        self.peak = self.peak.max(self.occupancy());
+        self.peak_micro = self.peak_micro.max(self.occupancy_micro);
         true
     }
 
@@ -132,7 +128,7 @@ impl TransactionBuffer {
 
     /// Highest occupancy ever reached.
     pub fn peak_occupancy(&self) -> usize {
-        self.peak
+        self.peak_micro.div_ceil(MICRO) as usize
     }
 
     /// Number of arrivals rejected because the buffer was full.
@@ -148,7 +144,7 @@ impl fmt::Display for TransactionBuffer {
             "buffer: {}/{} (peak {}, overflows {})",
             self.occupancy(),
             self.capacity,
-            self.peak,
+            self.peak_occupancy(),
             self.overflows
         )
     }

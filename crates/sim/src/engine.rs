@@ -2,18 +2,18 @@
 //!
 //! The physical board keeps up with the bus because its four node
 //! controllers are parallel hardware; this engine recovers that
-//! parallelism in software. A producer thread observes and filters every
-//! transaction exactly once through the board's [`BoardFrontEnd`], packs
-//! the admitted ones into fixed-size batches, and broadcasts each batch
-//! to worker threads that each own one [`NodeShard`] (a whole-domain
-//! group of node controllers — see `memories::NodeShard` for why that
-//! makes per-shard snooping exact). Workers record which transactions of
-//! each batch overflowed a node buffer as a bitmask; the masks are
-//! OR-merged across shards and popcounted, giving exactly the retry
-//! count the serial board would have posted, and at [`finish`] the
-//! shards are reassembled into a [`MemoriesBoard`] whose every counter
-//! and directory entry is **bit-identical** to a serial run of the same
-//! stream.
+//! parallelism in software. A producer thread admits every transaction
+//! exactly once through the board's [`BoardFrontEnd`], which holds the
+//! address filter, the global counters and every node's transaction
+//! buffer, so it alone decides which nodes drop an event and counts the
+//! retries. The producer packs the admitted transactions into fixed-size
+//! batches, each with its sparse list of drops (empty in healthy runs),
+//! and broadcasts each batch to worker threads that each own one
+//! [`NodeShard`] (a whole-domain group of node controllers — see
+//! `memories::NodeShard` for why that makes per-shard snooping exact).
+//! At [`finish`] the shards are reassembled into a [`MemoriesBoard`]
+//! whose every counter and directory entry is **bit-identical** to a
+//! serial run of the same stream.
 //!
 //! # Online monitoring
 //!
@@ -21,17 +21,11 @@
 //! engine recovers that with **snapshot barriers**. [`barrier`] flushes
 //! the partial batch and sends every worker a snapshot request over the
 //! same queue as the batches. Because each worker processes its queue in
-//! order, its reply — a copy of its node counters plus the overflow masks
-//! accumulated since the last barrier — reflects exactly the admitted
-//! stream so far, and the engine assembles the replies with the front
-//! end's own counters into a [`BoardSnapshot`] that is bit-identical to
-//! what a serial board would show at the same stream position. Every
-//! worker sees the same batch sequence, so a worker keeps only `(batch
-//! sequence, mask)` pairs for the batches that overflowed, plus a count
-//! of the batches it saw; each barrier checks the counts agree, OR-merges
-//! the masks by sequence and popcounts them: retry accounting stays exact
-//! *and* incremental, and neither worker- nor engine-side state grows
-//! with trace length.
+//! order, its reply — a copy of its node counters — reflects exactly the
+//! admitted stream so far, and the engine assembles the replies with the
+//! front end's own counters and retry count into a [`BoardSnapshot`]
+//! that is bit-identical to what a serial board would show at the same
+//! stream position.
 //!
 //! The engine has no sampling schedule of its own: the console
 //! pipeline's sampler and windowed profiler decide *when* to call
@@ -41,16 +35,14 @@
 //! run's final board is still bit-identical to an unobserved one.
 //!
 //! The engine consumes an already-recorded transaction stream (replay,
-//! synthetic generators, capture files). It cannot feed retries back into
-//! a live host bus — batching makes the reaction available only after the
-//! fact — which matches the board's healthy operating point of zero
-//! retries (§3.3); the count is still exact.
+//! synthetic generators, capture files). It does not feed retries back
+//! into a live host bus — it returns no per-transaction reaction — which
+//! matches the board's healthy operating point of zero retries (§3.3);
+//! the count is still exact.
 //!
 //! [`finish`]: EmulationEngine::finish
 //! [`barrier`]: EmulationEngine::barrier
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -121,73 +113,29 @@ pub struct MonitorReport {
     pub telemetry: EngineTelemetry,
 }
 
-/// Per-batch overflow bitmask: bit `i` set means batch transaction `i`
-/// overflowed some node buffer in the reporting shard.
-type OverflowMask = Vec<u64>;
-
-/// One worker's overflow record since the last barrier: how many batches
-/// it snooped, and the mask of each batch that overflowed, keyed by the
-/// batch's sequence number. Overflow-free batches leave no mask, so a
-/// run without overflows keeps this empty however long it is.
-#[derive(Debug, Default)]
-struct OverflowLog {
-    batches: u64,
-    masks: Vec<(u64, OverflowMask)>,
+/// One broadcast batch, shared by every worker.
+struct Batch {
+    /// Admitted transactions, on loan from the engine's [`BlockPool`]:
+    /// the last worker to drop the batch recycles the buffer.
+    txns: PooledBlock,
+    /// The front end's drop list for `txns` (see
+    /// [`NodeShard::snoop_block`]); empty, and unallocated, in healthy
+    /// runs.
+    drops: Vec<(usize, u8)>,
 }
 
-impl OverflowLog {
-    /// Records the next batch's mask, keeping it only if a bit is set.
-    fn record(&mut self, mask: &[u64]) {
-        if mask.iter().any(|w| *w != 0) {
-            self.masks.push((self.batches, mask.to_vec()));
-        }
-        self.batches += 1;
-    }
-}
-
-/// Two shards reported different batch counts at a merge point — the
-/// workers disagreed about how many batches they saw, which means retry
-/// accounting can no longer be trusted.
-#[derive(Debug)]
-struct MaskMismatch {
-    expected: u64,
-    got: u64,
-}
-
-impl fmt::Display for MaskMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard overflow-mask lists diverged: expected {} batches, a shard reported {}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for MaskMismatch {}
-
-/// What a worker sends back at a snapshot barrier.
-struct ShardReport {
-    /// `(global node id, counters)` for every node the shard owns.
-    nodes: Vec<(u8, NodeCounters)>,
-    /// Overflows in the batches since the previous barrier.
-    overflows: OverflowLog,
-}
+/// Every node's counters in a shard, as `(global node id, counters)`.
+type ShardReport = Vec<(u8, NodeCounters)>;
 
 /// What a worker returns when its queue closes.
 struct WorkerDone {
     shard: NodeShard,
-    /// Overflows in the batches since the last barrier.
-    overflows: OverflowLog,
     snooped: u64,
     busy: Duration,
 }
 
 enum Request {
-    /// One batch of admitted transactions, shared by every worker. The
-    /// block came from the engine's [`BlockPool`]; the last worker to
-    /// drop its handle recycles the buffer.
-    Batch(Arc<PooledBlock>),
+    Batch(Arc<Batch>),
     Snapshot(SyncSender<ShardReport>),
 }
 
@@ -205,6 +153,8 @@ enum Inner {
         front: BoardFrontEnd,
         /// The batch currently filling, on loan from `pool`.
         block: PooledBlock,
+        /// The drop list of `block`.
+        drops: Vec<(usize, u8)>,
         /// Recycles broadcast batches: steady state runs allocation-free.
         pool: BlockPool,
         node_count: usize,
@@ -276,6 +226,7 @@ impl EmulationEngine {
                 Inner::Parallel {
                     front,
                     block,
+                    drops: Vec::new(),
                     pool,
                     node_count,
                     workers,
@@ -322,19 +273,22 @@ impl EmulationEngine {
             Inner::Parallel {
                 front,
                 block,
+                drops,
                 pool,
                 workers,
                 ..
             } => {
                 for txn in txns {
-                    if !front.observe(txn) {
+                    let Some(dropped) = front.admit(txn) else {
                         continue;
+                    };
+                    if dropped != 0 {
+                        drops.push((block.len(), dropped));
                     }
                     block.push(*txn);
                     if block.is_full() {
-                        let full = Arc::new(std::mem::replace(block, pool.take()));
                         self.batches += 1;
-                        self.producer_stalls += broadcast(workers, full);
+                        self.producer_stalls += broadcast(workers, take_batch(block, drops, pool));
                     }
                 }
             }
@@ -365,26 +319,32 @@ impl EmulationEngine {
                 board.observe_block(incoming.as_slice());
             }
             Inner::Parallel { front, workers, .. } => {
-                front.filter_block(&mut incoming);
+                let mut drops = Vec::new();
+                front.admit_block(&mut incoming, &mut drops);
                 if incoming.is_empty() {
                     return;
                 }
                 self.batches += 1;
-                self.producer_stalls += broadcast(workers, Arc::new(incoming));
+                let batch = Batch {
+                    txns: incoming,
+                    drops,
+                };
+                self.producer_stalls += broadcast(workers, Arc::new(batch));
             }
         }
     }
 
     /// Takes a counter snapshot of the emulation *right now*. In
     /// parallel mode this is a snapshot barrier: the partial batch is
-    /// flushed and every worker reports its counters and overflow masks,
-    /// so the result is bit-identical to what a serial board would show
-    /// at the same stream position.
+    /// flushed and every worker reports its counters, so the result is
+    /// bit-identical to what a serial board would show at the same stream
+    /// position. The retry count comes from the front end, which is
+    /// always exact.
     ///
     /// # Errors
     ///
-    /// Returns an error if shard overflow-mask lists diverge (retry
-    /// accounting would be wrong — does not happen for healthy workers).
+    /// Never fails at present; the `Result` keeps the signature of a
+    /// monitoring primitive that callers propagate with `?`.
     ///
     /// # Panics
     ///
@@ -396,6 +356,7 @@ impl EmulationEngine {
             Inner::Parallel {
                 front,
                 block,
+                drops,
                 pool,
                 node_count,
                 workers,
@@ -403,9 +364,8 @@ impl EmulationEngine {
                 // Flush the partial batch so workers have seen the whole
                 // admitted stream before they reply.
                 if !block.is_empty() {
-                    let tail = Arc::new(std::mem::replace(block, pool.take()));
                     self.batches += 1;
-                    self.producer_stalls += broadcast(workers, tail);
+                    self.producer_stalls += broadcast(workers, take_batch(block, drops, pool));
                 }
                 let (reply, reports) = sync_channel::<ShardReport>(workers.len());
                 for w in workers.iter() {
@@ -415,20 +375,12 @@ impl EmulationEngine {
                 }
                 drop(reply);
                 let mut parts = Vec::with_capacity(*node_count);
-                let mut logs = Vec::with_capacity(workers.len());
                 for _ in 0..workers.len() {
                     match reports.recv() {
-                        Ok(report) => {
-                            parts.extend(report.nodes);
-                            logs.push(report.overflows);
-                        }
+                        Ok(report) => parts.extend(report),
                         Err(_) => propagate_worker_failure(std::mem::take(workers)),
                     }
                 }
-                // Every worker saw the same batches since the last
-                // barrier; merge just those overflows and fold them into
-                // the retry account incrementally.
-                front.record_overflows(or_and_count(logs)?);
                 Ok(BoardSnapshot::assemble(
                     front.global().clone(),
                     *front.filter().stats(),
@@ -440,14 +392,13 @@ impl EmulationEngine {
         }
     }
 
-    /// Flushes outstanding batches, joins the workers, merges their
-    /// overflow masks, and reassembles the board.
+    /// Flushes outstanding batches, joins the workers, and reassembles
+    /// the board.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Board`] if shard reassembly fails (cannot happen
-    /// for shards produced by this engine), or an error if shard
-    /// overflow-mask lists diverged at a merge point.
+    /// for shards produced by this engine).
     ///
     /// # Panics
     ///
@@ -481,8 +432,9 @@ impl EmulationEngine {
                 board
             }
             Inner::Parallel {
-                mut front,
+                front,
                 block,
+                drops,
                 pool,
                 workers,
                 ..
@@ -497,7 +449,7 @@ impl EmulationEngine {
                     node_counts.push(w.nodes);
                 }
                 if !block.is_empty() {
-                    let last = Arc::new(block);
+                    let last = Arc::new(Batch { txns: block, drops });
                     telemetry.batches += 1;
                     for sender in &senders {
                         if sender.send(Request::Batch(Arc::clone(&last))).is_err() {
@@ -511,7 +463,6 @@ impl EmulationEngine {
                 drop(senders); // Closes the channels; workers drain and exit.
 
                 let mut shards = Vec::with_capacity(handles.len());
-                let mut logs = Vec::with_capacity(handles.len());
                 for (i, handle) in handles.into_iter().enumerate() {
                     let done = handle
                         .join()
@@ -523,12 +474,7 @@ impl EmulationEngine {
                         busy: done.busy,
                     });
                     shards.push(done.shard);
-                    logs.push(done.overflows);
                 }
-                // One retry per admitted transaction that overflowed in
-                // any shard — exactly the serial board's accounting.
-                // (Overflows before the last barrier were already folded in.)
-                front.record_overflows(or_and_count(logs)?);
                 telemetry.seen = front.filter().stats().seen;
                 telemetry.admitted = front.filter().stats().forwarded;
                 MemoriesBoard::assemble(front, shards)?
@@ -556,47 +502,23 @@ impl fmt::Debug for EmulationEngine {
 /// keeps the producer and workers overlapped without unbounded queueing.
 const QUEUE_CAPACITY: usize = 4;
 
-/// OR-merges the per-worker overflow logs (every worker sees the same
-/// batch sequence, so equal sequence numbers name the same batch) and
-/// counts the set bits — the number of admitted transactions that
-/// overflowed in at least one shard.
-fn or_and_count(logs: Vec<OverflowLog>) -> Result<u64, Error> {
-    let mut logs = logs.into_iter();
-    let Some(first) = logs.next() else {
-        return Ok(0);
-    };
-    let mut merged: BTreeMap<u64, OverflowMask> = first.masks.into_iter().collect();
-    for log in logs {
-        if log.batches != first.batches {
-            return Err(Error::other(MaskMismatch {
-                expected: first.batches,
-                got: log.batches,
-            }));
-        }
-        for (seq, mask) in log.masks {
-            match merged.entry(seq) {
-                Entry::Vacant(slot) => {
-                    slot.insert(mask);
-                }
-                Entry::Occupied(mut slot) => {
-                    for (a, b) in slot.get_mut().iter_mut().zip(&mask) {
-                        *a |= *b;
-                    }
-                }
-            }
-        }
-    }
-    Ok(merged
-        .values()
-        .flat_map(|m| m.iter())
-        .map(|w| u64::from(w.count_ones()))
-        .sum())
+/// Takes the batch filling in `block` and `drops`, leaving an empty one
+/// from `pool` in its place.
+fn take_batch(
+    block: &mut PooledBlock,
+    drops: &mut Vec<(usize, u8)>,
+    pool: &BlockPool,
+) -> Arc<Batch> {
+    Arc::new(Batch {
+        txns: std::mem::replace(block, pool.take()),
+        drops: std::mem::take(drops),
+    })
 }
 
 /// Sends `batch` to every worker, counting backpressure stalls. If a
 /// worker has hung up (its thread died), joins all workers to surface the
 /// panic instead of poisoning the stream silently.
-fn broadcast(workers: &mut Vec<Worker>, batch: Arc<PooledBlock>) -> u64 {
+fn broadcast(workers: &mut Vec<Worker>, batch: Arc<Batch>) -> u64 {
     let mut stalls = 0;
     for i in 0..workers.len() {
         match workers[i]
@@ -641,36 +563,25 @@ fn spawn_worker(mut shard: NodeShard) -> Worker {
     let nodes = shard.len();
     let (sender, receiver) = sync_channel::<Request>(QUEUE_CAPACITY);
     let handle = std::thread::spawn(move || {
-        // Overflows since the last snapshot barrier (drained at each
-        // one), and the reused mask of the batch in hand.
-        let mut overflows = OverflowLog::default();
-        let mut mask: OverflowMask = Vec::new();
         let mut snooped: u64 = 0;
         let mut busy = Duration::ZERO;
         while let Ok(request) = receiver.recv() {
             match request {
                 Request::Batch(batch) => {
                     let t0 = Instant::now();
-                    mask.clear();
-                    mask.resize(batch.len().div_ceil(64), 0);
-                    shard.snoop_block(&batch, |i| mask[i / 64] |= 1u64 << (i % 64));
+                    shard.snoop_block(&batch.txns, &batch.drops);
                     busy += t0.elapsed();
-                    snooped += batch.len() as u64;
-                    overflows.record(&mask);
+                    snooped += batch.txns.len() as u64;
                 }
                 Request::Snapshot(reply) => {
                     // If the engine dropped the reply receiver it is
                     // already unwinding; keep draining until close.
-                    let _ = reply.send(ShardReport {
-                        nodes: shard.counters_snapshot(),
-                        overflows: std::mem::take(&mut overflows),
-                    });
+                    let _ = reply.send(shard.counters_snapshot());
                 }
             }
         }
         WorkerDone {
             shard,
-            overflows,
             snooped,
             busy,
         }
@@ -866,8 +777,8 @@ mod tests {
 
     #[test]
     fn snapshot_barrier_keeps_retry_accounting_exact() {
-        // Overflow pressure plus frequent barriers: incremental mask
-        // merging at each barrier must sum to the serial retry count.
+        // Overflow pressure plus frequent barriers: the retries read at
+        // each barrier must end at the serial retry count.
         let mut cfg = four_domain_config();
         cfg.timing = TimingConfig {
             buffer_capacity: 4,
@@ -919,7 +830,11 @@ mod tests {
         // panic payload instead of panicking on the channel error.
         let mut workers = vec![dead_worker("snoop worker exploded")];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            broadcast(&mut workers, Arc::new(BlockPool::new(1).take()));
+            let batch = Batch {
+                txns: BlockPool::new(1).take(),
+                drops: Vec::new(),
+            };
+            broadcast(&mut workers, Arc::new(batch));
         }));
         let payload = result.expect_err("worker panic must propagate");
         let text = payload
@@ -949,53 +864,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert_eq!(text, "barrier victim");
-    }
-
-    #[test]
-    fn mask_length_mismatch_is_a_real_error() {
-        // Diverged batch counts must surface as an Error (the old
-        // debug_assert vanished in release builds).
-        let clean = vec![0u64; 64];
-        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
-        a.record(&clean);
-        a.record(&clean);
-        b.record(&clean);
-        let err = or_and_count(vec![a, b]).expect_err("mismatch must error");
-        assert!(err.to_string().contains("diverged"), "got: {err}");
-        // Aligned logs still count exactly.
-        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
-        let mut m = clean.clone();
-        m[0] = 0b1011;
-        a.record(&m);
-        m[0] = 0b0110;
-        b.record(&m);
-        assert_eq!(or_and_count(vec![a, b]).unwrap(), 4);
-    }
-
-    #[test]
-    fn overflow_logs_keep_only_overflowing_batches() {
-        const BATCHES: u64 = 10_000;
-        let clean = vec![0u64; 4096 / 64];
-        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
-        for _ in 0..BATCHES {
-            a.record(&clean);
-            b.record(&clean);
-        }
-        assert!(a.masks.is_empty() && b.masks.is_empty());
-        assert_eq!(or_and_count(vec![a, b]).unwrap(), 0);
-
-        // One transaction overflows in both shards: still one retry.
-        let mut hit = clean.clone();
-        hit[17] = 1 << 5;
-        let (mut a, mut b) = (OverflowLog::default(), OverflowLog::default());
-        for seq in 0..BATCHES {
-            let mask = if seq == 4_321 { &hit } else { &clean };
-            a.record(mask);
-            b.record(mask);
-        }
-        assert_eq!(a.masks.len(), 1);
-        assert_eq!(a.masks[0].0, 4_321);
-        assert_eq!(or_and_count(vec![a, b]).unwrap(), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! statistics, and — the part a counter diff can miss — the tag
 //! directories, probed at every address the stream touched.
 
-use memories::{BoardConfig, CacheParams, MemoriesBoard, NodeCounter, TimingConfig};
+use memories::{BoardConfig, CacheParams, MemoriesBoard, NodeCounter, NodeCounters, TimingConfig};
 use memories_bus::{
     Address, BlockPool, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction,
     TransactionBlock,
@@ -232,10 +232,10 @@ proptest! {
 }
 
 /// Every node's overflow counters, in node order.
-fn overflow_counts(board: &MemoriesBoard) -> Vec<(u64, u64)> {
-    (0..board.node_count())
-        .map(|n| {
-            let c = board.node(NodeId::new(n as u8)).counters();
+fn overflow_counts(nodes: &[NodeCounters]) -> Vec<(u64, u64)> {
+    nodes
+        .iter()
+        .map(|c| {
             (
                 c.get(NodeCounter::BufferOverflows),
                 c.get(NodeCounter::EventsDropped),
@@ -260,8 +260,8 @@ fn assert_same_overflow_outcome(
         what
     );
     prop_assert_eq!(
-        overflow_counts(reference),
-        overflow_counts(got),
+        overflow_counts(&reference.snapshot().nodes),
+        overflow_counts(&got.snapshot().nodes),
         "{}: overflow counters diverged",
         what
     );
@@ -281,10 +281,13 @@ proptest! {
     /// Same-cycle bursts into 2-entry buffers overflow often; blocks of
     /// 1, 7, 8, 9 and 4096 transactions put those overflows on both sides
     /// of every snoop group boundary, through the board's `on_block` and
-    /// the engine's shard workers alike.
+    /// the engine's shard workers alike. Engine barriers at random stream
+    /// positions read the retry and overflow accounting of a
+    /// per-transaction board cut at the same position.
     #[test]
     fn overflow_under_block_delivery_matches_per_transaction(
         raw in prop::collection::vec(burst_step(), 200..1500),
+        cuts in prop::collection::vec(0usize..1500, 1..6),
     ) {
         let txns = build_stream(&raw);
         let mut reference = board_with_buffer(2);
@@ -324,6 +327,84 @@ proptest! {
                 )?;
             }
         }
+
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (txns.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut cut_board = board_with_buffer(2);
+        let mut fed = 0;
+        let mut want = Vec::new();
+        for &cut in &cuts {
+            for t in &txns[fed..cut] {
+                cut_board.on_transaction(t);
+            }
+            fed = cut;
+            want.push(cut_board.snapshot());
+        }
+        for shards in [1usize, 2, 4] {
+            let cfg = EngineConfig::parallel(shards).with_batch(64);
+            let mut engine = EmulationEngine::new(board_with_buffer(2), cfg);
+            let mut fed = 0;
+            for (&cut, want) in cuts.iter().zip(&want) {
+                engine.feed_block(&txns[fed..cut]);
+                fed = cut;
+                let got = engine.barrier().unwrap();
+                prop_assert_eq!(
+                    got.retries_posted,
+                    want.retries_posted,
+                    "{} shards, barrier at {}: retries diverged",
+                    shards,
+                    cut
+                );
+                prop_assert_eq!(
+                    overflow_counts(&got.nodes),
+                    overflow_counts(&want.nodes),
+                    "{} shards, barrier at {}: overflow counters diverged",
+                    shards,
+                    cut
+                );
+            }
+            engine.feed_block(&txns[fed..]);
+            let final_board = engine.finish().unwrap();
+            assert_same_overflow_outcome(
+                &reference,
+                &final_board,
+                &txns,
+                &format!("engine with barriers, {shards} shards"),
+            )?;
+        }
+    }
+
+    /// Buffer occupancy depends only on arrival cycles and on which nodes
+    /// a transaction makes an event at, never on cache contents, so a
+    /// front end with no shard behind it posts exactly the serial board's
+    /// retries, transaction by transaction or block by block.
+    #[test]
+    fn bare_front_end_posts_the_serial_boards_retries(
+        raw in prop::collection::vec(burst_step(), 200..1500),
+        shards in prop::sample::select(vec![1usize, 2, 4]),
+    ) {
+        let txns = build_stream(&raw);
+        let mut reference = board_with_buffer(2);
+        for t in &txns {
+            reference.on_transaction(t);
+        }
+        prop_assert!(reference.retries_posted() > 0, "the stream must overflow");
+
+        let mut front = board_with_buffer(2).split(shards).0;
+        for t in &txns {
+            front.observe(t);
+        }
+        prop_assert_eq!(front.retries_posted(), reference.retries_posted());
+
+        let mut front = board_with_buffer(2).split(shards).0;
+        for chunk in txns.chunks(7) {
+            let mut block = TransactionBlock::with_capacity(chunk.len());
+            for t in chunk {
+                block.push(*t);
+            }
+            front.filter_block(&mut block);
+        }
+        prop_assert_eq!(front.retries_posted(), reference.retries_posted());
     }
 }
 
