@@ -3,14 +3,13 @@
 use std::fmt;
 
 use memories_bus::{
-    Address, BusListener, BusOp, ListenerReaction, NodeId, ProcId, SnoopResponse, Transaction,
-    TransactionBlock,
+    BusListener, BusOp, ListenerReaction, NodeId, ProcId, Transaction, TransactionBlock,
 };
 use memories_protocol::{standard, ProtocolTable};
 
 use crate::counters::Counter40;
 use crate::error::BoardError;
-use crate::filter::{AddressFilter, FilterConfig, NodePartition};
+use crate::filter::{AddressFilter, EventTable, FilterConfig, NodePartition};
 use crate::node::NodeController;
 use crate::params::CacheParams;
 use crate::shard::{plan_shards, NodeShard};
@@ -263,35 +262,10 @@ pub struct BoardFrontEnd {
     global: GlobalCounters,
     /// One transaction buffer per node, in node-id order.
     buffers: Vec<TransactionBuffer>,
-    /// [`event_nodes`] of the filter's partition.
-    event_nodes: Vec<u8>,
+    /// The classification of the filter's partition.
+    pub(crate) events: EventTable,
     allow_retry: bool,
     retries_posted: u64,
-}
-
-/// Tabulates [`NodePartition::event_for`], which reads only a
-/// transaction's op and CPU: entry `op.index() * ProcId::MAX_IDS + cpu`
-/// is the bit mask of the nodes where such a transaction makes an event.
-/// A table lookup keeps the admission loop free of the classification's
-/// data-dependent branches.
-fn event_nodes(partition: &NodePartition) -> Vec<u8> {
-    let mut table = vec![0u8; BusOp::ALL.len() * ProcId::MAX_IDS];
-    for op in BusOp::ALL {
-        for cpu in 0..ProcId::MAX_IDS {
-            let txn = Transaction::new(
-                0,
-                0,
-                ProcId::new(cpu as u8),
-                op,
-                Address::new(0),
-                SnoopResponse::Null,
-            );
-            table[op.index() * ProcId::MAX_IDS + cpu] = (0..partition.node_count())
-                .filter(|&i| partition.event_for(NodeId::new(i as u8), &txn).is_some())
-                .fold(0, |nodes, i| nodes | 1 << i);
-        }
-    }
-    table
 }
 
 impl BoardFrontEnd {
@@ -308,7 +282,7 @@ impl BoardFrontEnd {
         if !self.filter.admit(txn) {
             return None;
         }
-        let nodes = self.event_nodes[txn.op.index() * ProcId::MAX_IDS + txn.proc.index()];
+        let nodes = self.events.nodes(txn);
         let mut dropped = 0u8;
         for (i, buffer) in self.buffers.iter_mut().enumerate() {
             if nodes & 1 << i != 0 && !buffer.arrive(txn.cycle) {
@@ -429,16 +403,19 @@ impl MemoriesBoard {
             })
             .collect();
         let indices = (0..nodes.len() as u8).collect();
+        let events = EventTable::new(&partition);
+        let buffers = vec![TransactionBuffer::new(&config.timing); nodes.len()];
+        let shard = NodeShard::new(&partition, &events, indices, nodes);
         Ok(MemoriesBoard {
             front: BoardFrontEnd {
-                filter: AddressFilter::new(config.filter, partition.clone()),
+                filter: AddressFilter::new(config.filter, partition),
                 global: GlobalCounters::default(),
-                buffers: vec![TransactionBuffer::new(&config.timing); nodes.len()],
-                event_nodes: event_nodes(&partition),
+                buffers,
+                events,
                 allow_retry: config.allow_retry,
                 retries_posted: 0,
             },
-            shard: NodeShard::new(partition, indices, nodes),
+            shard,
             admitted: Vec::new(),
             drops: Vec::new(),
         })
@@ -455,8 +432,8 @@ impl MemoriesBoard {
     /// stream order, then rebuild the board with
     /// [`MemoriesBoard::assemble`].
     pub fn split(self, shards: usize) -> (BoardFrontEnd, Vec<NodeShard>) {
-        let partition = self.front.filter.partition().clone();
-        let piles = plan_shards(&partition, shards);
+        let partition = self.front.filter.partition();
+        let piles = plan_shards(partition, shards);
         let mut members: Vec<Option<NodeController>> =
             self.shard.into_members().map(|(_, n)| Some(n)).collect();
         let shards = piles
@@ -470,7 +447,7 @@ impl MemoriesBoard {
                             .expect("plan_shards assigns each node exactly once")
                     })
                     .collect();
-                NodeShard::new(partition.clone(), ids, nodes)
+                NodeShard::new(partition, &self.front.events, ids, nodes)
             })
             .collect();
         (self.front, shards)
@@ -485,8 +462,7 @@ impl MemoriesBoard {
     /// the front end's partition exactly (a node missing, duplicated, or
     /// foreign).
     pub fn assemble(front: BoardFrontEnd, shards: Vec<NodeShard>) -> Result<Self, BoardError> {
-        let partition = front.filter.partition().clone();
-        let count = partition.node_count();
+        let count = front.filter.partition().node_count();
         let mut slots: Vec<Option<NodeController>> = (0..count).map(|_| None).collect();
         for shard in shards {
             for (id, node) in shard.into_members() {
@@ -515,9 +491,10 @@ impl MemoriesBoard {
             })
             .collect::<Result<_, _>>()?;
         let indices = (0..nodes.len() as u8).collect();
+        let shard = NodeShard::new(front.filter.partition(), &front.events, indices, nodes);
         Ok(MemoriesBoard {
             front,
-            shard: NodeShard::new(partition, indices, nodes),
+            shard,
             admitted: Vec::new(),
             drops: Vec::new(),
         })
@@ -701,7 +678,7 @@ impl fmt::Debug for MemoriesBoard {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::counters::NodeCounter;
     use memories_bus::{Address, SnoopResponse};
@@ -1128,5 +1105,92 @@ mod tests {
             BoardConfig::from_slots(five),
             Err(BoardError::TooManyNodes { requested: 5 })
         ));
+    }
+
+    /// One slot per entry of `slots`, `(domain, CPUs)`, with 2 KB 2-way
+    /// caches. A CPU already claimed in the slot's domain is dropped; a
+    /// slot left with none takes the lowest CPU its domain has free.
+    pub(crate) fn random_board(
+        slots: &[(u8, Vec<u8>)],
+        remotes: &[(usize, Vec<u8>)],
+    ) -> BoardConfig {
+        let params = CacheParams::builder()
+            .capacity(2048)
+            .ways(2)
+            .line_size(128)
+            .allow_scaled_down()
+            .build()
+            .unwrap();
+        let mut claimed = [0u64; 4];
+        let mut built: Vec<NodeSlot> = slots
+            .iter()
+            .map(|(domain, cpus)| {
+                let taken = &mut claimed[usize::from(*domain)];
+                let mut mine = 0u64;
+                for &c in cpus {
+                    mine |= 1 << c & !*taken;
+                }
+                if mine == 0 {
+                    mine = 1 << (!*taken).trailing_zeros();
+                }
+                *taken |= mine;
+                let cpus = (0..64u8).filter(|c| mine & 1 << c != 0).map(ProcId::new);
+                NodeSlot::new(params, cpus).in_domain(*domain)
+            })
+            .collect();
+        for (slot, cpus) in remotes {
+            let slot = &mut built[slot % slots.len()];
+            *slot = slot
+                .clone()
+                .with_remote_cpus(cpus.iter().copied().map(ProcId::new));
+        }
+        BoardConfig::from_slots(built).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The board's event table gives `event_for` for every (op, CPU,
+        /// node), DMA ops included, on random partitions with domain
+        /// remotes, and its node mask names exactly the nodes with an
+        /// event.
+        #[test]
+        fn event_table_equals_event_for(
+            slots in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(0u8..12, 1..5)),
+                1..5,
+            ),
+            remotes in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(0u8..16, 1..4)),
+                0..3,
+            ),
+        ) {
+            let board = MemoriesBoard::new(random_board(&slots, &remotes)).unwrap();
+            let partition = board.filter().partition();
+            let table = &board.front.events;
+            for op in BusOp::ALL {
+                for cpu in 0..ProcId::MAX_IDS as u8 {
+                    let txn = Transaction::new(
+                        0,
+                        0,
+                        ProcId::new(cpu),
+                        op,
+                        Address::new(0),
+                        SnoopResponse::Null,
+                    );
+                    let row = table.rows()[EventTable::index(&txn)];
+                    let nodes = table.nodes(&txn);
+                    for (i, &event) in row.iter().enumerate() {
+                        let want = if i < partition.node_count() {
+                            partition.event_for(NodeId::new(i as u8), &txn)
+                        } else {
+                            None
+                        };
+                        proptest::prop_assert_eq!(event, want);
+                        proptest::prop_assert_eq!(nodes & 1 << i != 0, want.is_some());
+                    }
+                }
+            }
+        }
     }
 }

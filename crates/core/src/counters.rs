@@ -1,6 +1,7 @@
 //! 40-bit event counters — the board's 400+ hit/miss counters (§3).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A 40-bit saturating counter.
 ///
@@ -8,6 +9,14 @@ use std::fmt;
 /// than 30 hours of real time program execution at the typical 20% bus
 /// utilization level" (§3). The model saturates (and remembers that it
 /// did) instead of wrapping, so overflow is detectable in long runs.
+///
+/// Like the board's plain hardware counters, it keeps a raw count that
+/// every increment bumps with one branch-free add (saturating at
+/// `u64::MAX`, far beyond the ceiling), and saturates when read:
+/// [`Counter40::value`] clamps the raw count to [`Counter40::MAX`], and
+/// [`Counter40::saturated`] reports whether it ever went past. Equality
+/// and hashing compare what is read, so two counters that overshot the
+/// ceiling by different amounts are equal.
 ///
 /// # Examples
 ///
@@ -19,10 +28,9 @@ use std::fmt;
 /// assert_eq!(c.value(), 5);
 /// assert!(!c.saturated());
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Default, Eq)]
 pub struct Counter40 {
-    value: u64,
-    saturated: bool,
+    raw: u64,
 }
 
 impl Counter40 {
@@ -31,28 +39,17 @@ impl Counter40 {
 
     /// Creates a zeroed counter.
     pub const fn new() -> Self {
-        Counter40 {
-            value: 0,
-            saturated: false,
-        }
+        Counter40 { raw: 0 }
     }
 
     /// A counter already holding `n`, saturating at [`Counter40::MAX`].
     pub fn of(n: u64) -> Self {
-        let mut c = Counter40::new();
-        c.add(n);
-        c
+        Counter40 { raw: n }
     }
 
     /// Adds `n`, saturating at [`Counter40::MAX`].
     pub fn add(&mut self, n: u64) {
-        let sum = self.value.saturating_add(n);
-        if sum > Self::MAX {
-            self.value = Self::MAX;
-            self.saturated = true;
-        } else {
-            self.value = sum;
-        }
+        self.raw = self.raw.saturating_add(n);
     }
 
     /// Folds another counter into this one, saturating the sum and
@@ -61,9 +58,10 @@ impl Counter40 {
     /// summed value happens to land exactly on [`Counter40::MAX`].
     /// This is the merge the parallel engine's shard reassembly relies
     /// on; plain `add(other.value())` would silently drop the flag.
+    /// Summing the raw counts keeps it: an overflowed part's raw count
+    /// alone is past the ceiling.
     pub fn merge(&mut self, other: Counter40) {
-        self.add(other.value);
-        self.saturated |= other.saturated;
+        self.add(other.raw);
     }
 
     /// Increments by one.
@@ -73,12 +71,16 @@ impl Counter40 {
 
     /// The current value.
     pub const fn value(self) -> u64 {
-        self.value
+        if self.raw > Self::MAX {
+            Self::MAX
+        } else {
+            self.raw
+        }
     }
 
-    /// Whether the counter ever hit its ceiling.
+    /// Whether the counter ever went past its ceiling.
     pub const fn saturated(self) -> bool {
-        self.saturated
+        self.raw > Self::MAX
     }
 
     /// Resets to zero and clears the saturation flag.
@@ -87,12 +89,33 @@ impl Counter40 {
     }
 }
 
+impl PartialEq for Counter40 {
+    fn eq(&self, other: &Self) -> bool {
+        (self.value(), self.saturated()) == (other.value(), other.saturated())
+    }
+}
+
+impl Hash for Counter40 {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.value(), self.saturated()).hash(state);
+    }
+}
+
+impl fmt::Debug for Counter40 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Counter40")
+            .field("value", &self.value())
+            .field("saturated", &self.saturated())
+            .finish()
+    }
+}
+
 impl fmt::Display for Counter40 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.saturated {
-            write!(f, "{}+", self.value)
+        if self.saturated() {
+            write!(f, "{}+", self.value())
         } else {
-            write!(f, "{}", self.value)
+            write!(f, "{}", self.value())
         }
     }
 }

@@ -136,12 +136,6 @@ impl NodePartition {
         self.nodes[node.index()].0
     }
 
-    /// The CPUs, as a bit mask, whose traffic is local or remote to
-    /// `node`: every CPU of its domain, added remotes included.
-    pub(crate) fn domain_cpus(&self, node: NodeId) -> u64 {
-        self.domain_masks[node.index()]
-    }
-
     /// How `proc`'s traffic relates to `node`.
     pub fn locality(&self, node: NodeId, proc: ProcId) -> Locality {
         let bit = 1u64 << proc.index();
@@ -171,9 +165,9 @@ impl NodePartition {
     /// to `Remote*` events, DMA to `Io*` events at every node; a remote
     /// node's castouts and unrelated domains produce nothing.
     ///
-    /// Classification depends only on the partition (not on filter state),
-    /// so shards holding a clone of the partition classify identically to
-    /// the serial board.
+    /// Classification depends only on the partition (not on filter state)
+    /// and on the transaction's op and CPU, so a board tabulates it once
+    /// and every shard reads its members' columns of that table.
     pub fn event_for(&self, node: NodeId, txn: &Transaction) -> Option<AccessEvent> {
         match txn.op {
             BusOp::DmaRead => return Some(AccessEvent::IoRead),
@@ -196,6 +190,66 @@ impl NodePartition {
             (Locality::Unrelated, _) => None,
             _ => None,
         }
+    }
+}
+
+/// [`NodePartition::event_for`] tabulated over the only parts of a
+/// transaction it reads, its op and CPU: the address filter's one
+/// classification of each transaction, built once per board. A lookup
+/// keeps the admission loop and the snoop free of the classification's
+/// data-dependent branches.
+#[derive(Clone, Debug)]
+pub(crate) struct EventTable {
+    /// Entry [`EventTable::index`]: the event at every node, in node-id
+    /// order (`None` past the last node).
+    rows: Vec<[Option<AccessEvent>; NodeId::MAX_NODES]>,
+    /// Per row: the nodes with an event, bit `i` for node `i`.
+    nodes: Vec<u8>,
+}
+
+impl EventTable {
+    pub(crate) fn new(partition: &NodePartition) -> Self {
+        let mut rows = vec![[None; NodeId::MAX_NODES]; BusOp::ALL.len() * ProcId::MAX_IDS];
+        for op in BusOp::ALL {
+            for cpu in 0..ProcId::MAX_IDS {
+                let txn = Transaction::new(
+                    0,
+                    0,
+                    ProcId::new(cpu as u8),
+                    op,
+                    Address::new(0),
+                    SnoopResponse::Null,
+                );
+                let row = &mut rows[Self::index(&txn)];
+                for (i, event) in row.iter_mut().take(partition.node_count()).enumerate() {
+                    *event = partition.event_for(NodeId::new(i as u8), &txn);
+                }
+            }
+        }
+        let nodes = rows
+            .iter()
+            .map(|row| {
+                (0..NodeId::MAX_NODES)
+                    .filter(|&i| row[i].is_some())
+                    .fold(0, |nodes, i| nodes | 1 << i)
+            })
+            .collect();
+        EventTable { rows, nodes }
+    }
+
+    /// The row of `txn`'s op and CPU.
+    pub(crate) fn index(txn: &Transaction) -> usize {
+        txn.op.index() * ProcId::MAX_IDS + txn.proc.index()
+    }
+
+    /// The nodes where `txn` makes an event, bit `i` for node `i`.
+    pub(crate) fn nodes(&self, txn: &Transaction) -> u8 {
+        self.nodes[Self::index(txn)]
+    }
+
+    /// Every row, in [`EventTable::index`] order.
+    pub(crate) fn rows(&self) -> &[[Option<AccessEvent>; NodeId::MAX_NODES]] {
+        &self.rows
     }
 }
 

@@ -217,7 +217,10 @@ impl NodeController {
         let state = probe.state();
         let hit = !state.is_invalid();
         let transition = self.protocol.lookup(event, state, remote);
-        let first_touch = self.cold.first_touch(line);
+        // A resident line was marked when the miss that filled it was
+        // counted (`fill` below is the only way in), so a hit is never a
+        // first touch and only misses consult the tracker.
+        let first_touch = !hit && self.cold.first_touch(line);
 
         // Figure 12 classification: where is this L2 miss satisfied?
         if matches!(event, AccessEvent::LocalRead | AccessEvent::LocalWrite) {

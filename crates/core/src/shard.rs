@@ -15,10 +15,10 @@
 //! [`MemoriesBoard::split`](crate::MemoriesBoard::split) enforces this
 //! grouping; the serial board itself is just the single full shard.
 
-use memories_bus::{BusOp, NodeId, Transaction};
+use memories_bus::{NodeId, Transaction};
 use memories_protocol::{AccessEvent, RemoteSummary};
 
-use crate::filter::NodePartition;
+use crate::filter::{EventTable, NodePartition};
 use crate::node::NodeController;
 use crate::tagstore::TagProbe;
 
@@ -37,8 +37,6 @@ const GROUP: usize = 8;
 /// [`MemoriesBoard::assemble`](crate::MemoriesBoard::assemble).
 #[derive(Clone, Debug)]
 pub struct NodeShard {
-    /// The full board partition (classification needs global node ids).
-    partition: NodePartition,
     /// Global node ids of the members, parallel to `nodes`, ascending.
     indices: Vec<u8>,
     /// The owned controllers.
@@ -46,20 +44,29 @@ pub struct NodeShard {
     /// Per member: the positions of its same-domain members, itself
     /// included, as a bit mask.
     mates: [u8; NodeId::MAX_NODES],
-    /// Per member: the CPUs whose traffic its domain sees, as a bit mask.
-    /// DMA aside, only their transactions can make the member probe.
-    domain_cpus: [u64; NodeId::MAX_NODES],
+    /// The members' columns of the board's [`EventTable`], row for row.
+    events: Vec<Classified>,
+}
+
+/// One transaction's classification at a shard's members.
+#[derive(Clone, Copy, Debug, Default)]
+struct Classified {
+    /// The event at each member, by position.
+    events: [Option<AccessEvent>; NodeId::MAX_NODES],
+    /// The members that probe, as a bit mask of positions: those with a
+    /// same-domain member that has an event.
+    probing: u8,
 }
 
 impl NodeShard {
     pub(crate) fn new(
-        partition: NodePartition,
+        partition: &NodePartition,
+        table: &EventTable,
         indices: Vec<u8>,
         nodes: Vec<NodeController>,
     ) -> Self {
         debug_assert_eq!(indices.len(), nodes.len());
         let mut mates = [0u8; NodeId::MAX_NODES];
-        let mut domain_cpus = [0u64; NodeId::MAX_NODES];
         for (pos, &i) in indices.iter().enumerate() {
             let domain = partition.domain(NodeId::new(i));
             for (j, &k) in indices.iter().enumerate() {
@@ -67,14 +74,29 @@ impl NodeShard {
                     mates[pos] |= 1 << j;
                 }
             }
-            domain_cpus[pos] = partition.domain_cpus(NodeId::new(i));
         }
+        let events = table
+            .rows()
+            .iter()
+            .map(|row| {
+                let mut c = Classified::default();
+                for (pos, &i) in indices.iter().enumerate() {
+                    c.events[pos] = row[usize::from(i)];
+                }
+                let with_event = (0..indices.len())
+                    .filter(|&pos| c.events[pos].is_some())
+                    .fold(0u8, |m, pos| m | 1 << pos);
+                c.probing = (0..indices.len())
+                    .filter(|&pos| mates[pos] & with_event != 0)
+                    .fold(0u8, |m, pos| m | 1 << pos);
+                c
+            })
+            .collect();
         NodeShard {
-            partition,
             indices,
             nodes,
             mates,
-            domain_cpus,
+            events,
         }
     }
 
@@ -171,49 +193,41 @@ impl NodeShard {
         }
     }
 
-    /// Reads the directory set that every member which may probe a
+    /// Reads the directory set that every member which probes a
     /// transaction of `group` will search, and folds the words read into
-    /// one value so the reads stay in the program. A member may probe a
-    /// DMA transaction, or one from a CPU its domain sees; that covers
-    /// every member [`NodeShard::snoop_one`] probes.
+    /// one value so the reads stay in the program.
     fn read_sets(&self, group: &[Transaction]) -> u64 {
         let mut sink = 0;
         for txn in group {
-            let dma = matches!(txn.op, BusOp::DmaRead | BusOp::DmaWrite);
-            let cpu = 1u64 << txn.proc.index();
-            for (pos, node) in self.nodes.iter().enumerate() {
-                if dma || self.domain_cpus[pos] & cpu != 0 {
-                    sink ^= node.read_tag_set(txn.addr);
-                }
+            let mut probing = self.events[EventTable::index(txn)].probing;
+            while probing != 0 {
+                let pos = probing.trailing_zeros() as usize;
+                sink ^= self.nodes[pos].read_tag_set(txn.addr);
+                probing &= probing - 1;
             }
         }
         sink
     }
 
-    /// One transaction in lock step: phase 1 classifies each member and
-    /// snapshots remote summaries from pre-transaction directory state
-    /// (same-domain siblings only), phase 2 applies every transition
-    /// except at the members whose global id is set in `dropped`, which
-    /// count the drop instead.
+    /// One transaction in lock step: phase 1 looks up the transaction's
+    /// classification at every member and snapshots remote summaries from
+    /// pre-transaction directory state (same-domain siblings only), phase
+    /// 2 applies every transition except at the members whose global id
+    /// is set in `dropped`, which count the drop instead.
     ///
     /// Each member's directory is probed at most once, in phase 1, and
     /// phase 2 applies the member's transition through that probe. The
     /// snoop makes no heap allocation.
     fn snoop_one(&mut self, txn: &Transaction, dropped: u8) {
         let n = self.nodes.len();
-        let mut events: [Option<AccessEvent>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
+        let Classified { events, probing } = self.events[EventTable::index(txn)];
         let mut probes: [Option<TagProbe>; NodeId::MAX_NODES] = [None; NodeId::MAX_NODES];
         let mut summaries = [RemoteSummary::None; NodeId::MAX_NODES];
 
-        // Lock step, phase 1: classify, then probe every member whose
-        // domain has an event, from pre-transaction directory state.
-        let mut with_event = 0u8;
-        for (pos, (event, &id)) in events.iter_mut().zip(&self.indices).enumerate() {
-            *event = self.partition.event_for(NodeId::new(id), txn);
-            with_event |= u8::from(event.is_some()) << pos;
-        }
+        // Lock step, phase 1: probe every member whose domain has an
+        // event, from pre-transaction directory state.
         for pos in 0..n {
-            if self.mates[pos] & with_event == 0 {
+            if probing & 1 << pos == 0 {
                 continue;
             }
             let node = &self.nodes[pos];
@@ -228,7 +242,7 @@ impl NodeShard {
             let (Some(event), Some(probe)) = (events[pos], probes[pos]) else {
                 continue;
             };
-            if dropped & (1 << self.indices[pos]) != 0 {
+            if dropped != 0 && dropped & 1 << self.indices[pos] != 0 {
                 self.nodes[pos].count_dropped();
                 continue;
             }
@@ -271,10 +285,11 @@ pub(crate) fn plan_shards(partition: &NodePartition, shards: usize) -> Vec<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::tests::random_board;
     use crate::{
         BoardConfig, BoardFrontEnd, CacheParams, MemoriesBoard, NodeCounter, NodeSlot, TimingConfig,
     };
-    use memories_bus::{Address, ProcId, SnoopResponse};
+    use memories_bus::{Address, BusOp, ProcId, SnoopResponse};
 
     fn partition(domains: &[u8]) -> NodePartition {
         // One distinct CPU per node, to keep shapes valid.
@@ -309,6 +324,47 @@ mod tests {
         let p = partition(&[0, 1, 2, 3]);
         assert_eq!(plan_shards(&p, 2), vec![vec![0, 2], vec![1, 3]]);
         assert_eq!(plan_shards(&p, 4), vec![vec![0], vec![1], vec![2], vec![3]]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every shard's columns are its members' columns of the board's
+        /// event table, and a shard probes exactly the members with a
+        /// same-domain member that has an event.
+        #[test]
+        fn shard_columns_equal_the_board_table(
+            slots in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(0u8..12, 1..5)),
+                1..5,
+            ),
+            remotes in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(0u8..16, 1..4)),
+                0..3,
+            ),
+            shards in 1usize..5,
+        ) {
+            let board = MemoriesBoard::new(random_board(&slots, &remotes)).unwrap();
+            let partition = board.filter().partition().clone();
+            let (front, split) = board.split(shards);
+            for (index, row) in front.events.rows().iter().enumerate() {
+                for shard in &split {
+                    let c = shard.events[index];
+                    for (pos, &i) in shard.indices.iter().enumerate() {
+                        proptest::prop_assert_eq!(c.events[pos], row[usize::from(i)]);
+                        let probes = shard.indices.iter().any(|&k| {
+                            partition.domain(NodeId::new(k)) == partition.domain(NodeId::new(i))
+                                && row[usize::from(k)].is_some()
+                        });
+                        proptest::prop_assert_eq!(c.probing & 1 << pos != 0, probes);
+                    }
+                    for pos in shard.len()..NodeId::MAX_NODES {
+                        proptest::prop_assert_eq!(c.events[pos], None);
+                        proptest::prop_assert_eq!(c.probing & 1 << pos, 0);
+                    }
+                }
+            }
+        }
     }
 
     /// Two two-node domains behind 2-entry buffers, as one shard, and the

@@ -123,6 +123,7 @@ impl ProtocolTable {
     /// # Panics
     ///
     /// Panics if `state` is outside this table's state count.
+    #[inline]
     pub fn lookup(&self, event: AccessEvent, state: StateId, remote: RemoteSummary) -> Transition {
         assert!(
             state.index() < self.state_names.len(),
@@ -154,6 +155,7 @@ impl ProtocolTable {
     /// # Panics
     ///
     /// Panics if `state` is outside this table's state count.
+    #[inline]
     pub fn summarize_state(&self, state: StateId) -> RemoteSummary {
         assert!(
             state.index() < self.state_names.len(),
