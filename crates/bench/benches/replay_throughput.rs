@@ -2,10 +2,11 @@
 //! baseline, over the committed verification corpus.
 //!
 //! Both contenders start from the same encoded trace bytes. The baseline
-//! decodes the whole trace into a `Vec<TraceRecord>` first and then
-//! replays it; the streaming path decodes fixed-size chunks straight
-//! into the session pipeline (`EmulationSession::replay_stream`), never
-//! materializing the trace. Streaming buys O(chunk) peak memory — this
+//! decodes the whole trace into a `Vec<Transaction>` first and then runs
+//! it through the session as an in-memory stream
+//! (`EmulationSession::execute` over a `StreamSource`); the streaming
+//! path decodes fixed-size chunks straight into the session pipeline
+//! (`EmulationSession::replay_stream`), never materializing the trace. Streaming buys O(chunk) peak memory — this
 //! bench checks it does not pay for that in time: the run aborts if the
 //! streaming replay is more than 15% slower than the buffered baseline
 //! (the CI smoke gate).
@@ -16,7 +17,8 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use memories::{BoardConfig, CacheParams};
-use memories_console::EmulationSession;
+use memories_bus::Transaction;
+use memories_console::{EmulationSession, ExecutionOptions, StreamSource};
 use memories_trace::{TraceReader, TraceRecord, TraceWriter};
 
 /// Records the bench replays per measurement.
@@ -35,7 +37,7 @@ fn params(capacity: u64) -> CacheParams {
         .expect("valid bench parameters")
 }
 
-/// The 4-config sweep board (same shape as the board_parallel bench).
+/// The 4-config sweep board.
 fn sweep_board() -> BoardConfig {
     BoardConfig::parallel_configs(
         vec![
@@ -96,17 +98,21 @@ fn corpus_trace_bytes() -> Vec<u8> {
     out
 }
 
-/// Baseline: decode the whole trace into a Vec, then replay it.
+/// Baseline: decode the whole trace into a Vec, then run it as an
+/// in-memory stream.
 fn replay_buffered(bytes: &[u8]) -> u64 {
     let reader = TraceReader::new(bytes).expect("valid trace header");
-    let records: Vec<TraceRecord> = reader.map(|r| r.expect("valid record")).collect();
+    let txns: Vec<Transaction> = (0u64..)
+        .zip(reader)
+        .map(|(n, r)| {
+            r.expect("valid record")
+                .to_transaction(n, n * CYCLE_SPACING)
+        })
+        .collect();
     session()
-        .replay(
-            records.into_iter().map(Ok::<_, memories::Error>),
-            CYCLE_SPACING,
-        )
+        .execute(StreamSource::new(txns), ExecutionOptions::new())
         .expect("replay succeeds")
-        .records
+        .units
 }
 
 /// Contender: decode chunk by chunk straight into the pipeline.

@@ -71,7 +71,6 @@ pub fn run(scale: Scale) -> Fig10 {
         .host(scaled_host(256 << 10, 4))
         .board(board)
         .parallelism(2)
-        .batch(512)
         .build()
         .unwrap();
     let mut workload = OltpWorkload::new(workload_config);

@@ -216,6 +216,27 @@ pub struct PooledBlock {
     pool: Arc<PoolInner>,
 }
 
+impl PooledBlock {
+    /// Splits the block at `at`: `self` keeps `[..at]` and the returned
+    /// block, taken from the same pool, holds `[at..]`. This is how a
+    /// stream position cuts a block without re-packing the part before
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > len`.
+    #[must_use]
+    pub fn split_off(&mut self, at: usize) -> PooledBlock {
+        let pool = BlockPool {
+            inner: Arc::clone(&self.pool),
+        };
+        let mut tail = pool.take();
+        tail.block.txns.extend_from_slice(&self.block.txns[at..]);
+        self.block.txns.truncate(at);
+        tail
+    }
+}
+
 impl Deref for PooledBlock {
     type Target = TransactionBlock;
 
@@ -344,6 +365,35 @@ mod tests {
         let recycled = pool.take();
         assert_eq!(pool.stats(), PoolStats { hits: 1, fresh: 1 });
         assert!(recycled.is_empty());
+    }
+
+    #[test]
+    fn split_off_keeps_the_head_and_returns_the_tail_from_the_pool() {
+        let pool = BlockPool::new(8);
+        let mut head = pool.take();
+        for i in 0..6 {
+            head.push(txn(i));
+        }
+        let tail = head.split_off(4);
+        assert_eq!(head.as_slice(), &[txn(0), txn(1), txn(2), txn(3)]);
+        assert_eq!(tail.as_slice(), &[txn(4), txn(5)]);
+        assert_eq!((head.capacity(), tail.capacity()), (8, 8));
+        assert_eq!(pool.stats(), PoolStats { hits: 0, fresh: 2 });
+
+        // Both halves go back to the pool they came from.
+        drop(head);
+        drop(tail);
+        let mut block = pool.take();
+        let _other = pool.take();
+        assert_eq!(pool.stats(), PoolStats { hits: 2, fresh: 2 });
+
+        // Either end is a valid cut.
+        block.push(txn(0));
+        block.push(txn(1));
+        assert!(block.split_off(2).is_empty());
+        let all = block.split_off(0);
+        assert!(block.is_empty());
+        assert_eq!(all.as_slice(), &[txn(0), txn(1)]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`EmulationSession`] — the unified front door: one builder programs
 //!   the board (parameters, protocol map files, coherence domains) and
 //!   the host, then `.run(...)` drives a live workload — serially or
-//!   across parallel snoop shards — and `.replay(...)` /
-//!   `.replay_stream(...)` re-run a captured trace. Errors unify under
+//!   across parallel snoop shards — and `.replay_stream(...)` re-runs a
+//!   captured trace straight off its encoded bytes. Errors unify under
 //!   [`memories::Error`].
 //! * [`pipeline`] — the machinery underneath: every run mode is a
 //!   [`TransactionSource`] (the pipelined live source, streaming trace
@@ -58,8 +58,8 @@ mod session;
 mod shared;
 
 pub use pipeline::{
-    apply_event, ChunkedTraceSource, ExecutionOptions, Pipeline, PipelineError, PipelineRun,
-    PipelinedLiveSource, ProducerStats, SourceStats, StreamSource, TraceSource, TransactionSource,
+    apply_event, ChunkedTraceSource, ExecutionOptions, Pipeline, PipelineRun, PipelinedLiveSource,
+    ProducerStats, SourceStats, StreamSource, TransactionSource,
 };
 pub use result::{ExperimentResult, ProfilePoint};
 pub use session::{

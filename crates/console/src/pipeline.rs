@@ -16,11 +16,13 @@
 //! ```
 //!
 //! The block is the only thing that moves: [`Pipeline::feed_pooled`] is
-//! the one entry point. The sampler splits a block at its sample
-//! positions; the windowed profiler needs no per-unit delivery, because a
-//! source cuts its block at each profile-window boundary
-//! ([`Pipeline::profile_window`]) and closes the window with one
-//! [`Pipeline::close_window`] call carrying `(units, cycle)`.
+//! the one entry point, and it hands blocks on to the engine's one entry
+//! point, [`EmulationEngine::feed_pooled`]. The sampler cuts a block at
+//! its sample positions with [`PooledBlock::split_off`]; the windowed
+//! profiler needs no per-unit delivery, because a source cuts its block
+//! at each profile-window boundary ([`Pipeline::profile_window`]) and
+//! closes the window with one [`Pipeline::close_window`] call carrying
+//! `(units, cycle)`.
 //!
 //! Both stages observe exclusively through [`EmulationEngine::barrier`]
 //! — an exact counter snapshot of the stream position so far. Because a
@@ -29,14 +31,14 @@
 //! sampled, profiled) produces bit-identical boards at any shard count;
 //! the differential suite enforces this.
 //!
-//! Sources are single-shot: [`TransactionSource::drive`] consumes the
-//! stream and hands the pipeline back together with whatever statistics
-//! the source itself collected (host machine counters for live runs).
-//! [`ChunkedTraceSource`] streams records straight off a reader in
-//! fixed-size blocks, so replaying a multi-gigabyte trace holds peak
-//! memory to O(chunk) — never a whole-trace `Vec`.
+//! A source is consumed when driven: [`TransactionSource::drive`] takes
+//! it by value, streams it through, and hands the pipeline back together
+//! with whatever statistics the source itself collected (host machine
+//! counters for live runs). [`ChunkedTraceSource`] streams records
+//! straight off a reader in fixed-size blocks, so replaying a
+//! multi-gigabyte trace holds peak memory to O(chunk) — never a
+//! whole-trace `Vec`.
 
-use std::error::Error as StdError;
 use std::fmt;
 use std::io::Read;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -48,50 +50,20 @@ use memories_bus::{
 use memories_host::{AccessKind, HostConfig, HostMachine, MachineStats};
 use memories_obs::{EngineTelemetry, TimeSeries};
 use memories_sim::EmulationEngine;
-use memories_trace::{TraceReader, TraceRecord};
+use memories_trace::TraceReader;
 use memories_workloads::{RefKind, Workload, WorkloadEvent};
 
 use crate::result::ProfilePoint;
 use crate::shared::Shared;
 
-/// Pipeline misuse, distinct from board/trace errors (which keep their
-/// own [`memories::Error`] variants).
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PipelineError {
-    /// A single-shot source was driven a second time.
-    SourceExhausted,
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::SourceExhausted => {
-                write!(
-                    f,
-                    "this transaction source was already driven; sources are single-shot"
-                )
-            }
-        }
-    }
-}
-
-impl StdError for PipelineError {}
-
-impl From<PipelineError> for Error {
-    fn from(e: PipelineError) -> Self {
-        Error::other(e)
-    }
-}
-
 /// What a pipeline should observe while the stream flows.
 ///
 /// The default observes nothing: blocks flow straight to the engine,
 /// which is exactly [`EmulationSession::run`] /
-/// [`EmulationSession::replay`].
+/// [`EmulationSession::replay_stream`].
 ///
 /// [`EmulationSession::run`]: crate::EmulationSession::run
-/// [`EmulationSession::replay`]: crate::EmulationSession::replay
+/// [`EmulationSession::replay_stream`]: crate::EmulationSession::replay_stream
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecutionOptions {
     /// Take a windowed miss-ratio [`ProfilePoint`] every this many
@@ -278,30 +250,35 @@ impl Pipeline {
     /// Feeds one pooled block of transactions, in stream order — the
     /// pipeline's one entry point.
     ///
-    /// Without a sampling stage the buffer itself goes to the engine (the
-    /// zero-copy broadcast). With one, the block is fed in sub-slices
-    /// sized to the next sample position: admitted count grows by at most
-    /// one per transaction, so every sample lands at exactly the position
-    /// a block of one transaction at a time would have picked.
-    pub fn feed_pooled(&mut self, block: PooledBlock) {
-        if self.sampler.is_none() {
-            self.engine.feed_pooled(block);
-            return;
-        }
-        let mut rest = block.as_slice();
-        while !rest.is_empty() {
-            let Some(next_at) = self.sampler.as_ref().map(|s| s.next_at) else {
-                self.engine.feed_block(rest);
-                return;
-            };
+    /// The block itself goes to the engine. With a sampling stage, a
+    /// block that reaches past the next sample position is first cut
+    /// there with [`PooledBlock::split_off`]: the admitted count grows by
+    /// at most one per transaction, so after the head is fed the sample
+    /// is either due, or the filter dropped part of the head and the
+    /// tail is cut again. Every sample lands at exactly the position a
+    /// block of one transaction at a time would have picked.
+    pub fn feed_pooled(&mut self, mut block: PooledBlock) {
+        loop {
             // A sample re-arms past the admitted count, so `next_at` is
-            // always ahead here.
-            let need = usize::try_from(next_at - self.engine.admitted()).unwrap_or(usize::MAX);
-            let (now, later) = rest.split_at(need.min(rest.len()));
-            self.engine.feed_block(now);
-            rest = later;
-            if self.engine.admitted() >= next_at {
+            // always ahead here and a cut is never empty.
+            let admitted = self.engine.admitted();
+            let tail = self
+                .sampler
+                .as_ref()
+                .map(|s| usize::try_from(s.next_at - admitted).unwrap_or(usize::MAX))
+                .filter(|&need| need < block.len())
+                .map(|need| block.split_off(need));
+            self.engine.feed_pooled(block);
+            if self
+                .sampler
+                .as_ref()
+                .is_some_and(|s| self.engine.admitted() >= s.next_at)
+            {
                 self.take_sample();
+            }
+            match tail {
+                Some(rest) => block = rest,
+                None => return,
             }
         }
     }
@@ -395,16 +372,16 @@ impl Pipeline {
 /// [`Pipeline::feed_pooled`] and cutting a block at every
 /// [`Pipeline::profile_window`] boundary to
 /// [`close`](Pipeline::close_window) the window, then returns the
-/// pipeline together with the source's own statistics. Sources are
-/// single-shot.
+/// pipeline together with the source's own statistics. Driving consumes
+/// the source.
 pub trait TransactionSource {
     /// Drives the entire stream through `pipeline`.
     ///
     /// # Errors
     ///
-    /// Source-specific: host construction failures, trace decoding
-    /// errors, or [`PipelineError::SourceExhausted`] on reuse.
-    fn drive(&mut self, pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error>;
+    /// Source-specific: host construction failures or trace decoding
+    /// errors.
+    fn drive(self, pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error>;
 }
 
 /// Transactions per pooled block for the sources that pack their own
@@ -414,16 +391,12 @@ const BLOCK_CAPACITY: usize = 4096;
 /// Packs a stream in which every transaction is one source unit into
 /// pooled blocks, cutting a block at every profile-window boundary and
 /// closing the window at that transaction's cycle. Returns the units fed.
-fn pack_units<E>(
-    pipeline: &mut Pipeline,
-    txns: impl Iterator<Item = Result<Transaction, E>>,
-) -> Result<u64, E> {
+fn pack_units(pipeline: &mut Pipeline, txns: impl Iterator<Item = Transaction>) -> u64 {
     let pool = BlockPool::new(BLOCK_CAPACITY);
     let window = pipeline.profile_window();
     let mut block = pool.take();
     let mut units = 0u64;
     for txn in txns {
-        let txn = txn?;
         block.push(txn);
         units += 1;
         let closes = window.is_some_and(|w| units.is_multiple_of(w));
@@ -435,7 +408,7 @@ fn pack_units<E>(
         }
     }
     pipeline.feed_pooled(block);
-    Ok(units)
+    units
 }
 
 /// Executes one workload event on the host machine: a reference, an
@@ -575,13 +548,15 @@ impl fmt::Debug for PipelinedLiveSource<'_> {
 }
 
 impl TransactionSource for PipelinedLiveSource<'_> {
-    fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let host = self.host.clone();
-        let refs = self.refs;
+    fn drive(self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
+        let PipelinedLiveSource {
+            host,
+            workload,
+            refs,
+        } = self;
         let window = pipeline.profile_window();
         let pool = BlockPool::new(Self::DEFAULT_BLOCK_CAPACITY);
         let (tx, rx) = sync_channel::<Shipment>(Self::DEFAULT_QUEUE_DEPTH);
-        let workload = &mut *self.workload;
 
         let produced = std::thread::scope(|scope| {
             // Own the receiver inside the scope: if the consumer loop
@@ -648,65 +623,21 @@ impl TransactionSource for PipelinedLiveSource<'_> {
     }
 }
 
-/// An offline trace source over any record iterator, re-timed at
-/// `cycle_spacing` bus cycles per record (60 ≈ the paper's 20%
-/// utilization point) and packed into pooled blocks. One source unit =
-/// one record.
-#[derive(Debug)]
-pub struct TraceSource<I> {
-    records: Option<I>,
-    cycle_spacing: u64,
-}
-
-impl<I> TraceSource<I> {
-    /// A source replaying `records` at `cycle_spacing` cycles apart.
-    pub fn new(records: I, cycle_spacing: u64) -> Self {
-        TraceSource {
-            records: Some(records),
-            cycle_spacing,
-        }
-    }
-}
-
-impl<I, E> TransactionSource for TraceSource<I>
-where
-    I: IntoIterator<Item = Result<TraceRecord, E>>,
-    E: Into<Error>,
-{
-    fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let records = self.records.take().ok_or(PipelineError::SourceExhausted)?;
-        let spacing = self.cycle_spacing;
-        let txns = (0u64..).zip(records).map(|(n, rec)| {
-            rec.map(|r| r.to_transaction(n, n * spacing))
-                .map_err(Into::into)
-        });
-        let units = pack_units(&mut pipeline, txns)?;
-        Ok((
-            pipeline,
-            SourceStats {
-                units,
-                ..SourceStats::default()
-            },
-        ))
-    }
-}
-
 /// A *streaming* trace source: decodes records straight off a byte
-/// reader into pooled blocks via [`TraceReader::read_block_up_to`], so
-/// the whole-trace `Vec<TraceRecord>` never exists. Peak memory is
-/// O(chunk) no matter how long the trace is — the software face of the
-/// board's billion-reference trace memory (§2.3).
+/// reader into pooled blocks of 4096 records via
+/// [`TraceReader::read_block_up_to`], so the whole-trace
+/// `Vec<TraceRecord>` never exists. Peak memory is O(chunk) no matter how
+/// long the trace is — the software face of the board's
+/// billion-reference trace memory (§2.3). Record `n` is re-timed to bus
+/// cycle `n * cycle_spacing` (60 ≈ the paper's 20% utilization point);
+/// one source unit = one record.
 #[derive(Debug)]
 pub struct ChunkedTraceSource<R: Read> {
-    reader: Option<TraceReader<R>>,
+    reader: TraceReader<R>,
     cycle_spacing: u64,
-    chunk: usize,
 }
 
 impl<R: Read> ChunkedTraceSource<R> {
-    /// Records decoded per chunk by default.
-    pub const DEFAULT_CHUNK: usize = BLOCK_CAPACITY;
-
     /// Opens `reader` as a trace (validating the header) and prepares to
     /// stream it at `cycle_spacing` cycles per record.
     ///
@@ -716,25 +647,16 @@ impl<R: Read> ChunkedTraceSource<R> {
     /// version, short file).
     pub fn new(reader: R, cycle_spacing: u64) -> Result<Self, Error> {
         Ok(ChunkedTraceSource {
-            reader: Some(TraceReader::new(reader)?),
+            reader: TraceReader::new(reader)?,
             cycle_spacing,
-            chunk: Self::DEFAULT_CHUNK,
         })
-    }
-
-    /// Overrides the chunk size (records per read; 0 is treated as 1).
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
     }
 }
 
 impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
-    fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let mut reader = self.reader.take().ok_or(PipelineError::SourceExhausted)?;
+    fn drive(mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
         let window = pipeline.profile_window();
-        let pool = BlockPool::new(self.chunk);
+        let pool = BlockPool::new(BLOCK_CAPACITY);
         let mut n = 0u64;
         loop {
             // A block never crosses a profile-window boundary.
@@ -742,7 +664,9 @@ impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
                 usize::try_from(w - n % w).unwrap_or(usize::MAX)
             });
             let mut block = pool.take();
-            let got = reader.read_block_up_to(&mut block, n, self.cycle_spacing, room)?;
+            let got = self
+                .reader
+                .read_block_up_to(&mut block, n, self.cycle_spacing, room)?;
             if got == 0 {
                 break;
             }
@@ -769,20 +693,19 @@ impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
 /// transaction's own cycle.
 #[derive(Debug)]
 pub struct StreamSource<I> {
-    txns: Option<I>,
+    txns: I,
 }
 
 impl<I> StreamSource<I> {
     /// A source feeding `txns` verbatim.
     pub fn new(txns: I) -> Self {
-        StreamSource { txns: Some(txns) }
+        StreamSource { txns }
     }
 }
 
 impl<I: IntoIterator<Item = Transaction>> TransactionSource for StreamSource<I> {
-    fn drive(&mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let txns = self.txns.take().ok_or(PipelineError::SourceExhausted)?;
-        let units = pack_units(&mut pipeline, txns.into_iter().map(Ok::<_, Error>))?;
+    fn drive(self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
+        let units = pack_units(&mut pipeline, self.txns.into_iter());
         Ok((
             pipeline,
             SourceStats {
@@ -799,7 +722,7 @@ mod tests {
     use memories::{BoardConfig, CacheParams};
     use memories_bus::{Address, BusOp, ProcId, SnoopResponse};
     use memories_sim::EngineConfig;
-    use memories_trace::TraceWriter;
+    use memories_trace::{TraceRecord, TraceWriter};
 
     fn board() -> MemoriesBoard {
         let params = CacheParams::builder()
@@ -834,7 +757,7 @@ mod tests {
         let cfg = if shards <= 1 {
             EngineConfig::serial()
         } else {
-            EngineConfig::parallel(shards).with_batch(128)
+            EngineConfig::parallel(shards)
         };
         EmulationEngine::new(board(), cfg)
     }
@@ -855,7 +778,7 @@ mod tests {
             .sample_every(Some(700));
         let mut runs = Vec::new();
         for shards in [1, 2] {
-            let mut source = StreamSource::new((0..3_000).map(txn));
+            let source = StreamSource::new((0..3_000).map(txn));
             let pipeline = Pipeline::new(engine(shards), &options);
             let (pipeline, stats) = source.drive(pipeline).unwrap();
             let run = pipeline.finish(stats).unwrap();
@@ -879,7 +802,7 @@ mod tests {
     }
 
     /// Chunked streaming replay is record-for-record identical to the
-    /// buffered iterator source.
+    /// same records fed as an in-memory transaction stream.
     #[test]
     fn chunked_source_matches_buffered_source() {
         let records: Vec<TraceRecord> = (0..1_500)
@@ -892,16 +815,18 @@ mod tests {
         }
         w.finish().unwrap();
 
-        // Windows of 100 records are no multiple of the 64-record chunk,
-        // so the chunked source must cut its blocks at each boundary.
+        // Windows of 100 records cut inside the 4096-record chunk, so the
+        // chunked source must cut its blocks at each boundary.
         let options = ExecutionOptions::new().window_refs(100);
-        let mut buffered = TraceSource::new(records.into_iter().map(Ok::<_, Error>), 60);
+        let buffered = StreamSource::new(
+            (0u64..)
+                .zip(records)
+                .map(|(n, r)| r.to_transaction(n, n * 60)),
+        );
         let (p, stats) = buffered.drive(Pipeline::new(engine(1), &options)).unwrap();
         let want = p.finish(stats).unwrap();
 
-        let mut streamed = ChunkedTraceSource::new(bytes.as_slice(), 60)
-            .unwrap()
-            .with_chunk(64);
+        let streamed = ChunkedTraceSource::new(bytes.as_slice(), 60).unwrap();
         let (p, stats) = streamed.drive(Pipeline::new(engine(2), &options)).unwrap();
         let got = p.finish(stats).unwrap();
 
@@ -914,11 +839,5 @@ mod tests {
         assert_eq!(want.profile.len(), 15);
         assert_eq!(want.profile[0].bus_cycle, 99 * 60);
         assert_eq!(want.profile, got.profile);
-
-        // Single-shot: a second drive reports exhaustion, not silence.
-        let err = streamed
-            .drive(Pipeline::new(engine(1), &ExecutionOptions::new()))
-            .unwrap_err();
-        assert!(err.to_string().contains("single-shot"), "{err}");
     }
 }

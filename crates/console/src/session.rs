@@ -28,9 +28,8 @@
 //!
 //! Every public entry point — [`run`](EmulationSession::run),
 //! [`run_profiled`](EmulationSession::run_profiled),
-//! [`run_monitored_pipelined`](EmulationSession::run_monitored_pipelined),
-//! [`replay`](EmulationSession::replay) and
-//! [`replay_stream`](EmulationSession::replay_stream) — is a thin
+//! [`run_monitored_pipelined`](EmulationSession::run_monitored_pipelined)
+//! and [`replay_stream`](EmulationSession::replay_stream) — is a thin
 //! composition over [`execute`](EmulationSession::execute): pick a
 //! [`TransactionSource`], pick the observation stages, drive the
 //! pipeline. Live runs all use the one [`PipelinedLiveSource`]; custom
@@ -53,12 +52,11 @@ use memories_host::{HostConfig, HostMachine};
 use memories_obs::{EngineTelemetry, TimeSeries};
 use memories_protocol::ProtocolTable;
 use memories_sim::{EmulationEngine, EngineConfig};
-use memories_trace::TraceRecord;
 use memories_verify::{verify_board, FuzzConfig, VerifyReport};
 use memories_workloads::Workload;
 
 use crate::pipeline::{
-    ChunkedTraceSource, ExecutionOptions, Pipeline, PipelineRun, PipelinedLiveSource, TraceSource,
+    ChunkedTraceSource, ExecutionOptions, Pipeline, PipelineRun, PipelinedLiveSource,
     TransactionSource,
 };
 use crate::result::ExperimentResult;
@@ -113,7 +111,6 @@ pub struct EmulationSessionBuilder {
     board: Option<BoardConfig>,
     slots: Vec<NodeSlot>,
     parallelism: usize,
-    batch: Option<usize>,
     sample_every: Option<u64>,
     misuse: Option<SessionError>,
     parse_error: Option<memories_protocol::ProtocolParseError>,
@@ -207,13 +204,6 @@ impl EmulationSessionBuilder {
         self
     }
 
-    /// Admitted transactions per broadcast batch in parallel mode.
-    #[must_use]
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = Some(batch);
-        self
-    }
-
     /// Enables live counter sampling for monitored runs: every `period`
     /// admitted transactions the pipeline snapshots the board's counters
     /// into the time series that
@@ -266,13 +256,12 @@ impl EmulationSessionBuilder {
             host: self.host,
             board,
             parallelism: self.parallelism.max(1),
-            batch: self.batch.unwrap_or(EngineConfig::DEFAULT_BATCH),
             sample_every: self.sample_every,
         })
     }
 }
 
-/// The outcome of [`EmulationSession::replay`].
+/// The outcome of [`EmulationSession::replay_stream`].
 #[derive(Debug)]
 pub struct ReplayResult {
     /// The board after replaying the whole trace.
@@ -311,7 +300,6 @@ pub struct EmulationSession {
     host: Option<HostConfig>,
     board: BoardConfig,
     parallelism: usize,
-    batch: usize,
     sample_every: Option<u64>,
 }
 
@@ -369,7 +357,7 @@ impl EmulationSession {
         if self.parallelism <= 1 {
             EngineConfig::serial()
         } else {
-            EngineConfig::parallel(self.parallelism).with_batch(self.batch)
+            EngineConfig::parallel(self.parallelism)
         }
     }
 
@@ -383,7 +371,7 @@ impl EmulationSession {
     /// and any pipeline barrier/teardown failure.
     pub fn execute<S: TransactionSource>(
         &self,
-        mut source: S,
+        source: S,
         options: ExecutionOptions,
     ) -> Result<PipelineRun, Error> {
         let engine = EmulationEngine::new(
@@ -451,8 +439,8 @@ impl EmulationSession {
     ///
     /// With sampling disabled the pipeline takes no barriers, so the
     /// final counters are bit-identical to [`EmulationSession::run`];
-    /// with sampling enabled they still are, because barrier-induced
-    /// batch boundaries don't change results (see [`EmulationEngine`]).
+    /// with sampling enabled they still are, because the block cuts at
+    /// sample positions don't change results (see [`EmulationEngine`]).
     ///
     /// # Errors
     ///
@@ -476,35 +464,14 @@ impl EmulationSession {
         })
     }
 
-    /// Replays captured trace records through a fresh board offline — the
-    /// paper's repeatable off-line analysis path (§1) — re-timed at
-    /// `cycle_spacing` bus cycles per record (60 ≈ the paper's 20%
-    /// utilization point). Uses the configured parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Propagates trace decoding errors (anything convertible into
-    /// [`memories::Error`]).
-    pub fn replay<I, E>(&self, records: I, cycle_spacing: u64) -> Result<ReplayResult, Error>
-    where
-        I: IntoIterator<Item = Result<TraceRecord, E>>,
-        E: Into<Error>,
-    {
-        let run = self.execute(
-            TraceSource::new(records, cycle_spacing),
-            ExecutionOptions::new(),
-        )?;
-        Ok(ReplayResult {
-            board: run.board,
-            records: run.units,
-        })
-    }
-
-    /// Replays a trace *stream* — any [`Read`] positioned at a trace
-    /// file header — decoding records in fixed-size chunks, so peak
-    /// memory stays O(chunk) no matter how long the trace is. This is
-    /// the path for traces that don't fit in memory (the board can
-    /// capture a billion references — §2.3).
+    /// Replays a captured trace through a fresh board offline — the
+    /// paper's repeatable off-line analysis path (§1). Takes the trace as
+    /// a *stream*: any [`Read`] positioned at a trace file header,
+    /// decoded in fixed-size chunks, so peak memory stays O(chunk) no
+    /// matter how long the trace is (the board can capture a billion
+    /// references — §2.3). Records are re-timed at `cycle_spacing` bus
+    /// cycles apart (60 ≈ the paper's 20% utilization point). Uses the
+    /// configured parallelism.
     ///
     /// # Errors
     ///
@@ -703,7 +670,6 @@ mod tests {
                 .host(host(2))
                 .board(board.clone())
                 .parallelism(parallelism)
-                .batch(256)
                 .build()
                 .unwrap();
             let mut w = UniformRandom::new(2, 16 << 20, 0.3, 7);
@@ -762,7 +728,6 @@ mod tests {
                 .host(host(2))
                 .board(board.clone())
                 .parallelism(parallelism)
-                .batch(256)
                 .build()
                 .unwrap();
             let mut w = UniformRandom::new(2, 16 << 20, 0.3, 9);
@@ -793,8 +758,7 @@ mod tests {
                 let mut b = EmulationSession::builder()
                     .host(host(2))
                     .board(board.clone())
-                    .parallelism(parallelism)
-                    .batch(256);
+                    .parallelism(parallelism);
                 if let Some(n) = sample {
                     b = b.sample_every(n);
                 }
@@ -835,6 +799,7 @@ mod tests {
     #[test]
     fn replay_matches_a_live_run() {
         use memories::TraceCapture;
+        use memories_trace::TraceWriter;
 
         let cfg = BoardConfig::single_node(params(1 << 20), (0..2).map(ProcId::new)).unwrap();
         let board = Shared::new(MemoriesBoard::new(cfg.clone()).unwrap());
@@ -856,22 +821,21 @@ mod tests {
         }
         drop(machine.detach_listeners());
 
-        let records = capture.with(|c| c.records().to_vec());
+        let mut bytes = Vec::new();
+        let mut writer = TraceWriter::new(&mut bytes).unwrap();
+        capture.with(|c| {
+            for r in c.records() {
+                writer.write_record(r).unwrap();
+            }
+        });
+        writer.finish().unwrap();
         for parallelism in [1, 2] {
             let session = EmulationSession::builder()
                 .board(cfg.clone())
                 .parallelism(parallelism)
                 .build()
                 .unwrap();
-            let result = session
-                .replay(
-                    records
-                        .iter()
-                        .cloned()
-                        .map(Ok::<_, std::convert::Infallible>),
-                    60,
-                )
-                .unwrap();
+            let result = session.replay_stream(bytes.as_slice(), 60).unwrap();
             assert!(result.records > 0);
             board.with(|live| {
                 assert_eq!(
@@ -884,17 +848,17 @@ mod tests {
     }
 
     /// `replay_stream` decodes off the reader in chunks and lands on the
-    /// same board as the buffered `replay`; damaged streams error out
-    /// cleanly and leave the session reusable.
+    /// same board as the decoded records fed as an in-memory stream;
+    /// damaged streams error out cleanly and leave the session reusable.
     #[test]
     fn replay_stream_matches_replay_and_survives_damage() {
-        use memories_trace::{TraceError, TraceWriter};
+        use crate::pipeline::StreamSource;
+        use memories_trace::{TraceError, TraceRecord, TraceWriter};
 
         let cfg = BoardConfig::single_node(params(64 << 10), (0..2).map(ProcId::new)).unwrap();
         let session = EmulationSession::builder()
             .board(cfg)
             .parallelism(2)
-            .batch(128)
             .build()
             .unwrap();
 
@@ -917,8 +881,11 @@ mod tests {
         }
         w.finish().unwrap();
 
+        let txns = (0u64..)
+            .zip(&records)
+            .map(|(n, r)| r.to_transaction(n, n * 60));
         let buffered = session
-            .replay(records.into_iter().map(Ok::<_, Error>), 60)
+            .execute(StreamSource::new(txns), ExecutionOptions::new())
             .unwrap();
         let streamed = session.replay_stream(bytes.as_slice(), 60).unwrap();
         assert_eq!(streamed.records, 4_000);

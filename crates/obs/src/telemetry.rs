@@ -46,10 +46,9 @@ pub struct EngineTelemetry {
     pub seen: u64,
     /// Transactions the filter admitted (what workers actually snoop).
     pub admitted: u64,
-    /// Full or partial batches broadcast to the workers.
+    /// Batches broadcast to the workers: one per fed block that kept at
+    /// least one admitted transaction.
     pub batches: u64,
-    /// Configured transactions per batch.
-    pub batch_capacity: usize,
     /// Batch-queue slots per worker (the channel bound).
     pub queue_capacity: usize,
     /// Times the stream's producer stage found its downstream queue full
@@ -60,10 +59,12 @@ pub struct EngineTelemetry {
     /// side's worker-queue stalls are then reported separately as
     /// [`consumer_stalls`](Self::consumer_stalls)).
     pub producer_stalls: u64,
-    /// Batches served by recycling a pooled block (no allocation).
+    /// A live run's producer blocks served by recycling a pooled block
+    /// (no allocation); 0 for trace and stream sources.
     pub pool_hits: u64,
-    /// Batches that needed a fresh block allocation (pool free list was
-    /// empty — bounded by the blocks simultaneously in flight).
+    /// A live run's producer blocks that needed a fresh allocation (the
+    /// pool's free list was empty — bounded by the blocks simultaneously
+    /// in flight); 0 for trace and stream sources.
     pub pool_allocs: u64,
     /// Blocks shipped by a live run's producer stage (0 for trace and
     /// stream sources).
@@ -117,11 +118,10 @@ impl fmt::Display for EngineTelemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "engine: {} seen, {} admitted, {} batches of {} ({} pooled / {} fresh), {} stalls, {} snapshots, {:.3}s wall",
+            "engine: {} seen, {} admitted, {} batches ({} pooled / {} fresh), {} stalls, {} snapshots, {:.3}s wall",
             self.seen,
             self.admitted,
             self.batches,
-            self.batch_capacity,
             self.pool_hits,
             self.pool_allocs,
             self.producer_stalls,

@@ -6,33 +6,37 @@
 //! exactly once through the board's [`BoardFrontEnd`], which holds the
 //! address filter, the global counters and every node's transaction
 //! buffer, so it alone decides which nodes drop an event and counts the
-//! retries. The producer packs the admitted transactions into fixed-size
-//! batches, each with its sparse list of drops (empty in healthy runs),
-//! and broadcasts each batch to worker threads that each own one
-//! [`NodeShard`] (a whole-domain group of node controllers — see
+//! retries. The engine takes the stream as pooled blocks, the one ingest
+//! unit of the data path: the front end filters each block in place, and
+//! the admitted remainder, with its sparse list of drops (empty in
+//! healthy runs), *is* the batch broadcast to worker threads that each
+//! own one [`NodeShard`] (a whole-domain group of node controllers — see
 //! `memories::NodeShard` for why that makes per-shard snooping exact).
-//! At [`finish`] the shards are reassembled into a [`MemoriesBoard`]
+//! Nothing re-batches the stream between the filter and the shards, as
+//! on the board, where the filter hands each admitted transaction
+//! straight to the node controllers' buffers. At [`finish`] the shards are reassembled into a [`MemoriesBoard`]
 //! whose every counter and directory entry is **bit-identical** to a
 //! serial run of the same stream.
 //!
 //! # Online monitoring
 //!
 //! The board's console reads counters *while the workload runs*; the
-//! engine recovers that with **snapshot barriers**. [`barrier`] flushes
-//! the partial batch and sends every worker a snapshot request over the
-//! same queue as the batches. Because each worker processes its queue in
-//! order, its reply — a copy of its node counters — reflects exactly the
-//! admitted stream so far, and the engine assembles the replies with the
-//! front end's own counters and retry count into a [`BoardSnapshot`]
-//! that is bit-identical to what a serial board would show at the same
-//! stream position.
+//! engine recovers that with **snapshot barriers**. [`barrier`] sends
+//! every worker a snapshot request over the same queue as the batches;
+//! every admitted block is already queued, so there is nothing to flush.
+//! Because each worker processes its queue in order, its reply — a copy
+//! of its node counters — reflects exactly the admitted stream so far,
+//! and the engine assembles the replies with the front end's own
+//! counters and retry count into a [`BoardSnapshot`] that is
+//! bit-identical to what a serial board would show at the same stream
+//! position.
 //!
 //! The engine has no sampling schedule of its own: the console
 //! pipeline's sampler and windowed profiler decide *when* to call
-//! [`barrier`], and split their blocks so each barrier lands at an exact
-//! stream position. Barriers change where batches end (the partial batch
-//! is flushed), but results are batch-size-invariant, so an observed
-//! run's final board is still bit-identical to an unobserved one.
+//! [`barrier`], and cut their blocks so each barrier lands at an exact
+//! stream position. Cuts change where batches end, but results are
+//! block-size-invariant, so an observed run's final board is still
+//! bit-identical to an unobserved one.
 //!
 //! The engine consumes an already-recorded transaction stream (replay,
 //! synthetic generators, capture files). It does not feed retries back
@@ -50,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use memories::{BoardFrontEnd, BoardSnapshot, Error, MemoriesBoard, NodeCounters, NodeShard};
-use memories_bus::{BlockPool, PooledBlock, Transaction};
+use memories_bus::PooledBlock;
 use memories_obs::{EngineTelemetry, ShardTelemetry};
 
 /// How the engine drives the node controllers.
@@ -68,25 +72,18 @@ pub enum EngineMode {
     },
 }
 
-/// Engine tuning knobs.
+/// How an engine is built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Serial or parallel operation.
     pub mode: EngineMode,
-    /// Admitted transactions per broadcast batch (parallel mode).
-    pub batch: usize,
 }
 
 impl EngineConfig {
-    /// Transactions per batch unless overridden: large enough to amortize
-    /// channel traffic, small enough to keep shards in cache.
-    pub const DEFAULT_BATCH: usize = 4096;
-
     /// A serial configuration.
     pub fn serial() -> Self {
         EngineConfig {
             mode: EngineMode::Serial,
-            batch: Self::DEFAULT_BATCH,
         }
     }
 
@@ -94,15 +91,7 @@ impl EngineConfig {
     pub fn parallel(shards: usize) -> Self {
         EngineConfig {
             mode: EngineMode::Parallel { shards },
-            batch: Self::DEFAULT_BATCH,
         }
-    }
-
-    /// Overrides the batch size (clamped to at least 1).
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 }
 
@@ -115,8 +104,8 @@ pub struct MonitorReport {
 
 /// One broadcast batch, shared by every worker.
 struct Batch {
-    /// Admitted transactions, on loan from the engine's [`BlockPool`]:
-    /// the last worker to drop the batch recycles the buffer.
+    /// The admitted part of a fed block, still on loan from the caller's
+    /// pool: the last worker to drop the batch recycles the buffer.
     txns: PooledBlock,
     /// The front end's drop list for `txns` (see
     /// [`NodeShard::snoop_block`]); empty, and unallocated, in healthy
@@ -151,12 +140,6 @@ enum Inner {
     },
     Parallel {
         front: BoardFrontEnd,
-        /// The batch currently filling, on loan from `pool`.
-        block: PooledBlock,
-        /// The drop list of `block`.
-        drops: Vec<(usize, u8)>,
-        /// Recycles broadcast batches: steady state runs allocation-free.
-        pool: BlockPool,
         node_count: usize,
         workers: Vec<Worker>,
     },
@@ -164,9 +147,9 @@ enum Inner {
 
 /// A running emulation over one transaction stream.
 ///
-/// Feed blocks of transactions in stream order with
-/// [`EmulationEngine::feed_block`] or [`EmulationEngine::feed_pooled`],
-/// observe the exact mid-stream state with
+/// Feed pooled blocks of transactions in stream order with
+/// [`EmulationEngine::feed_pooled`], observe the exact mid-stream state
+/// with
 /// [`EmulationEngine::barrier`], then call [`EmulationEngine::finish`]
 /// (or [`EmulationEngine::finish_monitored`] to also collect the
 /// telemetry) to get the final board back. The result is bit-identical
@@ -176,7 +159,7 @@ enum Inner {
 ///
 /// ```
 /// use memories::{BoardConfig, CacheParams, MemoriesBoard};
-/// use memories_bus::{Address, BusOp, ProcId, SnoopResponse, Transaction};
+/// use memories_bus::{Address, BlockPool, BusOp, ProcId, SnoopResponse, Transaction};
 /// use memories_sim::{EmulationEngine, EngineConfig};
 ///
 /// # fn main() -> Result<(), memories::Error> {
@@ -186,15 +169,20 @@ enum Inner {
 ///     vec![params, params], (0..8).map(ProcId::new).collect())?;
 /// let mut engine = EmulationEngine::new(
 ///     MemoriesBoard::new(config)?, EngineConfig::parallel(2));
-/// let stream: Vec<Transaction> = (0..1000u64)
-///     .map(|i| Transaction::new(
-///         i, i * 60, ProcId::new((i % 8) as u8), BusOp::Read,
-///         Address::new((i % 64) * 128), SnoopResponse::Null))
-///     .collect();
-/// engine.feed_block(&stream[..250]);
-/// let live = engine.barrier()?; // exact counters after 250 transactions
-/// assert_eq!(live.global.transactions(), 250);
-/// engine.feed_block(&stream[250..]);
+/// let pool = BlockPool::new(250);
+/// for chunk in 0..4u64 {
+///     let mut block = pool.take();
+///     for i in chunk * 250..(chunk + 1) * 250 {
+///         block.push(Transaction::new(
+///             i, i * 60, ProcId::new((i % 8) as u8), BusOp::Read,
+///             Address::new((i % 64) * 128), SnoopResponse::Null));
+///     }
+///     engine.feed_pooled(block);
+///     if chunk == 0 {
+///         let live = engine.barrier()?; // exact counters after 250 transactions
+///         assert_eq!(live.global.transactions(), 250);
+///     }
+/// }
 /// let (board, report) = engine.finish_monitored()?;
 /// assert_eq!(board.global().transactions(), 1000);
 /// assert_eq!(report.telemetry.snapshots, 1);
@@ -221,13 +209,8 @@ impl EmulationEngine {
                 let node_count = board.node_count();
                 let (front, shard_vec) = board.split(shards);
                 let workers = shard_vec.into_iter().map(spawn_worker).collect();
-                let pool = BlockPool::new(config.batch);
-                let block = pool.take();
                 Inner::Parallel {
                     front,
-                    block,
-                    drops: Vec::new(),
-                    pool,
                     node_count,
                     workers,
                 }
@@ -258,87 +241,40 @@ impl EmulationEngine {
         }
     }
 
-    /// Feeds a whole block of transactions, in stream order.
+    /// Feeds a pooled block of transactions, in stream order — the
+    /// engine's one entry point.
     ///
     /// Any block size gives the same result — a block of one is the
-    /// per-transaction reference — because the filter, counters, batching
-    /// and retry accounting all see the same stream. The serial board
-    /// snoops the slice in one call; the parallel front end filters it in
-    /// a tight loop into the broadcast batch.
-    pub fn feed_block(&mut self, txns: &[Transaction]) {
+    /// per-transaction reference — because the filter, counters and
+    /// retry accounting all see the same stream. The serial board snoops
+    /// the block in one call; the parallel front end filters it **in
+    /// place** and broadcasts what it admitted to the workers as one
+    /// batch, so the transactions are never copied between the source
+    /// and the shards. The buffer returns to its pool when the last
+    /// worker is done with it.
+    pub fn feed_pooled(&mut self, mut block: PooledBlock) {
         match &mut self.inner {
             Inner::Serial { board } => {
-                board.observe_block(txns);
-            }
-            Inner::Parallel {
-                front,
-                block,
-                drops,
-                pool,
-                workers,
-                ..
-            } => {
-                for txn in txns {
-                    let Some(dropped) = front.admit(txn) else {
-                        continue;
-                    };
-                    if dropped != 0 {
-                        drops.push((block.len(), dropped));
-                    }
-                    block.push(*txn);
-                    if block.is_full() {
-                        self.batches += 1;
-                        self.producer_stalls += broadcast(workers, take_batch(block, drops, pool));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Feeds an already-pooled block, re-using its buffer as the
-    /// broadcast batch when possible.
-    ///
-    /// When no partial engine batch is pending (the steady state when a
-    /// pipelined producer is the only feeder) the incoming block is
-    /// filtered **in place** by the front end and broadcast to the workers
-    /// directly — the transactions are never copied again between the
-    /// producer and the shards. Otherwise this falls back to
-    /// [`feed_block`](Self::feed_block), which preserves stream order.
-    /// Results are bit-identical either way (batch-size invariance).
-    pub fn feed_pooled(&mut self, mut incoming: PooledBlock) {
-        let zero_copy = match &self.inner {
-            Inner::Serial { .. } => true,
-            Inner::Parallel { block, .. } => block.is_empty(),
-        };
-        if !zero_copy {
-            self.feed_block(incoming.as_slice());
-            return;
-        }
-        match &mut self.inner {
-            Inner::Serial { board } => {
-                board.observe_block(incoming.as_slice());
+                board.observe_block(&block);
             }
             Inner::Parallel { front, workers, .. } => {
                 let mut drops = Vec::new();
-                front.admit_block(&mut incoming, &mut drops);
-                if incoming.is_empty() {
+                front.admit_block(&mut block, &mut drops);
+                if block.is_empty() {
                     return;
                 }
                 self.batches += 1;
-                let batch = Batch {
-                    txns: incoming,
-                    drops,
-                };
+                let batch = Batch { txns: block, drops };
                 self.producer_stalls += broadcast(workers, Arc::new(batch));
             }
         }
     }
 
     /// Takes a counter snapshot of the emulation *right now*. In
-    /// parallel mode this is a snapshot barrier: the partial batch is
-    /// flushed and every worker reports its counters, so the result is
-    /// bit-identical to what a serial board would show at the same stream
-    /// position. The retry count comes from the front end, which is
+    /// parallel mode this is a snapshot barrier: every worker reports its
+    /// counters once it has snooped every block fed so far, so the result
+    /// is bit-identical to what a serial board would show at the same
+    /// stream position. The retry count comes from the front end, which is
     /// always exact.
     ///
     /// # Errors
@@ -355,18 +291,9 @@ impl EmulationEngine {
             Inner::Serial { board } => Ok(board.snapshot()),
             Inner::Parallel {
                 front,
-                block,
-                drops,
-                pool,
                 node_count,
                 workers,
             } => {
-                // Flush the partial batch so workers have seen the whole
-                // admitted stream before they reply.
-                if !block.is_empty() {
-                    self.batches += 1;
-                    self.producer_stalls += broadcast(workers, take_batch(block, drops, pool));
-                }
                 let (reply, reports) = sync_channel::<ShardReport>(workers.len());
                 for w in workers.iter() {
                     if w.sender.send(Request::Snapshot(reply.clone())).is_err() {
@@ -392,8 +319,8 @@ impl EmulationEngine {
         }
     }
 
-    /// Flushes outstanding batches, joins the workers, and reassembles
-    /// the board.
+    /// Joins the workers once they have drained their queues, and
+    /// reassembles the board.
     ///
     /// # Errors
     ///
@@ -431,45 +358,18 @@ impl EmulationEngine {
                 telemetry.admitted = board.filter().stats().forwarded;
                 board
             }
-            Inner::Parallel {
-                front,
-                block,
-                drops,
-                pool,
-                workers,
-                ..
-            } => {
-                telemetry.batch_capacity = pool.block_capacity();
-                let mut senders = Vec::with_capacity(workers.len());
-                let mut handles = Vec::with_capacity(workers.len());
-                let mut node_counts = Vec::with_capacity(workers.len());
-                for w in workers {
-                    senders.push(w.sender);
-                    handles.push(w.handle);
-                    node_counts.push(w.nodes);
-                }
-                if !block.is_empty() {
-                    let last = Arc::new(Batch { txns: block, drops });
-                    telemetry.batches += 1;
-                    for sender in &senders {
-                        if sender.send(Request::Batch(Arc::clone(&last))).is_err() {
-                            join_and_unwind(handles);
-                        }
-                    }
-                }
-                let pool_stats = pool.stats();
-                telemetry.pool_hits = pool_stats.hits;
-                telemetry.pool_allocs = pool_stats.fresh;
-                drop(senders); // Closes the channels; workers drain and exit.
-
-                let mut shards = Vec::with_capacity(handles.len());
-                for (i, handle) in handles.into_iter().enumerate() {
-                    let done = handle
+            Inner::Parallel { front, workers, .. } => {
+                let mut shards = Vec::with_capacity(workers.len());
+                for (i, worker) in workers.into_iter().enumerate() {
+                    // Closes the channel; the worker drains it and exits.
+                    drop(worker.sender);
+                    let done = worker
+                        .handle
                         .join()
                         .unwrap_or_else(|p| std::panic::resume_unwind(p));
                     telemetry.shards.push(ShardTelemetry {
                         shard: i,
-                        nodes: node_counts[i],
+                        nodes: worker.nodes,
                         snooped: done.snooped,
                         busy: done.busy,
                     });
@@ -489,10 +389,9 @@ impl fmt::Debug for EmulationEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.inner {
             Inner::Serial { .. } => f.debug_struct("EmulationEngine(serial)").finish(),
-            Inner::Parallel { workers, block, .. } => f
+            Inner::Parallel { workers, .. } => f
                 .debug_struct("EmulationEngine(parallel)")
                 .field("shards", &workers.len())
-                .field("pending", &block.len())
                 .finish(),
         }
     }
@@ -501,19 +400,6 @@ impl fmt::Debug for EmulationEngine {
 /// Batch-queue slots per worker: a couple of batches of backpressure
 /// keeps the producer and workers overlapped without unbounded queueing.
 const QUEUE_CAPACITY: usize = 4;
-
-/// Takes the batch filling in `block` and `drops`, leaving an empty one
-/// from `pool` in its place.
-fn take_batch(
-    block: &mut PooledBlock,
-    drops: &mut Vec<(usize, u8)>,
-    pool: &BlockPool,
-) -> Arc<Batch> {
-    Arc::new(Batch {
-        txns: std::mem::replace(block, pool.take()),
-        drops: std::mem::take(drops),
-    })
-}
 
 /// Sends `batch` to every worker, counting backpressure stalls. If a
 /// worker has hung up (its thread died), joins all workers to surface the
@@ -597,7 +483,7 @@ fn spawn_worker(mut shard: NodeShard) -> Worker {
 mod tests {
     use super::*;
     use memories::{BoardConfig, CacheParams, TimingConfig};
-    use memories_bus::{Address, BusOp, NodeId, ProcId, SnoopResponse};
+    use memories_bus::{Address, BlockPool, BusOp, NodeId, ProcId, SnoopResponse, Transaction};
 
     fn params(capacity: u64) -> CacheParams {
         CacheParams::builder()
@@ -638,9 +524,21 @@ mod tests {
         .unwrap()
     }
 
+    /// Feeds `txns` in stream order as blocks taken from `pool`, each
+    /// filled to the pool's block capacity (the last one may be short).
+    fn feed(engine: &mut EmulationEngine, pool: &BlockPool, txns: &[Transaction]) {
+        for chunk in txns.chunks(pool.block_capacity()) {
+            let mut block = pool.take();
+            for t in chunk {
+                block.push(*t);
+            }
+            engine.feed_pooled(block);
+        }
+    }
+
     fn run(cfg: &BoardConfig, engine_cfg: EngineConfig, txns: &[Transaction]) -> MemoriesBoard {
         let mut engine = EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
-        engine.feed_block(txns);
+        feed(&mut engine, &BlockPool::new(4096), txns);
         engine.finish().unwrap()
     }
 
@@ -680,11 +578,15 @@ mod tests {
     #[test]
     fn small_batches_and_partial_tail_are_exact() {
         let cfg = four_domain_config();
-        let txns = stream(1_237, 60); // deliberately not a batch multiple
+        let txns = stream(1_237, 60); // deliberately not a block multiple
         let serial = run(&cfg, EngineConfig::serial(), &txns);
-        for batch in [1, 7, 64, 100_000] {
-            let parallel = run(&cfg, EngineConfig::parallel(4).with_batch(batch), &txns);
-            assert_boards_identical(&serial, &parallel);
+        for block in [1, 7, 64, 100_000] {
+            let mut parallel = EmulationEngine::new(
+                MemoriesBoard::new(cfg.clone()).unwrap(),
+                EngineConfig::parallel(4),
+            );
+            feed(&mut parallel, &BlockPool::new(block), &txns);
+            assert_boards_identical(&serial, &parallel.finish().unwrap());
         }
     }
 
@@ -730,9 +632,10 @@ mod tests {
         for engine_cfg in [EngineConfig::serial(), EngineConfig::parallel(4)] {
             let mut engine =
                 EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
+            let pool = BlockPool::new(1000);
             let mut snaps = Vec::new();
             for slice in txns.chunks(1000) {
-                engine.feed_block(slice);
+                feed(&mut engine, &pool, slice);
                 snaps.push(engine.barrier().unwrap());
             }
             let (board, report) = engine.finish_monitored().unwrap();
@@ -758,11 +661,10 @@ mod tests {
         let half = &txns[..5_000];
         let want = reference(&cfg, half).snapshot();
 
-        let mut engine = EmulationEngine::new(
-            MemoriesBoard::new(cfg).unwrap(),
-            EngineConfig::parallel(4).with_batch(512),
-        );
-        engine.feed_block(half);
+        let mut engine =
+            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
+        let pool = BlockPool::new(512);
+        feed(&mut engine, &pool, half);
         let got = engine.barrier().unwrap();
 
         assert_eq!(got.filter, want.filter);
@@ -770,7 +672,7 @@ mod tests {
         assert_eq!(got.global.transactions(), want.global.transactions());
         assert_eq!(got.nodes, want.nodes);
         // The engine still finishes exactly after an explicit barrier.
-        engine.feed_block(&txns[5_000..]);
+        feed(&mut engine, &pool, &txns[5_000..]);
         let board = engine.finish().unwrap();
         assert_eq!(board.global().transactions(), 10_000);
     }
@@ -788,13 +690,12 @@ mod tests {
         let serial = reference(&cfg, &txns);
         assert!(serial.retries_posted() > 0);
 
-        let mut engine = EmulationEngine::new(
-            MemoriesBoard::new(cfg).unwrap(),
-            EngineConfig::parallel(4).with_batch(128),
-        );
+        let mut engine =
+            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
+        let pool = BlockPool::new(128);
         let mut retries = Vec::new();
         for slice in txns.chunks(700) {
-            engine.feed_block(slice);
+            feed(&mut engine, &pool, slice);
             retries.push(engine.barrier().unwrap().retries_posted);
         }
         let board = engine.finish().unwrap();
@@ -873,15 +774,13 @@ mod tests {
         let serial = reference(&cfg, &txns);
         for engine_cfg in [
             EngineConfig::serial(),
-            EngineConfig::parallel(2).with_batch(512),
-            EngineConfig::parallel(4).with_batch(100),
+            EngineConfig::parallel(2),
+            EngineConfig::parallel(4),
         ] {
-            for chunk in [1usize, 7, 512, 4096] {
+            for chunk in [1usize, 7, 300, 512, 4096] {
                 let mut engine =
                     EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
-                for slice in txns.chunks(chunk) {
-                    engine.feed_block(slice);
-                }
+                feed(&mut engine, &BlockPool::new(chunk), &txns);
                 let board = engine.finish().unwrap();
                 assert_boards_identical(&serial, &board);
             }
@@ -889,78 +788,45 @@ mod tests {
     }
 
     #[test]
-    fn feed_pooled_broadcasts_in_place_and_stays_exact() {
-        let cfg = four_domain_config();
-        let txns = stream(9_973, 60);
-        let serial = reference(&cfg, &txns);
-        for engine_cfg in [
-            EngineConfig::serial(),
-            EngineConfig::parallel(4).with_batch(256),
-        ] {
-            let pool = BlockPool::new(300); // deliberately != engine batch
-            let mut engine =
-                EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
-            let mut block = pool.take();
-            for txn in &txns {
-                block.push(*txn);
-                if block.is_full() {
-                    engine.feed_pooled(std::mem::replace(&mut block, pool.take()));
-                }
-            }
-            if !block.is_empty() {
-                engine.feed_pooled(block);
-            }
-            let board = engine.finish().unwrap();
-            assert_boards_identical(&serial, &board);
-        }
-    }
-
-    #[test]
     fn broadcast_batches_recycle_through_the_pool() {
         let cfg = four_domain_config();
         let txns = stream(8_000, 60);
-        let mut engine = EmulationEngine::new(
-            MemoriesBoard::new(cfg).unwrap(),
-            EngineConfig::parallel(4).with_batch(100),
-        );
-        engine.feed_block(&txns);
+        let mut engine =
+            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
+        let pool = BlockPool::new(100);
+        feed(&mut engine, &pool, &txns);
         let (_, report) = engine.finish_monitored().unwrap();
         let t = &report.telemetry;
-        // Every batch came off the pool (the one extra take is the block
-        // left filling at finish, when the stream ends on a batch
-        // boundary); in-flight blocks bound the fresh allocations (queue
-        // slots + one per worker in progress + the one filling), so a
-        // long run is dominated by recycled buffers.
-        let takes = t.pool_hits + t.pool_allocs;
-        assert!(
-            takes == t.batches || takes == t.batches + 1,
-            "takes {takes} vs batches {}",
-            t.batches
-        );
+        let stats = pool.stats();
+        // Every batch is a block off the caller's pool, broadcast as fed;
+        // in-flight blocks bound the fresh allocations (queue slots + one
+        // per worker in progress + the one being filtered), so a long
+        // run is dominated by recycled buffers.
+        let takes = stats.hits + stats.fresh;
+        assert_eq!(takes, t.batches, "takes {takes} vs batches {}", t.batches);
         let in_flight_bound = (t.shards.len() * (QUEUE_CAPACITY + 1) + 2) as u64;
         assert!(
-            t.pool_allocs <= in_flight_bound,
+            stats.fresh <= in_flight_bound,
             "{} fresh allocations exceed the in-flight bound {in_flight_bound}",
-            t.pool_allocs
+            stats.fresh
         );
-        assert!(t.pool_hits > 0, "a long run must recycle blocks");
+        assert!(stats.hits > 0, "a long run must recycle blocks");
     }
 
     #[test]
     fn telemetry_counts_batches_and_shards() {
         let cfg = four_domain_config();
         let txns = stream(4_000, 60);
-        let mut engine = EmulationEngine::new(
-            MemoriesBoard::new(cfg).unwrap(),
-            EngineConfig::parallel(4).with_batch(100),
-        );
-        engine.feed_block(&txns);
+        let mut engine =
+            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
+        feed(&mut engine, &BlockPool::new(100), &txns);
         let (board, report) = engine.finish_monitored().unwrap();
         let admitted = board.filter().stats().forwarded;
         let t = &report.telemetry;
         assert_eq!(t.admitted, admitted);
+        // One batch per fed block that kept an admitted transaction: the
+        // filter admits this whole stream, so every block of 100 counts.
         assert_eq!(t.batches, admitted.div_ceil(100));
-        assert_eq!(t.batch_capacity, 100);
         assert_eq!(t.shards.len(), 4);
         for s in &t.shards {
             assert_eq!(s.snooped, admitted);

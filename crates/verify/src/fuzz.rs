@@ -6,12 +6,12 @@
 //! 1. the reference model ([`MultiNodeSim`], untimed, per-line hash maps),
 //! 2. the serial [`MemoriesBoard`] via a serial [`EmulationEngine`],
 //! 3. the parallel [`EmulationEngine`] at each configured shard count,
-//!    fed blocks of one transaction, with mid-stream snapshot barriers at
-//!    fixed record indices,
+//!    fed pooled blocks of [`FuzzConfig::batch`] records, cut at every
+//!    mid-stream snapshot barrier (fixed record indices),
 //! 4. the streaming-replay path: the stream round-trips through the
 //!    on-disk trace codec ([`TraceWriter`] →
-//!    [`TraceReader::read_block`]) and replays one decoded block at a
-//!    time,
+//!    [`TraceReader::read_block`]) and replays one decoded pooled block
+//!    at a time,
 //! 5. the block-native path: transactions accumulate in pooled
 //!    [`memories_bus::TransactionBlock`]s and reach the board through
 //!    `BusListener::on_block` (the batched bus-delivery data path), and
@@ -32,7 +32,7 @@ use memories::{
     BoardConfig, BoardSnapshot, CacheParams, Error, MemoriesBoard, NodeCounter, NodeSlot,
     TimingConfig,
 };
-use memories_bus::{BlockPool, BusListener, BusOp, ProcId, TransactionBlock};
+use memories_bus::{BlockPool, BusListener, BusOp, ProcId};
 use memories_protocol::ProtocolTable;
 use memories_sim::{compare_counts, CacheSim, EmulationEngine, EngineConfig, MultiNodeSim};
 use memories_trace::{TraceReader, TraceRecord, TraceWriter};
@@ -63,9 +63,10 @@ pub struct FuzzConfig {
     /// Parallel shard counts to differentiate against the serial engine.
     pub shards: Vec<usize>,
     /// Snapshot barrier period, in trace records (a prime, so barriers
-    /// land mid-batch at every batch size).
+    /// land mid-block at every block size).
     pub sample_period: usize,
-    /// Engine batch size (small, to force frequent hand-offs).
+    /// Records per block fed to the engine and to the block-native board
+    /// (small, to force frequent hand-offs).
     pub batch: usize,
     /// Bus cycles between consecutive records.
     pub cycle_spacing: u64,
@@ -210,25 +211,32 @@ impl DifferentialFuzzer {
     }
 
     /// Replays `records` through an engine with `shards` workers
-    /// (1 = serial) in blocks of one transaction, taking a snapshot
-    /// barrier every [`FuzzConfig::sample_period`] records.
+    /// (1 = serial) in pooled blocks of [`FuzzConfig::batch`] records,
+    /// cutting a block and taking a snapshot barrier every
+    /// [`FuzzConfig::sample_period`] records.
     fn run_engine(&self, records: &[TraceRecord], shards: usize) -> Result<EngineRun, Error> {
         let board = MemoriesBoard::new(self.board_config()?)?;
         let cfg = if shards <= 1 {
-            EngineConfig::serial().with_batch(self.config.batch)
+            EngineConfig::serial()
         } else {
-            EngineConfig::parallel(shards).with_batch(self.config.batch)
+            EngineConfig::parallel(shards)
         };
         let mut engine = EmulationEngine::new(board, cfg);
+        let pool = BlockPool::new(self.config.batch);
         let period = self.config.sample_period.max(1);
         let mut snaps = Vec::new();
+        let mut block = pool.take();
         for (i, rec) in records.iter().enumerate() {
-            let txn = rec.to_transaction(i as u64, i as u64 * self.config.cycle_spacing);
-            engine.feed_block(std::slice::from_ref(&txn));
-            if (i + 1) % period == 0 {
+            block.push(rec.to_transaction(i as u64, i as u64 * self.config.cycle_spacing));
+            let barrier = (i + 1) % period == 0;
+            if barrier || block.is_full() {
+                engine.feed_pooled(std::mem::replace(&mut block, pool.take()));
+            }
+            if barrier {
                 snaps.push(engine.barrier()?);
             }
         }
+        engine.feed_pooled(block);
         let board = engine.finish()?;
         Ok(EngineRun {
             snaps,
@@ -238,10 +246,11 @@ impl DifferentialFuzzer {
     }
 
     /// Round-trips `records` through the on-disk trace codec and replays
-    /// the decoded stream block by block through a serial engine — the
-    /// streaming-replay implementation. A small odd chunk size makes
-    /// every non-trivial stream span several chunks with a partial last
-    /// one, so the chunked reader's re-batching is actually exercised.
+    /// the decoded stream pooled block by block through a serial engine
+    /// — the streaming-replay implementation. A small odd chunk size
+    /// makes every non-trivial stream span several chunks with a partial
+    /// last one, so the chunked reader's block boundaries are actually
+    /// exercised.
     fn run_streamed(&self, records: &[TraceRecord]) -> Result<BoardSnapshot, Error> {
         let mut bytes = Vec::with_capacity(8 + records.len() * 8);
         let mut writer = TraceWriter::new(&mut bytes)?;
@@ -251,17 +260,17 @@ impl DifferentialFuzzer {
         writer.finish()?;
 
         let board = MemoriesBoard::new(self.board_config()?)?;
-        let mut engine =
-            EmulationEngine::new(board, EngineConfig::serial().with_batch(self.config.batch));
+        let mut engine = EmulationEngine::new(board, EngineConfig::serial());
         let mut reader = TraceReader::new(bytes.as_slice())?;
-        let mut chunk = TransactionBlock::with_capacity(113);
+        let pool = BlockPool::new(113);
         let mut n = 0u64;
         loop {
+            let mut chunk = pool.take();
             let got = reader.read_block(&mut chunk, n, self.config.cycle_spacing)?;
             if got == 0 {
                 break;
             }
-            engine.feed_block(&chunk);
+            engine.feed_pooled(chunk);
             n += got as u64;
         }
         Ok(engine.finish()?.snapshot())

@@ -8,8 +8,12 @@
 //! * the serial [`MemoriesBoard`] fed one transaction at a time
 //!   (`on_transaction`) — the reference,
 //! * the serial board fed pooled blocks through `on_block`,
-//! * an [`EmulationEngine`] (serial or sharded) fed through
-//!   `feed_block` in chunks of the same block size.
+//! * an [`EmulationEngine`] (serial or sharded) fed pooled blocks of the
+//!   same size through `feed_pooled`.
+//!
+//! A console [`Pipeline`] with a sampling stage, fed pooled blocks of
+//! random sizes, must also take every sample at exactly the admitted
+//! count a per-transaction board would.
 //!
 //! Equality is checked on the full statistics dump (every 40-bit counter
 //! of every node plus the global counters), the retry count, the filter
@@ -21,6 +25,8 @@ use memories_bus::{
     Address, BlockPool, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction,
     TransactionBlock,
 };
+use memories_console::{ExecutionOptions, Pipeline, SourceStats};
+use memories_obs::TimeSeries;
 use memories_sim::{EmulationEngine, EngineConfig};
 use proptest::prelude::*;
 
@@ -79,6 +85,19 @@ fn burst_step() -> impl Strategy<Value = (u8, u8, u64, u64)> {
         0u64..512,
         prop::sample::select(vec![0u64, 0, 0, 0, 3, 60]),
     )
+}
+
+/// Feeds `txns` to `engine` in stream order, as pooled blocks of
+/// `block_size` transactions (the last one may be short).
+fn feed(engine: &mut EmulationEngine, txns: &[Transaction], block_size: usize) {
+    let pool = BlockPool::new(block_size);
+    for chunk in txns.chunks(block_size) {
+        let mut block = pool.take();
+        for t in chunk {
+            block.push(*t);
+        }
+        engine.feed_pooled(block);
+    }
 }
 
 fn build_stream(raw: &[(u8, u8, u64, u64)]) -> Vec<Transaction> {
@@ -165,17 +184,14 @@ proptest! {
         assert_directories_match(&reference, &blocked, &txns, "board on_block")?;
 
         // Same stream through the engine's block path at the chosen
-        // parallelism (batch size deliberately different from the block
-        // size, so broadcast re-batching is exercised).
+        // parallelism: each block, as admitted, is one broadcast batch.
         let cfg = if shards <= 1 {
             EngineConfig::serial()
         } else {
-            EngineConfig::parallel(shards).with_batch(512)
+            EngineConfig::parallel(shards)
         };
         let mut engine = EmulationEngine::new(board(), cfg);
-        for chunk in txns.chunks(block_size) {
-            engine.feed_block(chunk);
-        }
+        feed(&mut engine, &txns, block_size);
         let final_board = engine.finish().unwrap();
         prop_assert_eq!(
             reference.statistics_report(),
@@ -186,48 +202,7 @@ proptest! {
         );
         prop_assert_eq!(reference.retries_posted(), final_board.retries_posted());
         prop_assert_eq!(reference.filter().stats(), final_board.filter().stats());
-        assert_directories_match(&reference, &final_board, &txns, "engine feed_block")?;
-    }
-
-    /// `feed_pooled` (the zero-copy handoff) agrees with `feed_block`
-    /// (the borrowing path) on the same chunking.
-    #[test]
-    fn pooled_handoff_matches_borrowed_blocks(
-        raw in prop::collection::vec(arb_step(), 1..500),
-        block_size in prop::sample::select(vec![1usize, 7, 512]),
-        shards in prop::sample::select(vec![1usize, 2, 4]),
-    ) {
-        let txns = build_stream(&raw);
-        let cfg = || if shards <= 1 {
-            EngineConfig::serial()
-        } else {
-            EngineConfig::parallel(shards).with_batch(256)
-        };
-
-        let mut borrowed = EmulationEngine::new(board(), cfg());
-        for chunk in txns.chunks(block_size) {
-            borrowed.feed_block(chunk);
-        }
-        let borrowed = borrowed.finish().unwrap();
-
-        let pool = BlockPool::new(block_size);
-        let mut pooled = EmulationEngine::new(board(), cfg());
-        for chunk in txns.chunks(block_size) {
-            let mut block = pool.take();
-            for t in chunk {
-                block.push(*t);
-            }
-            pooled.feed_pooled(block);
-        }
-        let pooled = pooled.finish().unwrap();
-
-        prop_assert_eq!(
-            borrowed.statistics_report(),
-            pooled.statistics_report(),
-            "block size {} x {} shards: pooled handoff diverged",
-            block_size,
-            shards
-        );
+        assert_directories_match(&reference, &final_board, &txns, "engine feed_pooled")?;
     }
 }
 
@@ -313,11 +288,9 @@ proptest! {
             )?;
 
             for shards in [1usize, 2] {
-                let cfg = EngineConfig::parallel(shards).with_batch(block_size);
+                let cfg = EngineConfig::parallel(shards);
                 let mut engine = EmulationEngine::new(board_with_buffer(2), cfg);
-                for chunk in txns.chunks(block_size) {
-                    engine.feed_block(chunk);
-                }
+                feed(&mut engine, &txns, block_size);
                 let final_board = engine.finish().unwrap();
                 assert_same_overflow_outcome(
                     &reference,
@@ -341,11 +314,11 @@ proptest! {
             want.push(cut_board.snapshot());
         }
         for shards in [1usize, 2, 4] {
-            let cfg = EngineConfig::parallel(shards).with_batch(64);
+            let cfg = EngineConfig::parallel(shards);
             let mut engine = EmulationEngine::new(board_with_buffer(2), cfg);
             let mut fed = 0;
             for (&cut, want) in cuts.iter().zip(&want) {
-                engine.feed_block(&txns[fed..cut]);
+                feed(&mut engine, &txns[fed..cut], 64);
                 fed = cut;
                 let got = engine.barrier().unwrap();
                 prop_assert_eq!(
@@ -363,7 +336,7 @@ proptest! {
                     cut
                 );
             }
-            engine.feed_block(&txns[fed..]);
+            feed(&mut engine, &txns[fed..], 64);
             let final_board = engine.finish().unwrap();
             assert_same_overflow_outcome(
                 &reference,
@@ -430,4 +403,140 @@ fn transaction_block_respects_capacity_invariant() {
     assert!(recycled.is_empty());
     let slice: &TransactionBlock = &recycled;
     let _: &[Transaction] = slice;
+}
+
+/// `(roll, op, proc, line, gap)` steps for [`build_sampled_stream`].
+fn sampled_step() -> impl Strategy<Value = (u64, u8, u8, u64, u64)> {
+    (
+        0u64..100,
+        0u8..5,
+        0u8..10, // ids ≥ 8 are outside every node's partition
+        0u64..512,
+        1u64..90,
+    )
+}
+
+/// A step is control traffic, which the filter drops, when its roll is
+/// below `drop_pct`, and a memory op otherwise.
+fn build_sampled_stream(raw: &[(u64, u8, u8, u64, u64)], drop_pct: u64) -> Vec<Transaction> {
+    const MEMORY: [BusOp; 5] = [
+        BusOp::Read,
+        BusOp::Rwitm,
+        BusOp::DClaim,
+        BusOp::WriteBack,
+        BusOp::Flush,
+    ];
+    const CONTROL: [BusOp; 4] = [BusOp::IoRead, BusOp::IoWrite, BusOp::Sync, BusOp::Interrupt];
+    let mut cycle = 0u64;
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(roll, op, proc, line, gap))| {
+            cycle += gap;
+            let op = if roll < drop_pct {
+                CONTROL[usize::from(op) % CONTROL.len()]
+            } else {
+                MEMORY[usize::from(op)]
+            };
+            Transaction::new(
+                i as u64,
+                cycle,
+                ProcId::new(proc),
+                op,
+                Address::new(line * 128),
+                SnoopResponse::Null,
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The pipeline's sampler cuts pooled blocks of any size at its
+    /// sample positions. With 5–50% of the stream dropped by the filter,
+    /// the admitted count lags the stream position, so one sample often
+    /// needs several cuts. At every shard count each sample must read
+    /// exactly the admitted count and cumulative statistics of a
+    /// per-transaction serial board snapshotted at the same admitted
+    /// count, and the final boards must be equal.
+    #[test]
+    fn sampled_pipeline_cuts_blocks_at_exact_admitted_positions(
+        raw in prop::collection::vec(sampled_step(), 1..12_000),
+        drop_pct in 5u64..51,
+        period in prop::sample::select(vec![1u64, 3, 997, 4096, 5000]),
+        sizes in prop::collection::vec(1usize..4097, 1..16),
+    ) {
+        let txns = build_sampled_stream(&raw, drop_pct);
+
+        let mut reference = board();
+        let mut want = TimeSeries::new();
+        let mut next_at = period;
+        for t in &txns {
+            reference.on_transaction(t);
+            if reference.filter().stats().forwarded >= next_at {
+                want.record(reference.snapshot());
+                next_at = reference.filter().stats().forwarded + period;
+            }
+        }
+
+        for shards in [1usize, 2, 4] {
+            let cfg = if shards <= 1 {
+                EngineConfig::serial()
+            } else {
+                EngineConfig::parallel(shards)
+            };
+            let options = ExecutionOptions::new().sample_every(Some(period));
+            let mut pipeline = Pipeline::new(EmulationEngine::new(board(), cfg), &options);
+            let pool = BlockPool::new(4096);
+            let mut rest = txns.as_slice();
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (now, later) = rest.split_at(size.min(rest.len()));
+                let mut block = pool.take();
+                for t in now {
+                    block.push(*t);
+                }
+                pipeline.feed_pooled(block);
+                rest = later;
+            }
+            let run = pipeline.finish(SourceStats::default()).unwrap();
+
+            prop_assert_eq!(
+                run.series.len(),
+                want.len(),
+                "period {} x {} shards: sample count diverged",
+                period,
+                shards
+            );
+            for (got, want) in run.series.points().iter().zip(want.points()) {
+                prop_assert_eq!(
+                    got.snapshot.admitted(),
+                    want.snapshot.admitted(),
+                    "period {} x {} shards, sample {}: admitted count diverged",
+                    period,
+                    shards,
+                    got.index
+                );
+                prop_assert_eq!(
+                    got.cumulative,
+                    want.cumulative,
+                    "period {} x {} shards, sample {}: cumulative stats diverged",
+                    period,
+                    shards,
+                    got.index
+                );
+            }
+            prop_assert_eq!(
+                reference.statistics_report(),
+                run.board.statistics_report(),
+                "period {} x {} shards: final counters diverged",
+                period,
+                shards
+            );
+            prop_assert_eq!(reference.retries_posted(), run.board.retries_posted());
+            prop_assert_eq!(reference.filter().stats(), run.board.filter().stats());
+        }
+    }
 }

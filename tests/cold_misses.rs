@@ -13,7 +13,9 @@ use std::collections::HashSet;
 use memories::{
     AddressFilter, BoardConfig, CacheParams, FilterConfig, MemoriesBoard, NodeCounter, NodeSlot,
 };
-use memories_bus::{Address, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction};
+use memories_bus::{
+    Address, BlockPool, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction,
+};
 use memories_protocol::AccessEvent;
 use memories_sim::{EmulationEngine, EngineConfig};
 use proptest::prelude::*;
@@ -41,6 +43,19 @@ fn board() -> MemoriesBoard {
         .unwrap(),
     )
     .unwrap()
+}
+
+/// Feeds `txns` to `engine` in stream order, as pooled blocks of
+/// `block_size` transactions (the last one may be short).
+fn feed(engine: &mut EmulationEngine, txns: &[Transaction], block_size: usize) {
+    let pool = BlockPool::new(block_size);
+    for chunk in txns.chunks(block_size) {
+        let mut block = pool.take();
+        for t in chunk {
+            block.push(*t);
+        }
+        engine.feed_pooled(block);
+    }
 }
 
 /// `(op, cpu, line)` steps, one bus cycle apart at 60 cycles so no node
@@ -133,10 +148,8 @@ proptest! {
         let cold: u64 = want.iter().map(|c| c.0 + c.1).sum();
         prop_assert!(cold <= misses);
 
-        let mut engine = EmulationEngine::new(board(), EngineConfig::parallel(2).with_batch(64));
-        for chunk in txns.chunks(100) {
-            engine.feed_block(chunk);
-        }
+        let mut engine = EmulationEngine::new(board(), EngineConfig::parallel(2));
+        feed(&mut engine, &txns, 100);
         let sharded = engine.finish().unwrap();
         prop_assert_eq!(&cold_counts(&sharded), &want);
     }

@@ -14,7 +14,7 @@
 use memories::{CacheParams, Counter40, GlobalCounters};
 use memories_bus::{Address, BusOp, ProcId, SnoopResponse, Transaction};
 use memories_console::{
-    EmulationSession, ExecutionOptions, ExperimentResult, MonitoredRun, TraceSource,
+    ChunkedTraceSource, EmulationSession, ExecutionOptions, ExperimentResult, MonitoredRun,
 };
 use memories_host::HostConfig;
 use memories_obs::export;
@@ -61,7 +61,6 @@ fn run(make: &dyn Fn() -> Box<dyn Workload>, shards: usize, refs: u64) -> Experi
         .host(host())
         .board(board())
         .parallelism(shards)
-        .batch(512)
         .build()
         .unwrap();
     let mut workload = make();
@@ -148,8 +147,7 @@ fn run_monitored(
     let mut builder = EmulationSession::builder()
         .host(host())
         .board(board())
-        .parallelism(shards)
-        .batch(512);
+        .parallelism(shards);
     if let Some(period) = sample_every {
         builder = builder.sample_every(period);
     }
@@ -229,11 +227,12 @@ fn sampling_leaves_final_counters_unchanged_and_exports_jsonl() {
 fn adversarial_sampling_periods_are_bit_identical_across_shard_counts() {
     // Sampling barriers at hostile periods: every admitted transaction
     // (period 1), a tiny period that never aligns with anything (3), a
-    // prime that lands mid-batch at every batch size (997), and a period
-    // larger than the 512-transaction batch (5000). At each period the
-    // sampled series and the final statistics dump must agree exactly
-    // across 1, 2, 4, and 8 shards — a snapshot barrier is only correct
-    // if it drains in-flight batches no matter where it cuts them.
+    // prime that lands mid-block at every block size (997), and a period
+    // larger than the live source's 4096-transaction block (5000). At
+    // each period the sampled series and the final statistics dump must
+    // agree exactly across 1, 2, 4, and 8 shards — a snapshot barrier is
+    // only correct if it drains in-flight batches no matter where the
+    // sampler cuts the blocks.
     let make = oltp();
     let refs = 12_000;
     let plain = run(&*make, 1, refs);
@@ -301,7 +300,6 @@ fn profiled_windows_are_bit_identical_across_shard_counts() {
             .host(host())
             .board(board())
             .parallelism(shards)
-            .batch(512)
             .build()
             .unwrap();
         let mut workload = make();
@@ -357,19 +355,27 @@ fn synthetic_records(n: u64) -> Vec<memories_trace::TraceRecord> {
         .collect()
 }
 
+/// `records` in the on-disk trace format.
+fn encode(records: &[memories_trace::TraceRecord]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut writer = memories_trace::TraceWriter::new(&mut bytes).unwrap();
+    for rec in records {
+        writer.write_record(rec).unwrap();
+    }
+    writer.finish().unwrap();
+    bytes
+}
+
 #[test]
 fn replay_is_bit_identical_across_shard_counts() {
-    let records = synthetic_records(20_000);
+    let bytes = encode(&synthetic_records(20_000));
     let replay_at = |shards: usize| {
         let session = EmulationSession::builder()
             .board(board())
             .parallelism(shards)
-            .batch(512)
             .build()
             .unwrap();
-        session
-            .replay(records.iter().copied().map(Ok::<_, memories::Error>), 60)
-            .unwrap()
+        session.replay_stream(bytes.as_slice(), 60).unwrap()
     };
 
     let serial = replay_at(1);
@@ -387,17 +393,16 @@ fn replay_is_bit_identical_across_shard_counts() {
 
 #[test]
 fn replay_monitored_series_is_bit_identical_across_shard_counts() {
-    let records = synthetic_records(20_000);
+    let bytes = encode(&synthetic_records(20_000));
     let replay_at = |shards: usize| {
         let session = EmulationSession::builder()
             .board(board())
             .parallelism(shards)
-            .batch(512)
             .build()
             .unwrap();
         session
             .execute(
-                TraceSource::new(records.iter().copied().map(Ok::<_, memories::Error>), 60),
+                ChunkedTraceSource::new(bytes.as_slice(), 60).unwrap(),
                 ExecutionOptions::new().sample_every(Some(997)),
             )
             .unwrap()
@@ -428,41 +433,31 @@ fn replay_monitored_series_is_bit_identical_across_shard_counts() {
 
 #[test]
 fn streaming_replay_holds_a_trace_larger_than_every_buffer() {
-    // 40_000 records ≫ the session's 512-transaction batch and the
-    // streaming reader's 4096-record chunk, so the trace can never fit
-    // any single buffer in the pipeline: the whole-trace Vec simply does
-    // not exist on this path (the reader's own unit tests pin the
-    // O(chunk) allocation bound). The decoded stream must land on the
-    // same board as the Vec-buffered replay, at any parallelism.
-    use memories_trace::TraceWriter;
+    // 40_000 records ≫ the streaming reader's 4096-record chunk, so the
+    // trace can never fit any single buffer in the pipeline: the
+    // whole-trace Vec simply does not exist on this path (the reader's
+    // own unit tests pin the O(chunk) allocation bound). The decoded
+    // stream must land on the same board as a serial board fed the
+    // records one transaction at a time, at any parallelism.
+    use memories_bus::BusListener as _;
 
     let records = synthetic_records(40_000);
-    let mut bytes = Vec::new();
-    let mut writer = TraceWriter::new(&mut bytes).unwrap();
-    for rec in &records {
-        writer.write_record(rec).unwrap();
+    let bytes = encode(&records);
+    let mut buffered = memories::MemoriesBoard::new(board()).unwrap();
+    for (i, rec) in (0u64..).zip(&records) {
+        buffered.on_transaction(&rec.to_transaction(i, i * 60));
     }
-    writer.finish().unwrap();
-
-    let buffered = EmulationSession::builder()
-        .board(board())
-        .parallelism(1)
-        .build()
-        .unwrap()
-        .replay(records.iter().copied().map(Ok::<_, memories::Error>), 60)
-        .unwrap();
 
     for shards in [1usize, 4] {
         let session = EmulationSession::builder()
             .board(board())
             .parallelism(shards)
-            .batch(512)
             .build()
             .unwrap();
         let streamed = session.replay_stream(bytes.as_slice(), 60).unwrap();
         assert_eq!(streamed.records, 40_000);
         assert_eq!(
-            buffered.board.statistics_report(),
+            buffered.statistics_report(),
             streamed.board.statistics_report(),
             "{shards}-shard streaming replay diverged from buffered serial"
         );

@@ -57,8 +57,7 @@ fn session(parallelism: usize, sample_every: Option<u64>) -> EmulationSession {
     let mut b = EmulationSession::builder()
         .host(host())
         .board(board())
-        .parallelism(parallelism)
-        .batch(256);
+        .parallelism(parallelism);
     if let Some(period) = sample_every {
         b = b.sample_every(period);
     }
