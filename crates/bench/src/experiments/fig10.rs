@@ -13,7 +13,7 @@ use memories::BoardConfig;
 use memories_bus::ProcId;
 use memories_console::analysis::detect_spikes;
 use memories_console::report::Table;
-use memories_console::{EmulationSession, ProfilePoint};
+use memories_console::{EmulationSession, ExecutionOptions, PipelinedLiveSource, ProfilePoint};
 use memories_workloads::{JournalConfig, OltpConfig, OltpWorkload};
 
 use super::{scaled_cache, scaled_host, Scale};
@@ -67,15 +67,19 @@ pub fn run(scale: Scale) -> Fig10 {
     // Profiling observes through snapshot barriers, so the two
     // configurations can snoop on parallel shards (bit-identical to a
     // serial profiled run — tests/parallel_differential.rs).
+    let host = scaled_host(256 << 10, 4);
     let session = EmulationSession::builder()
-        .host(scaled_host(256 << 10, 4))
+        .host(host.clone())
         .board(board)
         .parallelism(2)
         .build()
         .unwrap();
     let mut workload = OltpWorkload::new(workload_config);
     let result = session
-        .run_profiled(&mut workload, refs, window_refs)
+        .execute(
+            PipelinedLiveSource::new(host, &mut workload, refs),
+            ExecutionOptions::new().window_refs(window_refs),
+        )
         .unwrap();
 
     // Spike detection: clearly above the config's median plateau. An

@@ -16,7 +16,8 @@
 //! against the Table 3 SDRAM model (the board's claim was ratio >= 1 by
 //! construction; software has to earn it).
 
-use memories::SdramModel;
+use memories::{BoardConfig, SdramModel};
+use memories_bus::ProcId;
 use memories_console::report::Table;
 use memories_console::EmulationSession;
 use memories_obs::EngineTelemetry;
@@ -48,7 +49,10 @@ pub struct Monitoring {
 fn monitored_curve(label: &str, capacity: u64, refs: u64, period: u64) -> Curve {
     let session = EmulationSession::builder()
         .host(scaled_host(256 << 10, 4))
-        .node(scaled_cache(capacity, 8, 128))
+        .board(
+            BoardConfig::single_node(scaled_cache(capacity, 8, 128), (0..8).map(ProcId::new))
+                .expect("valid monitoring board"),
+        )
         .sample_every(period)
         .build()
         .expect("valid monitoring session");

@@ -6,11 +6,12 @@
 //! initialization of the MemorIES board, cache parameter setting, and
 //! statistics extraction" (§2). Here the console is a library:
 //!
-//! * [`EmulationSession`] — the unified front door: one builder programs
-//!   the board (parameters, protocol map files, coherence domains) and
-//!   the host, then `.run(...)` drives a live workload — serially or
-//!   across parallel snoop shards — and `.replay_stream(...)` re-runs a
-//!   captured trace straight off its encoded bytes. Errors unify under
+//! * [`EmulationSession`] — the unified front door: one builder takes
+//!   the board as one [`BoardConfig`](memories::BoardConfig) (node
+//!   parameters, protocol tables, coherence domains) and the host, then
+//!   `.run(...)` drives a live workload — serially or across parallel
+//!   snoop shards — and `.replay_stream(...)` re-runs a captured trace
+//!   straight off its encoded bytes. Errors unify under
 //!   [`memories::Error`].
 //! * [`pipeline`] — the machinery underneath: every run mode is a
 //!   [`TransactionSource`] (the pipelined live source, streaming trace
@@ -18,17 +19,17 @@
 //!   [`Pipeline`], whose optional sampling/profiling stages observe via
 //!   snapshot barriers of the one consumer,
 //!   [`EmulationEngine`](memories_sim::EmulationEngine). Custom sources
-//!   and observation mixes compose through
+//!   and observation mixes — a windowed miss-ratio profile for the
+//!   Figure 10 style plots, say — compose through
 //!   [`EmulationSession::execute`].
-//! * [`ExperimentResult`] — the statistics extracted from a run
-//!   (including windowed miss-ratio profiles for the Figure 10 style
-//!   plots).
+//! * [`ExperimentResult`] — the statistics extracted from a run.
 //! * [`report`] — ASCII table and CSV rendering for the `repro` harness.
 //!
 //! # Examples
 //!
 //! ```
-//! use memories::CacheParams;
+//! use memories::{BoardConfig, CacheParams};
+//! use memories_bus::ProcId;
 //! use memories_console::EmulationSession;
 //! use memories_host::HostConfig;
 //! use memories_workloads::micro::UniformRandom;
@@ -38,7 +39,7 @@
 //!     .capacity(1 << 20).allow_scaled_down().build()?;
 //! let session = EmulationSession::builder()
 //!     .host(HostConfig { num_cpus: 2, ..HostConfig::s7a() })
-//!     .node(params)
+//!     .board(BoardConfig::single_node(params, (0..2).map(ProcId::new))?)
 //!     .build()?;
 //! let mut workload = UniformRandom::new(2, 8 << 20, 0.3, 1);
 //! let result = session.run(&mut workload, 10_000)?;

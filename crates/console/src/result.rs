@@ -26,10 +26,6 @@ pub struct ExperimentResult {
     pub bus: BusStats,
     /// Retries the board posted (zero in healthy runs — §3.3).
     pub retries_posted: u64,
-    /// Windowed profile, when requested via
-    /// [`EmulationSession::run_profiled`](crate::EmulationSession::run_profiled);
-    /// empty otherwise.
-    pub profile: Vec<ProfilePoint>,
     /// The board itself, for directory inspection and counter dumps.
     pub board: MemoriesBoard,
 }

@@ -4,7 +4,8 @@
 //! [`EmulationSession`] is the single front door to the board:
 //!
 //! ```
-//! use memories::CacheParams;
+//! use memories::{BoardConfig, CacheParams, NodeSlot};
+//! use memories_bus::ProcId;
 //! use memories_console::EmulationSession;
 //! use memories_host::HostConfig;
 //! use memories_protocol::standard;
@@ -13,10 +14,10 @@
 //! # fn main() -> Result<(), memories::Error> {
 //! let params = CacheParams::builder()
 //!     .capacity(1 << 20).allow_scaled_down().build()?;
+//! let slot = NodeSlot::new(params, (0..2).map(ProcId::new)).with_protocol(standard::msi());
 //! let session = EmulationSession::builder()
 //!     .host(HostConfig { num_cpus: 2, ..HostConfig::s7a() })
-//!     .node(params)
-//!     .protocol(standard::MSI_MAP)
+//!     .board(BoardConfig::from_slots(vec![slot])?)
 //!     .parallelism(2)
 //!     .build()?;
 //! let mut workload = UniformRandom::new(2, 8 << 20, 0.3, 1);
@@ -26,17 +27,18 @@
 //! # }
 //! ```
 //!
-//! Every public entry point — [`run`](EmulationSession::run),
-//! [`run_profiled`](EmulationSession::run_profiled),
+//! The board comes as one [`BoardConfig`], as one console description
+//! programs every node FPGA. Every public entry point —
+//! [`run`](EmulationSession::run),
 //! [`run_monitored_pipelined`](EmulationSession::run_monitored_pipelined)
 //! and [`replay_stream`](EmulationSession::replay_stream) — is a thin
 //! composition over [`execute`](EmulationSession::execute): pick a
 //! [`TransactionSource`], pick the observation stages, drive the
 //! pipeline. Live runs all use the one [`PipelinedLiveSource`]; custom
-//! sources or observation mixes (a sampled replay, say) call `execute`
-//! directly. Profiling and sampling act through snapshot barriers, so
-//! every mode works at any parallelism and produces bit-identical
-//! counters (see [`crate::pipeline`]).
+//! sources or observation mixes (a profiled live run, a sampled replay)
+//! call `execute` directly. Profiling and sampling act through snapshot
+//! barriers, so every mode works at any parallelism and produces
+//! bit-identical counters (see [`crate::pipeline`]).
 //!
 //! Every failure converts into the workspace-wide [`memories::Error`]
 //! (`enum Error` in the `memories` crate), so callers thread one error
@@ -46,11 +48,9 @@ use std::error::Error as StdError;
 use std::fmt;
 use std::io::Read;
 
-use memories::{BoardConfig, CacheParams, Error, MemoriesBoard, NodeSlot};
-use memories_bus::ProcId;
+use memories::{BoardConfig, Error, MemoriesBoard};
 use memories_host::{HostConfig, HostMachine};
 use memories_obs::{EngineTelemetry, TimeSeries};
-use memories_protocol::ProtocolTable;
 use memories_sim::{EmulationEngine, EngineConfig};
 use memories_verify::{verify_board, FuzzConfig, VerifyReport};
 use memories_workloads::Workload;
@@ -68,11 +68,7 @@ use crate::result::ExperimentResult;
 pub enum SessionError {
     /// `run` needs a host machine; call `.host(...)` on the builder.
     MissingHost,
-    /// `.protocol(...)` / `.domain(...)` apply to the most recently added
-    /// node, but no node has been added yet.
-    NoNodeYet,
-    /// Neither `.node(...)` nor `.board(...)` configured any emulated
-    /// cache.
+    /// The builder never got a board; call `.board(config)`.
     NoNodes,
 }
 
@@ -85,11 +81,7 @@ impl fmt::Display for SessionError {
                     "running a workload needs a host machine: call .host(config)"
                 )
             }
-            SessionError::NoNodeYet => write!(
-                f,
-                "per-node builder calls apply to the latest .node(...); add a node first"
-            ),
-            SessionError::NoNodes => write!(f, "the session has no emulated cache nodes"),
+            SessionError::NoNodes => write!(f, "no board: call .board(config)"),
         }
     }
 }
@@ -103,17 +95,14 @@ impl From<SessionError> for Error {
 }
 
 /// Builder for [`EmulationSession`] — the console's power-up flow as a
-/// fluent API: host settings, node slots with per-node protocol map
-/// files, and execution parallelism.
+/// fluent API: host settings, the board configuration (node slots with
+/// their protocols and domains) and execution parallelism.
 #[derive(Clone, Debug, Default)]
 pub struct EmulationSessionBuilder {
     host: Option<HostConfig>,
     board: Option<BoardConfig>,
-    slots: Vec<NodeSlot>,
     parallelism: usize,
     sample_every: Option<u64>,
-    misuse: Option<SessionError>,
-    parse_error: Option<memories_protocol::ProtocolParseError>,
 }
 
 impl EmulationSessionBuilder {
@@ -125,70 +114,9 @@ impl EmulationSessionBuilder {
         self
     }
 
-    /// Adds an emulated cache node covering every host CPU (MESI, domain
-    /// 0). Follow with [`protocol`](Self::protocol) /
-    /// [`domain`](Self::domain) / [`cpus`](Self::cpus) to adjust it.
-    #[must_use]
-    pub fn node(mut self, params: CacheParams) -> Self {
-        // CPUs are resolved against the host at build time; a placeholder
-        // empty list marks "all host CPUs".
-        self.slots.push(NodeSlot::new(params, []));
-        self
-    }
-
-    /// Restricts the latest node to specific host CPUs.
-    #[must_use]
-    pub fn cpus<I: IntoIterator<Item = ProcId>>(mut self, cpus: I) -> Self {
-        match self.slots.last_mut() {
-            Some(slot) => slot.cpus = cpus.into_iter().collect(),
-            None => {
-                self.misuse.get_or_insert(SessionError::NoNodeYet);
-            }
-        }
-        self
-    }
-
-    /// Loads a protocol map file (the §3.2 table-lookup format) into the
-    /// latest node. Parse errors surface at [`build`](Self::build).
-    #[must_use]
-    pub fn protocol(mut self, map_text: &str) -> Self {
-        match ProtocolTable::parse_map_file(map_text) {
-            Ok(table) => self.protocol_table(table),
-            Err(e) => {
-                self.parse_error.get_or_insert(e);
-                self
-            }
-        }
-    }
-
-    /// Loads an already-parsed protocol table into the latest node.
-    #[must_use]
-    pub fn protocol_table(mut self, table: ProtocolTable) -> Self {
-        match self.slots.last_mut() {
-            Some(slot) => slot.protocol = table,
-            None => {
-                self.misuse.get_or_insert(SessionError::NoNodeYet);
-            }
-        }
-        self
-    }
-
-    /// Places the latest node in a coherence domain (Figure 4 parallel
-    /// configurations).
-    #[must_use]
-    pub fn domain(mut self, domain: u8) -> Self {
-        match self.slots.last_mut() {
-            Some(slot) => slot.domain = domain,
-            None => {
-                self.misuse.get_or_insert(SessionError::NoNodeYet);
-            }
-        }
-        self
-    }
-
-    /// Uses an explicit board configuration instead of accumulated
-    /// `.node(...)` calls (which are then rejected at build). This is
-    /// also where the filter, timing and retry settings go.
+    /// Sets the board configuration (required): the node slots with
+    /// their CPUs, protocols and coherence domains, plus the filter,
+    /// timing and retry settings.
     #[must_use]
     pub fn board(mut self, config: BoardConfig) -> Self {
         self.board = Some(config);
@@ -220,32 +148,10 @@ impl EmulationSessionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`memories::Error`] for builder misuse, protocol map parse
-    /// failures, invalid board shapes, or an invalid host configuration.
+    /// Returns [`memories::Error`] for a missing board, an invalid board
+    /// shape, or an invalid host configuration.
     pub fn build(self) -> Result<EmulationSession, Error> {
-        if let Some(misuse) = self.misuse {
-            return Err(misuse.into());
-        }
-        if let Some(e) = self.parse_error {
-            return Err(e.into());
-        }
-        let board = match (self.board, self.slots) {
-            (Some(board), _) => board,
-            (None, slots) if slots.is_empty() => return Err(SessionError::NoNodes.into()),
-            (None, mut slots) => {
-                // Empty CPU lists mean "every host CPU".
-                let all: Vec<ProcId> = match &self.host {
-                    Some(h) => (0..h.num_cpus as u8).map(ProcId::new).collect(),
-                    None => (0..8).map(ProcId::new).collect(),
-                };
-                for slot in &mut slots {
-                    if slot.cpus.is_empty() {
-                        slot.cpus = all.clone();
-                    }
-                }
-                BoardConfig::from_slots(slots)?
-            }
-        };
+        let board = self.board.ok_or(SessionError::NoNodes)?;
         // Validate both configurations eagerly: a session that builds,
         // runs.
         MemoriesBoard::new(board.clone())?;
@@ -408,26 +314,10 @@ impl EmulationSession {
     /// Returns [`SessionError::MissingHost`] (as [`memories::Error`]) if
     /// the builder never got a host configuration.
     pub fn run(&self, workload: &mut dyn Workload, refs: u64) -> Result<ExperimentResult, Error> {
-        self.run_profiled(workload, refs, 0)
-    }
-
-    /// Like [`EmulationSession::run`], additionally sampling a per-window
-    /// miss ratio every `window_refs` references (pass 0 for no profile).
-    /// Profiling observes through snapshot barriers, so it runs at the
-    /// configured parallelism — a profiled run is no longer serial.
-    ///
-    /// # Errors
-    ///
-    /// As [`EmulationSession::run`].
-    pub fn run_profiled(
-        &self,
-        workload: &mut dyn Workload,
-        refs: u64,
-        window_refs: u64,
-    ) -> Result<ExperimentResult, Error> {
-        let source = self.live_source(workload, refs)?;
-        let run = self.execute(source, ExecutionOptions::new().window_refs(window_refs))?;
-        Ok(experiment_result(run))
+        Ok(experiment_result(self.execute(
+            self.live_source(workload, refs)?,
+            ExecutionOptions::new(),
+        )?))
     }
 
     /// Like [`EmulationSession::run`], but also returns the live counter
@@ -505,7 +395,6 @@ fn experiment_result(run: PipelineRun) -> ExperimentResult {
         machine: run.machine.expect("live sources report machine statistics"),
         bus: run.bus.expect("live sources report bus statistics"),
         retries_posted: run.retries_posted,
-        profile: run.profile,
         board: run.board,
     }
 }
@@ -514,9 +403,10 @@ fn experiment_result(run: PipelineRun) -> ExperimentResult {
 mod tests {
     use super::*;
     use crate::shared::Shared;
-    use memories_bus::NodeId;
+    use memories::CacheParams;
+    use memories_bus::{NodeId, ProcId};
     use memories_host::AccessKind;
-    use memories_protocol::standard;
+    use memories_protocol::ProtocolTable;
     use memories_workloads::micro::{Sequential, UniformRandom};
     use memories_workloads::{RefKind, WorkloadEvent};
 
@@ -527,6 +417,11 @@ mod tests {
             .allow_scaled_down()
             .build()
             .unwrap()
+    }
+
+    /// One node of `params(capacity)` snooping CPUs 0 and 1.
+    fn one_node(capacity: u64) -> BoardConfig {
+        BoardConfig::single_node(params(capacity), (0..2).map(ProcId::new)).unwrap()
     }
 
     fn host(cpus: usize) -> HostConfig {
@@ -541,27 +436,16 @@ mod tests {
     #[test]
     fn builder_misuse_is_reported_at_build() {
         let err = EmulationSession::builder()
-            .protocol(standard::MSI_MAP)
-            .node(params(1 << 20))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("add a node first"), "{err}");
-
-        let err = EmulationSession::builder()
             .host(host(2))
             .build()
             .unwrap_err();
-        assert!(err.to_string().contains("no emulated cache nodes"), "{err}");
+        assert!(err.to_string().contains("no board"), "{err}");
 
-        let err = EmulationSession::builder()
-            .node(params(1 << 20))
-            .protocol("garbage")
-            .build()
-            .unwrap_err();
+        let err = Error::from(ProtocolTable::parse_map_file("garbage").unwrap_err());
         assert!(matches!(err, Error::Protocol(_)), "{err:?}");
 
         let err = EmulationSession::builder()
-            .node(params(1 << 20))
+            .board(one_node(1 << 20))
             .build()
             .unwrap()
             .run(&mut UniformRandom::new(2, 1 << 20, 0.3, 1), 10)
@@ -573,7 +457,7 @@ mod tests {
     /// (board attached straight to the bus) bit for bit.
     #[test]
     fn session_run_matches_a_directly_attached_board() {
-        let cfg = BoardConfig::single_node(params(1 << 20), (0..2).map(ProcId::new)).unwrap();
+        let cfg = one_node(1 << 20);
 
         // Classic path: board as a plain bus listener, pumped by hand.
         let board = Shared::new(MemoriesBoard::new(cfg.clone()).unwrap());
@@ -603,7 +487,7 @@ mod tests {
 
         let session = EmulationSession::builder()
             .host(host(2))
-            .node(params(1 << 20))
+            .board(one_node(1 << 20))
             .build()
             .unwrap();
         let mut w2 = UniformRandom::new(2, 16 << 20, 0.3, 5);
@@ -618,7 +502,7 @@ mod tests {
     fn run_collects_consistent_statistics() {
         let session = EmulationSession::builder()
             .host(host(2))
-            .node(params(1 << 20))
+            .board(one_node(1 << 20))
             .build()
             .unwrap();
         let mut w = UniformRandom::new(2, 16 << 20, 0.3, 5);
@@ -639,11 +523,14 @@ mod tests {
     fn profile_windows_cover_the_run() {
         let session = EmulationSession::builder()
             .host(host(2))
-            .node(params(1 << 20))
+            .board(one_node(1 << 20))
             .build()
             .unwrap();
         let mut w = UniformRandom::new(2, 16 << 20, 0.3, 6);
-        let result = session.run_profiled(&mut w, 10_000, 2_000).unwrap();
+        let source = session.live_source(&mut w, 10_000).unwrap();
+        let result = session
+            .execute(source, ExecutionOptions::new().window_refs(2_000))
+            .unwrap();
         assert_eq!(result.profile.len(), 5);
         assert_eq!(result.profile.last().unwrap().end_ref, 10_000);
         for p in &result.profile {
@@ -700,7 +587,7 @@ mod tests {
     fn sequential_workload_hits_after_warmup() {
         let session = EmulationSession::builder()
             .host(host(2))
-            .node(params(1 << 20))
+            .board(one_node(1 << 20))
             .build()
             .unwrap();
         // Footprint 128 KB per cpu fits the 1 MB emulated cache: after the
@@ -801,7 +688,7 @@ mod tests {
         use memories::TraceCapture;
         use memories_trace::TraceWriter;
 
-        let cfg = BoardConfig::single_node(params(1 << 20), (0..2).map(ProcId::new)).unwrap();
+        let cfg = one_node(1 << 20);
         let board = Shared::new(MemoriesBoard::new(cfg.clone()).unwrap());
         let capture = Shared::new(TraceCapture::new(1 << 20));
         let mut machine = HostMachine::new(host(2)).unwrap();
@@ -855,7 +742,7 @@ mod tests {
         use crate::pipeline::StreamSource;
         use memories_trace::{TraceError, TraceRecord, TraceWriter};
 
-        let cfg = BoardConfig::single_node(params(64 << 10), (0..2).map(ProcId::new)).unwrap();
+        let cfg = one_node(64 << 10);
         let session = EmulationSession::builder()
             .board(cfg)
             .parallelism(2)

@@ -109,12 +109,6 @@ impl HotSpotProfiler {
         }
     }
 
-    /// A profiler sized like the board: 256 MB of 8-byte counters pairs
-    /// per unit (16 bytes each) = 16 Mi units.
-    pub fn board_sized(granularity: Granularity) -> Self {
-        HotSpotProfiler::new(granularity, 16 << 20)
-    }
-
     /// The counting granularity.
     pub fn granularity(&self) -> Granularity {
         self.granularity

@@ -5,6 +5,7 @@
 //! a 512-entry transaction buffer, under a protocol loaded as a
 //! state-transition table.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use memories_bus::{Address, LineAddr, NodeId, SnoopResponse};
@@ -31,12 +32,13 @@ pub struct NodeOutcome {
 
 /// First-touch tracker for cold-miss classification.
 ///
-/// A growable bitmap over line numbers; lines beyond the cap (2^31 lines,
-/// i.e. 256 GB of 128 B lines) are treated as already-touched rather than
-/// growing without bound.
+/// A growable bitmap over line numbers below the cap (2^31 lines, i.e.
+/// 256 GB of 128 B lines); touched lines above it are kept exactly in a
+/// set, so the bitmap never grows without bound and no line is miscounted.
 #[derive(Clone, Debug, Default)]
 struct ColdTracker {
     bits: Vec<u64>,
+    beyond_cap: HashSet<u64>,
 }
 
 impl ColdTracker {
@@ -47,7 +49,7 @@ impl ColdTracker {
         let bit = line.value();
         let word = (bit / 64) as usize;
         if word >= Self::MAX_WORDS {
-            return false;
+            return self.beyond_cap.insert(bit);
         }
         if word >= self.bits.len() {
             self.bits.resize(word + 1, 0);
@@ -480,7 +482,10 @@ mod tests {
         assert!(t.first_touch(LineAddr::new(5)));
         assert!(!t.first_touch(LineAddr::new(5)));
         assert!(t.first_touch(LineAddr::new(1_000_000)));
-        // Beyond the cap: conservatively not-cold.
+        // Beyond the cap: counted exactly, like any other line.
+        assert!(t.first_touch(LineAddr::new(u64::MAX)));
         assert!(!t.first_touch(LineAddr::new(u64::MAX)));
+        assert!(t.first_touch(LineAddr::new(1 << 31)));
+        assert!(!t.first_touch(LineAddr::new(1 << 31)));
     }
 }

@@ -110,11 +110,6 @@ impl NodeShard {
         self.nodes.is_empty()
     }
 
-    /// The global node ids of this shard's members, ascending.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.indices.iter().map(|i| NodeId::new(*i))
-    }
-
     /// The member with global id `id`, if this shard owns it.
     pub fn node(&self, id: NodeId) -> Option<&NodeController> {
         let pos = self

@@ -62,20 +62,6 @@ impl HostConfig {
         }
     }
 
-    /// Replaces the outer cache geometry.
-    #[must_use]
-    pub fn with_outer_cache(mut self, geometry: Geometry) -> Self {
-        self.outer_cache = geometry;
-        self
-    }
-
-    /// Replaces the processor count.
-    #[must_use]
-    pub fn with_cpus(mut self, num_cpus: usize) -> Self {
-        self.num_cpus = num_cpus;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors

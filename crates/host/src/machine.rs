@@ -68,11 +68,6 @@ impl HostMachine {
         &self.config
     }
 
-    /// The bus id used by the I/O bridge for DMA traffic.
-    pub fn io_bridge_id(&self) -> ProcId {
-        self.io_bridge
-    }
-
     /// Attaches a passive bus listener (e.g. the MemorIES board).
     pub fn attach_listener(&mut self, listener: Box<dyn BusListener>) {
         self.bus.attach(listener);

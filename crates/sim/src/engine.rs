@@ -14,7 +14,9 @@
 //! `memories::NodeShard` for why that makes per-shard snooping exact).
 //! Nothing re-batches the stream between the filter and the shards, as
 //! on the board, where the filter hands each admitted transaction
-//! straight to the node controllers' buffers. At [`finish`] the shards are reassembled into a [`MemoriesBoard`]
+//! straight to the node controllers' buffers.
+//!
+//! At [`finish`] the shards are reassembled into a [`MemoriesBoard`]
 //! whose every counter and directory entry is **bit-identical** to a
 //! serial run of the same stream.
 //!

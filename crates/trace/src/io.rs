@@ -84,11 +84,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Number of records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.written
-    }
-
     /// Flushes buffered data and returns the record count.
     ///
     /// # Errors

@@ -13,9 +13,6 @@
 //!   so traces of any length replay without ever materializing a
 //!   whole-trace `Vec` — the `memories-console` replay pipeline is built
 //!   on it.
-//! * [`window`] — trace windowing for the short-trace vs.
-//!   long-trace experiments (Case Study 1).
-//! * [`TraceStats`] — quick per-operation and per-requester profiles.
 //!
 //! # Examples
 //!
@@ -44,10 +41,7 @@
 mod error;
 mod io;
 mod record;
-mod stats;
-pub mod window;
 
 pub use error::TraceError;
 pub use io::{TraceReader, TraceWriter, TRACE_MAGIC, TRACE_VERSION};
 pub use record::TraceRecord;
-pub use stats::TraceStats;

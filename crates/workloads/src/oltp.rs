@@ -158,11 +158,6 @@ impl OltpWorkload {
         }
     }
 
-    /// Whether the generator is currently inside a journaling burst.
-    pub fn in_journal_burst(&self) -> bool {
-        self.journal_refs_left > 0
-    }
-
     /// Total instructions issued so far.
     pub fn instructions_issued(&self) -> u64 {
         self.instructions_issued

@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example monitoring`
 
-use memories::{CacheParams, SdramModel};
+use memories::{BoardConfig, CacheParams, SdramModel};
+use memories_bus::ProcId;
 use memories_console::EmulationSession;
 use memories_obs::export;
 use memories_workloads::{OltpConfig, OltpWorkload};
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let session = EmulationSession::builder()
         .host(host)
-        .node(params)
+        .board(BoardConfig::single_node(params, (0..8).map(ProcId::new))?)
         .sample_every(32_768)
         .build()?;
 

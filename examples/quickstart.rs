@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use memories::CacheParams;
+use memories::{BoardConfig, CacheParams};
+use memories_bus::ProcId;
 use memories_console::EmulationSession;
 use memories_host::HostConfig;
 use memories_workloads::{OltpConfig, OltpWorkload};
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workload = OltpWorkload::new(OltpConfig::scaled_default());
     let session = EmulationSession::builder()
         .host(host)
-        .node(params)
+        .board(BoardConfig::single_node(params, (0..8).map(ProcId::new))?)
         .build()?;
     let result = session.run(&mut workload, 500_000)?;
 

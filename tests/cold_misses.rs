@@ -115,42 +115,66 @@ fn cold_counts(board: &MemoriesBoard) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// Checks the serial board and the engine at 2 shards against the
+/// first-touch reference on the stream `raw` describes.
+fn check_cold_counts(raw: &[(u8, u8, u64)]) -> Result<(), TestCaseError> {
+    let txns = build_stream(raw);
+    let want = reference(&board(), &txns);
+
+    let mut serial = board();
+    for t in &txns {
+        serial.on_transaction(t);
+    }
+    prop_assert_eq!(&cold_counts(&serial), &want);
+    prop_assert_eq!(serial.retries_posted(), 0);
+    let misses: u64 = serial
+        .nodes()
+        .map(|n| {
+            n.counters().get(NodeCounter::ReadMisses) + n.counters().get(NodeCounter::WriteMisses)
+        })
+        .sum();
+    let cold: u64 = want.iter().map(|c| c.0 + c.1).sum();
+    prop_assert!(cold <= misses);
+
+    let mut engine = EmulationEngine::new(board(), EngineConfig::parallel(2));
+    feed(&mut engine, &txns, 100);
+    let sharded = engine.finish().unwrap();
+    prop_assert_eq!(&cold_counts(&sharded), &want);
+    Ok(())
+}
+
+fn arb_op() -> impl Strategy<Value = u8> {
+    prop::sample::select(vec![0u8, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn cold_misses_are_first_touches(
+        raw in prop::collection::vec((arb_op(), 0u8..8, 0u64..96), 1..1500),
+    ) {
+        check_cold_counts(&raw)?;
+    }
+
+    /// Lines at and above 2^31 (256 GiB of 128 B lines, past the flat
+    /// cold-miss bitmap) up to the trace format's 2^55-byte address
+    /// limit count their first touch like any other line.
+    #[test]
+    fn cold_misses_above_2_pow_31_lines_are_first_touches(
         raw in prop::collection::vec(
             (
-                prop::sample::select(vec![0u8, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]),
+                arb_op(),
                 0u8..8,
-                0u64..96,
+                prop_oneof![
+                    1 => 0u64..32,
+                    1 => 1u64 << 31..(1u64 << 31) + 48,
+                    1 => (1u64 << 48) - 32..1u64 << 48,
+                ],
             ),
             1..1500,
         ),
     ) {
-        let txns = build_stream(&raw);
-        let want = reference(&board(), &txns);
-
-        let mut serial = board();
-        for t in &txns {
-            serial.on_transaction(t);
-        }
-        prop_assert_eq!(&cold_counts(&serial), &want);
-        prop_assert_eq!(serial.retries_posted(), 0);
-        let misses: u64 = serial
-            .nodes()
-            .map(|n| {
-                n.counters().get(NodeCounter::ReadMisses)
-                    + n.counters().get(NodeCounter::WriteMisses)
-            })
-            .sum();
-        let cold: u64 = want.iter().map(|c| c.0 + c.1).sum();
-        prop_assert!(cold <= misses);
-
-        let mut engine = EmulationEngine::new(board(), EngineConfig::parallel(2));
-        feed(&mut engine, &txns, 100);
-        let sharded = engine.finish().unwrap();
-        prop_assert_eq!(&cold_counts(&sharded), &want);
+        check_cold_counts(&raw)?;
     }
 }

@@ -15,6 +15,7 @@ use memories::{CacheParams, Counter40, GlobalCounters};
 use memories_bus::{Address, BusOp, ProcId, SnoopResponse, Transaction};
 use memories_console::{
     ChunkedTraceSource, EmulationSession, ExecutionOptions, ExperimentResult, MonitoredRun,
+    PipelinedLiveSource,
 };
 use memories_host::HostConfig;
 use memories_obs::export;
@@ -295,7 +296,7 @@ fn profiled_windows_are_bit_identical_across_shard_counts() {
     let make = oltp();
     let refs = 24_000;
     let window = 4_000;
-    let run_profiled = |shards: usize| {
+    let profiled = |shards: usize| {
         let session = EmulationSession::builder()
             .host(host())
             .board(board())
@@ -303,11 +304,16 @@ fn profiled_windows_are_bit_identical_across_shard_counts() {
             .build()
             .unwrap();
         let mut workload = make();
-        session.run_profiled(&mut *workload, refs, window).unwrap()
+        session
+            .execute(
+                PipelinedLiveSource::new(host(), &mut *workload, refs),
+                ExecutionOptions::new().window_refs(window),
+            )
+            .unwrap()
     };
 
     let plain = run(&*make, 1, refs);
-    let serial = run_profiled(1);
+    let serial = profiled(1);
     assert_eq!(
         plain.board.statistics_report(),
         serial.board.statistics_report(),
@@ -320,7 +326,7 @@ fn profiled_windows_are_bit_identical_across_shard_counts() {
     }
 
     for shards in [2usize, 4, 8] {
-        let parallel = run_profiled(shards);
+        let parallel = profiled(shards);
         assert_eq!(
             serial.profile, parallel.profile,
             "{shards}-shard profile diverged from serial"

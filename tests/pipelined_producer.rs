@@ -6,7 +6,9 @@
 
 use memories::{BoardConfig, CacheParams, MemoriesBoard};
 use memories_bus::{BusListener, BusStats, ListenerReaction, ProcId, Transaction};
-use memories_console::{apply_event, EmulationSession, PipelinedLiveSource, ProfilePoint, Shared};
+use memories_console::{
+    apply_event, EmulationSession, ExecutionOptions, PipelinedLiveSource, ProfilePoint, Shared,
+};
 use memories_host::{HostConfig, HostMachine, MachineStats};
 use memories_obs::TimeSeries;
 use memories_workloads::micro::{Sequential, UniformRandom};
@@ -231,7 +233,7 @@ fn pipelined_runs_are_bit_identical_to_alternating_runs() {
     }
 }
 
-/// Runs `run_profiled` at parallelism 1 and 2 and checks every profile
+/// Runs a profiled live source at parallelism 1 and 2 and checks every profile
 /// point — window end, bus cycle and per-node miss ratio — against the
 /// per-reference reference.
 fn assert_profile_matches(
@@ -243,8 +245,12 @@ fn assert_profile_matches(
     let want = reference(&mut *make(), refs, None, Some(window));
     assert_eq!(want.profile.len() as u64, refs / window, "{name}");
     for parallelism in [1usize, 2] {
+        let mut workload = make();
         let got = session(parallelism, None)
-            .run_profiled(&mut *make(), refs, window)
+            .execute(
+                PipelinedLiveSource::new(host(), &mut *workload, refs),
+                ExecutionOptions::new().window_refs(window),
+            )
             .unwrap();
         assert_eq!(
             want.profile, got.profile,

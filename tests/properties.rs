@@ -7,7 +7,7 @@ use memories_protocol::{
     Transition,
 };
 use memories_sim::CacheSim;
-use memories_trace::{window::Window, TraceReader, TraceRecord, TraceWriter};
+use memories_trace::{TraceReader, TraceRecord, TraceWriter};
 use proptest::prelude::*;
 
 fn arb_demand_record(max_line: u64) -> impl Strategy<Value = TraceRecord> {
@@ -87,26 +87,6 @@ proptest! {
         let back: Vec<TraceRecord> =
             TraceReader::new(buf.as_slice()).unwrap().map(|r| r.unwrap()).collect();
         prop_assert_eq!(back, records);
-    }
-
-    /// Windowing a trace yields exactly the records whose indices fall in
-    /// the window.
-    #[test]
-    fn windowing_selects_exact_indices(
-        records in prop::collection::vec(arb_any_record(), 0..200),
-        start in 0u64..100,
-        len in 0u64..100,
-    ) {
-        let window = Window::at(start, len);
-        let out: Vec<TraceRecord> =
-            memories_trace::window::windowed(records.iter().copied(), window).collect();
-        let expected: Vec<TraceRecord> = records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| window.contains(*i as u64))
-            .map(|(_, r)| *r)
-            .collect();
-        prop_assert_eq!(out, expected);
     }
 
     /// Any randomly generated *complete* protocol table roundtrips
