@@ -5,6 +5,8 @@ use std::fmt;
 
 use memories_bus::{BusConfig, Geometry, ProcId};
 
+use crate::outer::MAX_WAYS;
+
 /// Configuration of the host SMP machine.
 ///
 /// `outer_cache` is the coherence point (normally the L2); `inner_cache`
@@ -66,13 +68,19 @@ impl HostConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for a zero or oversized CPU count, an inner
-    /// cache bigger than the outer (inclusion would be impossible), or
-    /// mismatched line sizes between the levels.
+    /// Returns [`ConfigError`] for a zero or oversized CPU count, an outer
+    /// cache of more than 64 ways, an inner cache bigger than the outer
+    /// (inclusion would be impossible), mismatched line sizes between the
+    /// levels, a zero CPU clock, or a CPI that is not positive and finite.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cpus == 0 || self.num_cpus > ProcId::MAX_IDS - 1 {
             return Err(ConfigError::BadCpuCount {
                 count: self.num_cpus,
+            });
+        }
+        if self.outer_cache.ways() > MAX_WAYS {
+            return Err(ConfigError::TooManyOuterWays {
+                ways: self.outer_cache.ways(),
             });
         }
         if let Some(inner) = &self.inner_cache {
@@ -89,7 +97,10 @@ impl HostConfig {
                 });
             }
         }
-        if self.cycles_per_instruction <= 0.0 {
+        if self.cpu_frequency_hz == 0 {
+            return Err(ConfigError::ZeroCpuFrequency);
+        }
+        if !(self.cycles_per_instruction > 0.0 && self.cycles_per_instruction.is_finite()) {
             return Err(ConfigError::BadCpi {
                 cpi: self.cycles_per_instruction,
             });
@@ -120,6 +131,12 @@ pub enum ConfigError {
         /// The requested count.
         count: usize,
     },
+    /// The outer cache has more ways than the host's outer store can
+    /// order (64).
+    TooManyOuterWays {
+        /// The requested associativity.
+        ways: u32,
+    },
     /// The inner cache cannot be included in the outer one.
     InnerLargerThanOuter {
         /// Inner capacity in bytes.
@@ -134,7 +151,10 @@ pub enum ConfigError {
         /// Outer line size in bytes.
         outer: u64,
     },
-    /// Cycles-per-instruction must be positive.
+    /// The processor clock is zero, so instruction counts would convert
+    /// to infinite bus time.
+    ZeroCpuFrequency,
+    /// Cycles-per-instruction must be positive and finite.
     BadCpi {
         /// The offending value.
         cpi: f64,
@@ -147,6 +167,12 @@ impl fmt::Display for ConfigError {
             ConfigError::BadCpuCount { count } => {
                 write!(f, "cpu count {count} outside supported range")
             }
+            ConfigError::TooManyOuterWays { ways } => {
+                write!(
+                    f,
+                    "outer cache has {ways} ways; at most {MAX_WAYS} supported"
+                )
+            }
             ConfigError::InnerLargerThanOuter { inner, outer } => {
                 write!(
                     f,
@@ -156,8 +182,12 @@ impl fmt::Display for ConfigError {
             ConfigError::LineSizeMismatch { inner, outer } => {
                 write!(f, "inner line size {inner} B differs from outer {outer} B")
             }
+            ConfigError::ZeroCpuFrequency => write!(f, "cpu frequency must be nonzero"),
             ConfigError::BadCpi { cpi } => {
-                write!(f, "cycles per instruction must be positive, got {cpi}")
+                write!(
+                    f,
+                    "cycles per instruction must be positive and finite, got {cpi}"
+                )
             }
         }
     }
@@ -221,6 +251,23 @@ mod tests {
         let mut c = HostConfig::s7a();
         c.cycles_per_instruction = 0.0;
         assert!(matches!(c.validate(), Err(ConfigError::BadCpi { .. })));
+    }
+
+    /// A zero clock or a non-finite CPI would turn instruction counts into
+    /// an infinite or NaN idle time on the bus.
+    #[test]
+    fn rejects_clocks_that_make_idle_time_non_finite() {
+        let mut c = HostConfig::s7a();
+        c.cpu_frequency_hz = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroCpuFrequency));
+        for cpi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = HostConfig::s7a();
+            c.cycles_per_instruction = cpi;
+            assert!(
+                matches!(c.validate(), Err(ConfigError::BadCpi { .. })),
+                "cpi {cpi} passed"
+            );
+        }
     }
 
     #[test]

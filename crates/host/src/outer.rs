@@ -1,6 +1,7 @@
 //! The machine-wide outer (L2) store: every processor's coherence-point
 //! cache in one set-major layout.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use memories_bus::{BusOp, Geometry, LineAddr, SnoopResponse};
@@ -8,7 +9,7 @@ use memories_bus::{BusOp, Geometry, LineAddr, SnoopResponse};
 use crate::cache::Victim;
 use crate::mesi::MesiState;
 
-/// Decodes the low two bits of a `meta` word.
+/// Decodes the low two bits of a `meta` byte.
 const STATES: [MesiState; 4] = [
     MesiState::Invalid,
     MesiState::Shared,
@@ -16,36 +17,59 @@ const STATES: [MesiState; 4] = [
     MesiState::Modified,
 ];
 
-fn state_of(meta: u64) -> MesiState {
-    STATES[(meta & 3) as usize]
+fn state_of(meta: u8) -> MesiState {
+    STATES[usize::from(meta & 3)]
 }
 
-/// Most words in one allocation: 64 KB, below glibc's default mmap
-/// threshold (128 KB).
+/// The `tags` word of a way whose `tag + 1` does not fit below it; the
+/// way's full tag is in [`OuterStore`]'s side map.
+const WIDE: u32 = u32::MAX;
+
+/// The `tags` word for `tag`: `tag + 1`, or [`WIDE`].
+fn key_of(tag: u64) -> u32 {
+    u32::try_from(tag + 1).unwrap_or(WIDE)
+}
+
+/// The most ways a processor's set may have: ages take six bits.
+pub(crate) const MAX_WAYS: u32 = 64;
+
+/// Most ways in one chunk: 32 KB of tags and 8 KB of `meta`, below
+/// glibc's default mmap threshold (128 KB).
 ///
 /// glibc raises that threshold to the size of each mapped block it frees
 /// and then serves smaller requests from a heap it rarely returns to the
 /// system. Two 4 MB arrays per machine did that, and a set-up that builds
 /// machines repeatedly kept up to 10 MB more resident. Chunks this small
 /// come from the heap from the start and leave the threshold alone.
-const CHUNK_WORDS: usize = 1 << 13;
+const CHUNK_WAYS: usize = 1 << 13;
 
 /// Every processor's outer (L2) cache, laid out `[set][cpu][way]`.
 ///
 /// On the 6xx bus every L2 looks up the same set on each snoop (§2), so
 /// the store keeps that set's tags for all processors side by side. A
 /// snoop is one scan of those tags, and only the processors that hold
-/// the line change.
+/// the line change. A way takes 5 B, so an 8-processor, 4-way set's tags
+/// are 128 B: two cache lines.
 ///
 /// * `tags` holds `tag + 1`, so 0 is an empty way and a new store is
-///   zeroed memory the OS faults in lazily.
-/// * `meta` holds `tick << 2 | MESI` for the same way.
-/// * Both are split into chunks of `1 << chunk_shift` whole sets, at most
-///   [`CHUNK_WORDS`] words each.
-/// * `tick` is one machine-wide LRU clock. Every fill and touch takes a
-///   fresh tick, so within one processor's set the order of the ticks is
-///   the order of that processor's fills and touches: the same victims as
-///   a private per-cache clock.
+///   zeroed memory the OS faults in lazily. A tag whose `tag + 1` is
+///   `u32::MAX` or more is stored as [`WIDE`], and its full tag sits in
+///   `wide`, keyed by the way's position. Scans look `wide` up only for
+///   a way that holds [`WIDE`] when the probed tag is wide too.
+/// * `meta` holds `age << 2 | MESI` for the same way, and 0 for an empty
+///   way. The age of a valid way is the number of that processor's valid
+///   ways in the set that were used more recently, so 0 is the most
+///   recently used and a full set holds the ages `0..ways`.
+///   * A touch or a fill makes the way 0 and ages the valid ways that
+///     were younger than it by one.
+///   * Every invalidation, local or by snoop, makes the older valid ways
+///     one younger, so the ages stay dense.
+///   * A fill takes the first empty way by position, else the oldest
+///     way. Only the order of the fills and touches within one
+///     processor's set decides its victim, and the ages are that order:
+///     the same victims as a private per-cache LRU clock.
+/// * Both arrays are split into chunks of `1 << chunk_shift` whole sets,
+///   at most [`CHUNK_WAYS`] ways each.
 ///
 /// Scans read `tags` only; `meta` is read for the ways that match.
 pub(crate) struct OuterStore {
@@ -54,9 +78,11 @@ pub(crate) struct OuterStore {
     /// Ways per set across all processors: `cpus * ways`.
     stride: usize,
     chunk_shift: u32,
-    tags: Vec<Vec<u64>>,
-    meta: Vec<Vec<u64>>,
-    tick: u64,
+    tags: Vec<Vec<u32>>,
+    meta: Vec<Vec<u8>>,
+    /// The full tag of every way that holds [`WIDE`], keyed by
+    /// `(chunk, index in chunk)`. Empty unless some tag is that wide.
+    wide: HashMap<(usize, usize), u64>,
 }
 
 /// One processor's probe of its own ways for a line: the handle that the
@@ -64,7 +90,8 @@ pub(crate) struct OuterStore {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OuterWay {
     set: usize,
-    key: u64,
+    tag: u64,
+    key: u32,
     chunk: usize,
     /// Index of the processor's first way of the set in its chunk.
     base: usize,
@@ -74,16 +101,46 @@ pub(crate) struct OuterWay {
     pub(crate) state: MesiState,
 }
 
+/// Makes way `w` of one processor's ways of a set (`meta`) the most
+/// recently used, in `state`. The valid ways used more recently than `w`
+/// age by one; an empty `w` counts as older than every valid way.
+fn promote(meta: &mut [u8], w: usize, state: MesiState) {
+    let age = if meta[w] == 0 { u8::MAX } else { meta[w] >> 2 };
+    for m in meta.iter_mut() {
+        if *m != 0 && *m >> 2 < age {
+            *m += 4;
+        }
+    }
+    meta[w] = state as u8;
+}
+
+/// Empties way `w` of one processor's ways of a set (`meta`). The valid
+/// ways used less recently than `w` become one younger.
+fn release(meta: &mut [u8], w: usize) {
+    let age = meta[w] >> 2;
+    meta[w] = 0;
+    for m in meta.iter_mut() {
+        if *m >> 2 > age {
+            *m -= 4;
+        }
+    }
+}
+
 impl OuterStore {
-    /// An empty store of `cpus` caches of geometry `geom`.
+    /// An empty store of `cpus` caches of geometry `geom`, which has at
+    /// most [`MAX_WAYS`] ways (`HostConfig::validate` checks it).
     pub(crate) fn new(geom: Geometry, cpus: usize) -> Self {
         let ways = geom.ways() as usize;
         let stride = cpus * ways;
         let sets = geom.sets();
-        let chunk_sets = (CHUNK_WORDS / stride).clamp(1, sets);
+        let chunk_sets = (CHUNK_WAYS / stride).clamp(1, sets);
         let chunk_shift = chunk_sets.ilog2();
-        let chunk = || vec![0; stride << chunk_shift];
-        let (tags, meta) = (0..sets >> chunk_shift).map(|_| (chunk(), chunk())).unzip();
+        let chunk = stride << chunk_shift;
+        // Tag and age chunks are allocated in turn: allocating all tag
+        // chunks first left `replay-dss` about 1 MB more resident.
+        let (tags, meta) = (0..sets >> chunk_shift)
+            .map(|_| (vec![0; chunk], vec![0; chunk]))
+            .unzip();
         OuterStore {
             geom,
             ways,
@@ -91,7 +148,7 @@ impl OuterStore {
             chunk_shift,
             tags,
             meta,
-            tick: 0,
+            wide: HashMap::new(),
         }
     }
 
@@ -102,6 +159,19 @@ impl OuterStore {
         (set >> self.chunk_shift, within * self.stride)
     }
 
+    /// The tag in way `i` of `chunk`, whose `tags` word is the nonzero
+    /// `word`.
+    fn tag_at(&self, chunk: usize, i: usize, word: u32) -> u64 {
+        if word == WIDE {
+            *self
+                .wide
+                .get(&(chunk, i))
+                .expect("every wide way has its tag in the side map")
+        } else {
+            u64::from(word) - 1
+        }
+    }
+
     /// The geometry of each processor's cache.
     pub(crate) fn geometry(&self) -> &Geometry {
         &self.geom
@@ -110,15 +180,18 @@ impl OuterStore {
     /// Looks `line` up in processor `cpu`'s ways.
     pub(crate) fn probe(&self, cpu: usize, line: LineAddr) -> OuterWay {
         let set = self.geom.set_index(line);
-        let key = self.geom.tag(line) + 1;
+        let tag = self.geom.tag(line);
+        let key = key_of(tag);
         let (chunk, first) = self.locate(set);
         let base = first + cpu * self.ways;
         let slot = self.tags[chunk][base..base + self.ways]
             .iter()
-            .position(|&t| t == key)
-            .map(|w| base + w);
+            .zip(base..)
+            .find(|&(&t, i)| t == key && (key != WIDE || self.wide.get(&(chunk, i)) == Some(&tag)))
+            .map(|(_, i)| i);
         OuterWay {
             set,
+            tag,
             key,
             chunk,
             base,
@@ -131,15 +204,15 @@ impl OuterStore {
     pub(crate) fn set_state(&mut self, way: &OuterWay, state: MesiState) {
         let i = way.slot.expect("set_state needs a resident line");
         let meta = &mut self.meta[way.chunk][i];
-        *meta = (*meta & !3) | state as u64;
+        *meta = (*meta & !3) | state as u8;
     }
 
     /// Sets the state of a probed resident line and marks it
     /// most-recently-used.
     pub(crate) fn touch(&mut self, way: &OuterWay, state: MesiState) {
         let i = way.slot.expect("touch needs a resident line");
-        self.tick += 1;
-        self.meta[way.chunk][i] = self.tick << 2 | state as u64;
+        let meta = &mut self.meta[way.chunk][way.base..way.base + self.ways];
+        promote(meta, i - way.base, state);
     }
 
     /// Fills a probed absent line with `state` into the processor's first
@@ -147,22 +220,31 @@ impl OuterStore {
     pub(crate) fn fill(&mut self, way: &OuterWay, state: MesiState) -> Option<Victim> {
         debug_assert!(way.slot.is_none(), "fill needs an absent line");
         debug_assert!(state.is_valid(), "cannot fill an invalid line");
-        self.tick += 1;
-        let tags = &mut self.tags[way.chunk];
-        let meta = &mut self.meta[way.chunk];
         let ways = way.base..way.base + self.ways;
-        let i = match tags[ways.clone()].iter().position(|&t| t == 0) {
-            Some(w) => way.base + w,
-            None => ways
-                .min_by_key(|&i| meta[i])
+        let tags = &self.tags[way.chunk][ways.clone()];
+        let meta = &self.meta[way.chunk][ways.clone()];
+        let w = match tags.iter().position(|&t| t == 0) {
+            Some(w) => w,
+            None => (0..self.ways)
+                .max_by_key(|&w| meta[w])
                 .expect("every set has at least one way"),
         };
-        let victim = (tags[i] != 0).then(|| Victim {
-            line: self.geom.line_from_parts(tags[i] - 1, way.set),
-            state: state_of(meta[i]),
+        let i = way.base + w;
+        let old = tags[w];
+        let victim = (old != 0).then(|| Victim {
+            line: self
+                .geom
+                .line_from_parts(self.tag_at(way.chunk, i, old), way.set),
+            state: state_of(meta[w]),
         });
-        tags[i] = way.key;
-        meta[i] = self.tick << 2 | state as u64;
+        if old == WIDE {
+            self.wide.remove(&(way.chunk, i));
+        }
+        if way.key == WIDE {
+            self.wide.insert((way.chunk, i), way.tag);
+        }
+        self.tags[way.chunk][i] = way.key;
+        promote(&mut self.meta[way.chunk][ways], w, state);
         victim
     }
 
@@ -170,8 +252,12 @@ impl OuterStore {
     /// state ([`MesiState::Invalid`] if it was absent).
     pub(crate) fn invalidate(&mut self, way: &OuterWay) -> MesiState {
         if let Some(i) = way.slot {
+            if way.key == WIDE {
+                self.wide.remove(&(way.chunk, i));
+            }
             self.tags[way.chunk][i] = 0;
-            self.meta[way.chunk][i] = 0;
+            let meta = &mut self.meta[way.chunk][way.base..way.base + self.ways];
+            release(meta, i - way.base);
         }
         way.state
     }
@@ -187,7 +273,8 @@ impl OuterStore {
     /// * Any other operation draws no reaction.
     ///
     /// Every holder supplies an intervention, and `holder(cpu)` is called
-    /// once for each. Snoops never change the LRU order.
+    /// once for each. Snoops never change the LRU order of the lines
+    /// that stay.
     pub(crate) fn snoop(
         &mut self,
         line: LineAddr,
@@ -199,25 +286,31 @@ impl OuterStore {
         if !invalidates && !matches!(op, BusOp::Read | BusOp::DmaRead) {
             return SnoopResponse::Null;
         }
-        let key = self.geom.tag(line) + 1;
+        let tag = self.geom.tag(line);
+        let key = key_of(tag);
+        let ways = self.ways;
         let (chunk, start) = self.locate(self.geom.set_index(line));
+        let wide = &mut self.wide;
         let tags = &mut self.tags[chunk][start..start + self.stride];
         let meta = &mut self.meta[chunk][start..start + self.stride];
         let mut combined = SnoopResponse::Null;
-        for (j, tag) in tags.iter_mut().enumerate() {
-            if *tag != key {
+        for (j, t) in tags.iter_mut().enumerate() {
+            if *t != key || (key == WIDE && wide.get(&(chunk, start + j)) != Some(&tag)) {
                 continue;
             }
-            let cpu = j / self.ways;
+            let cpu = j / ways;
             if requester == Some(cpu) {
                 continue;
             }
             let dirty = state_of(meta[j]).is_dirty();
             if invalidates {
-                *tag = 0;
-                meta[j] = 0;
+                if key == WIDE {
+                    wide.remove(&(chunk, start + j));
+                }
+                *t = 0;
+                release(&mut meta[cpu * ways..(cpu + 1) * ways], j % ways);
             } else {
-                meta[j] = (meta[j] & !3) | MesiState::Shared as u64;
+                meta[j] = (meta[j] & !3) | MesiState::Shared as u8;
             }
             holder(cpu);
             combined = combined.combine(if dirty {
@@ -240,7 +333,8 @@ impl OuterStore {
                 .filter(|&i| tags[i] != 0)
                 .map(move |i| {
                     (
-                        self.geom.line_from_parts(tags[i] - 1, set),
+                        self.geom
+                            .line_from_parts(self.tag_at(chunk, i, tags[i]), set),
                         state_of(meta[i]),
                     )
                 })
@@ -417,5 +511,94 @@ mod tests {
             SnoopResponse::Null
         );
         assert_eq!(s.probe(1, l).state, MesiState::Shared);
+    }
+
+    /// Every processor's valid ways in every set hold the ages
+    /// `0..valid`, and the side map holds exactly the wide ways.
+    fn check_ages(s: &OuterStore) -> Result<(), String> {
+        let cpus = s.stride / s.ways;
+        for set in 0..s.geom.sets() {
+            let (chunk, first) = s.locate(set);
+            for cpu in 0..cpus {
+                let base = first + cpu * s.ways;
+                let ways = base..base + s.ways;
+                let tags = &s.tags[chunk][ways.clone()];
+                let meta = &s.meta[chunk][ways];
+                if tags.iter().zip(meta).any(|(&t, &m)| (t == 0) != (m == 0)) {
+                    return Err(format!("set {set} cpu {cpu}: tags {tags:?}, meta {meta:?}"));
+                }
+                let mut ages: Vec<u8> = meta.iter().filter(|&&m| m != 0).map(|m| m >> 2).collect();
+                ages.sort_unstable();
+                if ages.iter().zip(0..).any(|(&a, n)| a != n) {
+                    return Err(format!("set {set} cpu {cpu}: ages {ages:?}"));
+                }
+            }
+        }
+        let wide_ways = s.tags.iter().flatten().filter(|&&t| t == WIDE).count();
+        if wide_ways != s.wide.len() {
+            return Err(format!(
+                "{wide_ways} wide ways, {} side-map entries",
+                s.wide.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Ages only order the ways, so a leak (an age that is not freed when
+    /// its way empties) shows up in the victims only once an age wraps
+    /// past 63. This walks long random sequences and checks that the
+    /// ages stay dense after every step.
+    #[test]
+    fn ages_stay_dense_under_random_traffic() {
+        const OPS: [BusOp; 7] = [
+            BusOp::Read,
+            BusOp::Rwitm,
+            BusOp::DClaim,
+            BusOp::Flush,
+            BusOp::DmaRead,
+            BusOp::DmaWrite,
+            BusOp::WriteBack,
+        ];
+        const VALID: [MesiState; 3] =
+            [MesiState::Shared, MesiState::Exclusive, MesiState::Modified];
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for ways in [1u32, 2, 4, 64] {
+            let cpus = 3;
+            let g = Geometry::new(2 * u64::from(ways) * 128, ways, 128).unwrap();
+            let mut s = OuterStore::new(g, cpus);
+            let lines = u64::from(ways) * 2 * 3;
+            for step in 0..20_000 {
+                let n = next(lines);
+                // A quarter of the draws take a line whose tag is too wide
+                // for a `u32`.
+                let l = LineAddr::new(if next(4) == 0 { n | 1 << 50 } else { n });
+                let cpu = next(cpus as u64) as usize;
+                let state = VALID[next(3) as usize];
+                let way = s.probe(cpu, l);
+                match next(8) {
+                    0..=1 => {
+                        let requester = (next(2) == 0).then_some(cpu);
+                        s.snoop(l, OPS[next(7) as usize], requester, |_| {});
+                    }
+                    2 if way.state.is_valid() => {
+                        s.invalidate(&way);
+                    }
+                    3 if way.state.is_valid() => s.set_state(&way, state),
+                    _ if way.state.is_valid() => s.touch(&way, state),
+                    _ => {
+                        s.fill(&way, state);
+                    }
+                }
+                if let Err(e) = check_ages(&s) {
+                    panic!("{ways}-way, step {step}: {e}");
+                }
+            }
+        }
     }
 }

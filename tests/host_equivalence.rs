@@ -3,9 +3,11 @@
 //! `SnoopCache` per CPU as that CPU's L2, each snooped in turn.
 //!
 //! Random load / store / DMA / flush / instruction-tick sequences drive
-//! both machines over 1, 2 and 8 CPUs, 1-, 2-, 4- and 8-way outer caches,
-//! with and without an inner (L1) cache. A seeded S7A OLTP run does the
-//! same at full size. The two machines must record the same bus stream
+//! both machines over 1, 2 and 8 CPUs, 1-, 2-, 4-, 8-, 16- and 64-way
+//! outer caches, with and without an inner (L1) cache, and once more with
+//! a share of lines whose tags do not fit the store's 32-bit tag words.
+//! A seeded S7A OLTP run does the same at full size. The two machines
+//! must record the same bus stream
 //! (sequence, cycle, requester, operation, address, response), the same
 //! per-CPU counters, the same memory reads and writes, and the same
 //! resident `(line, state)` set in every CPU's outer and inner cache.
@@ -18,7 +20,7 @@ use memories_bus::{
     SystemBus, Transaction,
 };
 use memories_host::{
-    AccessKind, HostConfig, HostMachine, MesiState, ProcessorCounters, SnoopCache,
+    AccessKind, ConfigError, HostConfig, HostMachine, MesiState, ProcessorCounters, SnoopCache,
 };
 use memories_workloads::{OltpConfig, OltpWorkload, RefKind, Workload, WorkloadEvent};
 use proptest::prelude::*;
@@ -410,17 +412,52 @@ fn sorted(iter: impl Iterator<Item = (LineAddr, MesiState)>) -> Vec<(LineAddr, M
     v
 }
 
-/// Outer sets in every small machine: few, so sequences fill and evict.
+/// Outer sets in every small machine of at most 8 ways: few, so
+/// sequences fill and evict.
 const SETS: u64 = 4;
-/// Distinct lines a sequence touches: three times the largest outer cache.
+/// Distinct lines a sequence touches: three times the largest outer cache
+/// of at most 8 ways, and one and a half times the 64-way one.
 const LINES: u64 = SETS * 8 * 3;
+/// The bit that makes a line's tag too wide for a 32-bit tag word. It
+/// lies above every set index, so the line stays in its set.
+const WIDE_BIT: u64 = 1 << 50;
+
+/// Every third line number gets [`WIDE_BIT`]. Three is prime to every
+/// set count, so wide and narrow tags share every set.
+fn widen(n: u64) -> u64 {
+    if n.is_multiple_of(3) {
+        n | WIDE_BIT
+    } else {
+        n
+    }
+}
+
+/// Outer sets of a `ways`-way machine. Caches of more than 8 ways have
+/// one set, so that a sequence of a few hundred steps still overflows it.
+fn sets(ways: u32) -> u64 {
+    if ways > 8 {
+        1
+    } else {
+        SETS
+    }
+}
+
+/// Distinct lines a sequence touches in a `ways`-way machine: all
+/// [`LINES`] up to 8 ways, else one and a half times the cache.
+fn lines(ways: u32) -> u64 {
+    if ways > 8 {
+        u64::from(ways) * 3 / 2
+    } else {
+        LINES
+    }
+}
 
 fn small_config(cpus: usize, ways: u32, inner: bool) -> HostConfig {
     HostConfig {
         num_cpus: cpus,
         // One 2-way set: the inner cache evicts lines the outer still holds.
         inner_cache: inner.then(|| Geometry::new(256, 2, 128).unwrap()),
-        outer_cache: Geometry::new(SETS * u64::from(ways) * 128, ways, 128).unwrap(),
+        outer_cache: Geometry::new(sets(ways) * u64::from(ways) * 128, ways, 128).unwrap(),
         ..HostConfig::s7a()
     }
 }
@@ -431,9 +468,21 @@ fn arb_step() -> impl Strategy<Value = (u8, u8, u64, u64)> {
     (0u8..20, 0u8..8, 0u64..LINES, 0u64..128)
 }
 
-fn to_step((kind, cpu, line, offset): (u8, u8, u64, u64), cpus: usize) -> Step {
+/// Line numbers are reduced modulo the machine's [`lines`]. With `wide`,
+/// they pass through [`widen`].
+fn to_step(
+    (kind, cpu, line, offset): (u8, u8, u64, u64),
+    cpus: usize,
+    ways: u32,
+    wide: bool,
+) -> Step {
     let cpu = usize::from(cpu) % cpus;
-    let addr = Address::new(line * 128 + offset);
+    let line = line % lines(ways);
+    let line = if wide { widen(line) } else { line };
+    step(kind, cpu, Address::new(line * 128 + offset), offset)
+}
+
+fn step(kind: u8, cpu: usize, addr: Address, offset: u64) -> Step {
     match kind {
         0..=8 => Step::Access(cpu, AccessKind::Load, addr),
         9..=15 => Step::Access(cpu, AccessKind::Store, addr),
@@ -444,13 +493,19 @@ fn to_step((kind, cpu, line, offset): (u8, u8, u64, u64), cpus: usize) -> Step {
     }
 }
 
-fn diverges(cpus: usize, ways: u32, inner: bool, draws: &[(u8, u8, u64, u64)]) -> Option<String> {
+fn diverges(
+    cpus: usize,
+    ways: u32,
+    inner: bool,
+    wide: bool,
+    draws: &[(u8, u8, u64, u64)],
+) -> Option<String> {
     let mut pair = Pair::new(small_config(cpus, ways, inner));
     for (i, &draw) in draws.iter().enumerate() {
-        pair.step(to_step(draw, cpus));
+        pair.step(to_step(draw, cpus, ways, wide));
         if let Some(d) = pair.divergence() {
             return Some(format!(
-                "{cpus} cpus, {ways}-way, inner {inner}, after step {i}: {d}"
+                "{cpus} cpus, {ways}-way, inner {inner}, wide {wide}, after step {i}: {d}"
             ));
         }
     }
@@ -465,10 +520,14 @@ proptest! {
         draws in prop::collection::vec(arb_step(), 1..300),
     ) {
         for cpus in [1usize, 2, 8] {
-            for ways in [1u32, 2, 4, 8] {
+            for ways in [1u32, 2, 4, 8, 16, 64] {
                 for inner in [true, false] {
-                    let divergence = diverges(cpus, ways, inner, &draws);
-                    prop_assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
+                    // Two thirds of the wide run's lines are narrow, so the
+                    // costly 16- and 64-way machines run only that one.
+                    for wide in [false, true].into_iter().filter(|&w| w || ways <= 8) {
+                        let divergence = diverges(cpus, ways, inner, wide, &draws);
+                        prop_assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
+                    }
                 }
             }
         }
@@ -508,4 +567,73 @@ fn seeded_s7a_oltp_run_matches_per_cpu_caches() {
     );
     assert!(total.upgrades > 0, "the run must upgrade shared lines");
     assert_eq!(pair.divergence(), None);
+}
+
+/// The proptest's sequences are short and its CPUs share every line, so
+/// its 16- and 64-way machines rarely fill a set. Here each CPU mostly
+/// uses lines of its own, one in eight is shared, and every third line
+/// is wide; the runs must cast out wide and narrow lines alike.
+#[test]
+fn long_runs_with_wide_tags_evict_like_per_cpu_caches() {
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    let mut draw = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for cpus in [1usize, 2, 8] {
+        for ways in [16u32, 64] {
+            let mut pair = Pair::new(small_config(cpus, ways, true));
+            for i in 0..4_000 {
+                let r = draw();
+                let cpu = (r % cpus as u64) as usize;
+                let n = (r >> 8) % lines(ways);
+                let own = if (r >> 24) % 8 == 0 {
+                    0
+                } else {
+                    cpu as u64 + 1
+                };
+                let line = own << 20 | widen(n);
+                let offset = (r >> 32) % 128;
+                pair.step(step(
+                    (r >> 40) as u8 % 20,
+                    cpu,
+                    Address::new(line * 128 + offset),
+                    offset,
+                ));
+                if i % 100 == 99 {
+                    if let Some(d) = pair.divergence() {
+                        panic!("{cpus} cpus, {ways}-way, by step {i}: {d}");
+                    }
+                }
+            }
+            let expected = pair.expected.borrow();
+            let (wide, narrow): (Vec<&Transaction>, Vec<_>) = expected
+                .iter()
+                .filter(|t| t.op == BusOp::WriteBack)
+                .partition(|t| t.addr.value() >= WIDE_BIT * 128);
+            assert!(
+                !wide.is_empty() && !narrow.is_empty(),
+                "{cpus} cpus, {ways}-way: {} wide and {} narrow write-backs",
+                wide.len(),
+                narrow.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn outer_caches_of_more_than_64_ways_are_rejected() {
+    let mut config = small_config(2, 64, false);
+    HostMachine::new(config.clone()).expect("64 ways are supported");
+    config.outer_cache = Geometry::new(65 * 128, 65, 128).unwrap();
+    assert_eq!(
+        config.validate(),
+        Err(ConfigError::TooManyOuterWays { ways: 65 })
+    );
+    assert!(matches!(
+        HostMachine::new(config),
+        Err(ConfigError::TooManyOuterWays { ways: 65 })
+    ));
 }
