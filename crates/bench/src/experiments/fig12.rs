@@ -13,7 +13,7 @@
 //! Configurations: 2 nodes x 4 processors and 4 nodes x 2 processors;
 //! 4-way L2 and L3; L2 line 128 B, L3 line 1 KB (as in the figure).
 
-use memories::{BoardConfig, FillBreakdown};
+use memories::{BoardConfig, FillBreakdown, NodeCounters, NodeStats};
 use memories_bus::ProcId;
 use memories_console::report::Table;
 use memories_console::EmulationSession;
@@ -65,26 +65,15 @@ fn measure(app: &str, make: &dyn Fn() -> Box<dyn Workload>, nodes: usize, refs: 
     let result = session.run(&mut *workload, refs).unwrap();
 
     // Aggregate the breakdown over nodes, weighted by fill counts.
-    let mut totals = [0u64; 4];
+    let mut totals = NodeCounters::new();
     for s in &result.node_stats {
-        let c = s.counters();
-        totals[0] += c.get(memories::NodeCounter::DemandFilledMemory);
-        totals[1] += c.get(memories::NodeCounter::DemandFilledL3);
-        totals[2] += c.get(memories::NodeCounter::DemandFilledL2Shared);
-        totals[3] += c.get(memories::NodeCounter::DemandFilledL2Modified);
+        totals.merge(s.counters());
     }
-    let sum: u64 = totals.iter().sum();
-    let f = |x: u64| if sum == 0 { 0.0 } else { x as f64 / sum as f64 };
     Bar {
         app: app.to_string(),
         nodes,
         procs_per_node,
-        breakdown: FillBreakdown {
-            memory: f(totals[0]),
-            l3: f(totals[1]),
-            shared_intervention: f(totals[2]),
-            modified_intervention: f(totals[3]),
-        },
+        breakdown: NodeStats::from_counters(totals).fill_breakdown(),
     }
 }
 

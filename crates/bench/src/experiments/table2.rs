@@ -42,24 +42,6 @@ pub fn render() -> String {
     t.render()
 }
 
-/// The corner-case parameter sets of Table 2, all of which must build.
-pub fn corner_cases() -> Vec<CacheParams> {
-    vec![
-        CacheParams::builder()
-            .capacity(CacheParams::MIN_CAPACITY)
-            .ways(1)
-            .line_size(CacheParams::MIN_LINE)
-            .build()
-            .expect("minimum Table 2 corner"),
-        CacheParams::builder()
-            .capacity(CacheParams::MAX_CAPACITY)
-            .ways(CacheParams::MAX_WAYS)
-            .line_size(CacheParams::MAX_LINE)
-            .build()
-            .expect("maximum Table 2 corner"),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,10 +55,22 @@ mod tests {
         assert!(text.contains("128B - 16KB"));
     }
 
+    /// The corner-case parameter sets of Table 2 both build.
     #[test]
     fn corners_construct() {
-        let corners = corner_cases();
-        assert_eq!(corners[0].capacity(), 2 << 20);
-        assert_eq!(corners[1].capacity(), 8 << 30);
+        let min = CacheParams::builder()
+            .capacity(CacheParams::MIN_CAPACITY)
+            .ways(1)
+            .line_size(CacheParams::MIN_LINE)
+            .build()
+            .expect("minimum Table 2 corner");
+        let max = CacheParams::builder()
+            .capacity(CacheParams::MAX_CAPACITY)
+            .ways(CacheParams::MAX_WAYS)
+            .line_size(CacheParams::MAX_LINE)
+            .build()
+            .expect("maximum Table 2 corner");
+        assert_eq!(min.capacity(), 2 << 20);
+        assert_eq!(max.capacity(), 8 << 30);
     }
 }

@@ -44,13 +44,6 @@ impl SnoopResponse {
         self.max(other)
     }
 
-    /// Combines an iterator of responses into the winning one.
-    pub fn combine_all<I: IntoIterator<Item = SnoopResponse>>(responses: I) -> SnoopResponse {
-        responses
-            .into_iter()
-            .fold(SnoopResponse::Null, SnoopResponse::combine)
-    }
-
     /// Whether this response means another cache supplies the data
     /// (any kind of intervention).
     pub const fn is_intervention(self) -> bool {
@@ -137,11 +130,6 @@ mod tests {
         assert_eq!(Shared.combine(Modified), Modified);
         assert_eq!(Modified.combine(Retry), Retry);
         assert_eq!(Retry.combine(Null), Retry);
-        assert_eq!(
-            SnoopResponse::combine_all([Null, Shared, Null, Modified]),
-            Modified
-        );
-        assert_eq!(SnoopResponse::combine_all(std::iter::empty()), Null);
     }
 
     #[test]

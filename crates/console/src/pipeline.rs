@@ -39,9 +39,10 @@
 //! multi-gigabyte trace holds peak memory to O(chunk) — never a
 //! whole-trace `Vec`.
 
+use std::any::Any;
 use std::fmt;
 use std::io::Read;
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
 use memories::{BoardSnapshot, Error, MemoriesBoard, NodeStats};
 use memories_bus::{
@@ -54,6 +55,7 @@ use memories_trace::TraceReader;
 use memories_workloads::{RefKind, Workload, WorkloadEvent};
 
 use crate::result::ProfilePoint;
+use crate::session::SessionError;
 use crate::shared::Shared;
 
 /// What a pipeline should observe while the stream flows.
@@ -200,16 +202,10 @@ impl Profiler {
 
 /// The engine plus its observation stages, ready to be driven by a
 /// [`TransactionSource`].
-///
-/// Barrier failures inside [`feed_pooled`](Self::feed_pooled) /
-/// [`close_window`](Self::close_window) cannot surface there (sources
-/// push unconditionally), so they are parked and returned by
-/// [`finish`](Self::finish).
 pub struct Pipeline {
     engine: EmulationEngine,
     sampler: Option<Sampler>,
     profiler: Option<Profiler>,
-    deferred: Option<Error>,
 }
 
 impl fmt::Debug for Pipeline {
@@ -243,7 +239,6 @@ impl Pipeline {
             engine,
             sampler,
             profiler,
-            deferred: None,
         }
     }
 
@@ -257,7 +252,11 @@ impl Pipeline {
     /// is either due, or the filter dropped part of the head and the
     /// tail is cut again. Every sample lands at exactly the position a
     /// block of one transaction at a time would have picked.
-    pub fn feed_pooled(&mut self, mut block: PooledBlock) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates a sampling barrier's failure.
+    pub fn feed_pooled(&mut self, mut block: PooledBlock) -> Result<(), Error> {
         loop {
             // A sample re-arms past the admitted count, so `next_at` is
             // always ahead here and a cut is never empty.
@@ -274,31 +273,23 @@ impl Pipeline {
                 .as_ref()
                 .is_some_and(|s| self.engine.admitted() >= s.next_at)
             {
-                self.take_sample();
+                self.take_sample()?;
             }
             match tail {
                 Some(rest) => block = rest,
-                None => return,
+                None => return Ok(()),
             }
         }
     }
 
-    /// Takes the armed sample: barrier, record, re-arm. On barrier
-    /// failure the error is parked and the sampler disabled (don't
-    /// repeat the failure).
-    fn take_sample(&mut self) {
-        match self.engine.barrier() {
-            Ok(snap) => {
-                let admitted = self.engine.admitted();
-                let s = self.sampler.as_mut().expect("sampler armed by caller");
-                s.series.record(snap);
-                s.next_at = admitted + s.period;
-            }
-            Err(e) => {
-                self.deferred.get_or_insert(e);
-                self.sampler = None;
-            }
-        }
+    /// Takes the armed sample: barrier, record, re-arm.
+    fn take_sample(&mut self) -> Result<(), Error> {
+        let snap = self.engine.barrier()?;
+        let admitted = self.engine.admitted();
+        let s = self.sampler.as_mut().expect("sampler armed by caller");
+        s.series.record(snap);
+        s.next_at = admitted + s.period;
+        Ok(())
     }
 
     /// The profile window, in source units, if a profiling stage is
@@ -312,17 +303,16 @@ impl Pipeline {
     /// references, trace records, transactions) have been fed, the last
     /// of them ending at bus cycle `cycle`. Takes a barrier and records a
     /// [`ProfilePoint`]; a no-op without a profiling stage.
-    pub fn close_window(&mut self, units: u64, cycle: u64) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates the barrier's failure.
+    pub fn close_window(&mut self, units: u64, cycle: u64) -> Result<(), Error> {
         let Some(profiler) = self.profiler.as_mut() else {
-            return;
+            return Ok(());
         };
-        match self.engine.barrier() {
-            Ok(snap) => profiler.record(units, cycle, &snap),
-            Err(e) => {
-                self.deferred.get_or_insert(e);
-                self.profiler = None;
-            }
-        }
+        profiler.record(units, cycle, &self.engine.barrier()?);
+        Ok(())
     }
 
     /// Tears the engine down and collects everything, folding in the
@@ -330,12 +320,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Surfaces any barrier error parked during the run, then any
-    /// engine teardown error.
+    /// Surfaces an engine teardown error.
     pub fn finish(self, stats: SourceStats) -> Result<PipelineRun, Error> {
-        if let Some(e) = self.deferred {
-            return Err(e);
-        }
         let (board, report) = self.engine.finish_monitored()?;
         let mut telemetry = report.telemetry;
         if let Some(p) = stats.producer {
@@ -391,7 +377,10 @@ const BLOCK_CAPACITY: usize = 4096;
 /// Packs a stream in which every transaction is one source unit into
 /// pooled blocks, cutting a block at every profile-window boundary and
 /// closing the window at that transaction's cycle. Returns the units fed.
-fn pack_units(pipeline: &mut Pipeline, txns: impl Iterator<Item = Transaction>) -> u64 {
+fn pack_units(
+    pipeline: &mut Pipeline,
+    txns: impl Iterator<Item = Transaction>,
+) -> Result<u64, Error> {
     let pool = BlockPool::new(BLOCK_CAPACITY);
     let window = pipeline.profile_window();
     let mut block = pool.take();
@@ -401,14 +390,14 @@ fn pack_units(pipeline: &mut Pipeline, txns: impl Iterator<Item = Transaction>) 
         units += 1;
         let closes = window.is_some_and(|w| units.is_multiple_of(w));
         if closes || block.is_full() {
-            pipeline.feed_pooled(std::mem::replace(&mut block, pool.take()));
+            pipeline.feed_pooled(std::mem::replace(&mut block, pool.take()))?;
         }
         if closes {
-            pipeline.close_window(units, txn.cycle);
+            pipeline.close_window(units, txn.cycle)?;
         }
     }
-    pipeline.feed_pooled(block);
-    units
+    pipeline.feed_pooled(block)?;
+    Ok(units)
 }
 
 /// Executes one workload event on the host machine: a reference, an
@@ -558,12 +547,7 @@ impl TransactionSource for PipelinedLiveSource<'_> {
         let pool = BlockPool::new(Self::DEFAULT_BLOCK_CAPACITY);
         let (tx, rx) = sync_channel::<Shipment>(Self::DEFAULT_QUEUE_DEPTH);
 
-        let produced = std::thread::scope(|scope| {
-            // Own the receiver inside the scope: if the consumer loop
-            // panics, unwinding drops it, the producer's next send
-            // fails, and the scope can join the producer instead of
-            // deadlocking on a full queue.
-            let rx = rx;
+        let (consumed, produced) = std::thread::scope(|scope| {
             let producer = scope.spawn(move || -> Result<SourceStats, Error> {
                 let mut machine = HostMachine::new(host).map_err(Error::host)?;
                 let shipper = Shared::new(BlockShipper {
@@ -609,18 +593,51 @@ impl TransactionSource for PipelinedLiveSource<'_> {
                 })
             });
 
-            while let Ok(Shipment { block, closes }) = rx.recv() {
-                pipeline.feed_pooled(block);
-                if let Some((units, cycle)) = closes {
-                    pipeline.close_window(units, cycle);
-                }
-            }
-            producer.join()
+            // The consumer loop owns the receiver. When it returns early
+            // or unwinds, the receiver drops, the producer's next send
+            // fails, and the join ends instead of deadlocking on a full
+            // queue. A panicked producer is joined here too, so the
+            // scope never re-raises its panic.
+            let consumed = consume(&mut pipeline, rx);
+            (consumed, producer.join())
         });
 
-        let stats = produced.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        let stats = match produced {
+            Ok(stats) => stats?,
+            Err(panic) => {
+                return Err(SessionError::ProducerPanicked {
+                    admitted: pipeline.engine.admitted(),
+                    message: panic_message(panic.as_ref()),
+                }
+                .into())
+            }
+        };
+        consumed?;
         Ok((pipeline, stats))
     }
+}
+
+/// The live source's consumer loop: feeds every shipped block to the
+/// pipeline and closes the windows the blocks carry, until the producer
+/// hangs up or the pipeline fails.
+fn consume(pipeline: &mut Pipeline, rx: Receiver<Shipment>) -> Result<(), Error> {
+    while let Ok(Shipment { block, closes }) = rx.recv() {
+        pipeline.feed_pooled(block)?;
+        if let Some((units, cycle)) = closes {
+            pipeline.close_window(units, cycle)?;
+        }
+    }
+    Ok(())
+}
+
+/// The text of a panic payload: the `&str` or `String` that `panic!`
+/// formats, or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 /// A *streaming* trace source: decodes records straight off a byte
@@ -671,9 +688,9 @@ impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
                 break;
             }
             n += got as u64;
-            pipeline.feed_pooled(block);
+            pipeline.feed_pooled(block)?;
             if window.is_some_and(|w| n.is_multiple_of(w)) {
-                pipeline.close_window(n, (n - 1) * self.cycle_spacing);
+                pipeline.close_window(n, (n - 1) * self.cycle_spacing)?;
             }
         }
         Ok((
@@ -705,7 +722,7 @@ impl<I> StreamSource<I> {
 
 impl<I: IntoIterator<Item = Transaction>> TransactionSource for StreamSource<I> {
     fn drive(self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let units = pack_units(&mut pipeline, self.txns.into_iter());
+        let units = pack_units(&mut pipeline, self.txns.into_iter())?;
         Ok((
             pipeline,
             SourceStats {

@@ -115,26 +115,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (comma-separated, quoted only when a cell
-    /// contains a comma or quote).
-    pub fn to_csv(&self) -> String {
-        fn escape(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        let header: Vec<String> = self.headers.iter().map(|h| escape(h)).collect();
-        writeln!(out, "{}", header.join(",")).expect("infallible");
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|c| escape(c)).collect();
-            writeln!(out, "{}", cells.join(",")).expect("infallible");
-        }
-        out
-    }
 }
 
 /// Formats a byte count with binary units (e.g. `64MB`, `1GB`).
@@ -193,14 +173,6 @@ mod tests {
     fn row_arity_is_checked() {
         let mut t = Table::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["x,y", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().nth(1).unwrap(), "\"x,y\",\"say \"\"hi\"\"\"");
     }
 
     #[test]

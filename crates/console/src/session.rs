@@ -61,8 +61,9 @@ use crate::pipeline::{
 };
 use crate::result::ExperimentResult;
 
-/// Session-builder misuse, distinct from configuration validation (which
-/// the component crates report themselves).
+/// Session-builder misuse and live-run failures, distinct from
+/// configuration validation (which the component crates report
+/// themselves).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SessionError {
@@ -70,6 +71,16 @@ pub enum SessionError {
     MissingHost,
     /// The builder never got a board; call `.board(config)`.
     NoNodes,
+    /// A live run's producer thread (host simulation and workload)
+    /// panicked. The run stops at the panic; the board had admitted
+    /// `admitted` transactions of the stream when it did.
+    ProducerPanicked {
+        /// Transactions the pipeline's front end had admitted when the
+        /// producer's panic was collected.
+        admitted: u64,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -82,6 +93,10 @@ impl fmt::Display for SessionError {
                 )
             }
             SessionError::NoNodes => write!(f, "no board: call .board(config)"),
+            SessionError::ProducerPanicked { admitted, message } => write!(
+                f,
+                "the live run's producer panicked after {admitted} admitted transactions: {message}"
+            ),
         }
     }
 }

@@ -360,8 +360,8 @@ impl BoardFrontEnd {
 ///
 /// Internally the board is a [`BoardFrontEnd`] (filter, global counters
 /// and transaction buffers) in front of a single [`NodeShard`] holding
-/// every controller; the snoop path is *the same code* the parallel
-/// engine runs per shard, and [`MemoriesBoard::split`] /
+/// every controller; the snoop path is *the same code* the engine runs
+/// per shard in both of its modes, and [`MemoriesBoard::split`] /
 /// [`MemoriesBoard::assemble`] convert between the two shapes losslessly.
 pub struct MemoriesBoard {
     front: BoardFrontEnd,

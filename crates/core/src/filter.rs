@@ -149,16 +149,6 @@ impl NodePartition {
         }
     }
 
-    /// The nodes for which `proc` is local, in node order.
-    pub fn nodes_of(&self, proc: ProcId) -> impl Iterator<Item = NodeId> + '_ {
-        let bit = 1u64 << proc.index();
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, (_, m))| m & bit != 0)
-            .map(|(i, _)| NodeId::new(i as u8))
-    }
-
     /// The protocol event `txn` produces at `node`, if any.
     ///
     /// Local traffic maps to `Local*` events, same-domain remote traffic
@@ -410,10 +400,6 @@ mod tests {
             p.locality(NodeId::new(0), ProcId::new(12)),
             Locality::Unrelated
         );
-        assert_eq!(
-            p.nodes_of(ProcId::new(2)).collect::<Vec<_>>(),
-            vec![NodeId::new(0)]
-        );
     }
 
     #[test]
@@ -436,8 +422,6 @@ mod tests {
         .unwrap();
         assert_eq!(p.locality(NodeId::new(0), ProcId::new(3)), Locality::Local);
         assert_eq!(p.locality(NodeId::new(1), ProcId::new(3)), Locality::Local);
-        let nodes: Vec<_> = p.nodes_of(ProcId::new(3)).collect();
-        assert_eq!(nodes.len(), 2);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! [`GlobalCounters`], [`FilterStats`], per-node [`NodeCounters`], and
 //! the retry count — taken without perturbing directories or tag stores.
 //!
-//! Serial boards snapshot directly ([`MemoriesBoard::snapshot`]); the
-//! parallel engine assembles the same view from a front-end copy plus
-//! per-shard counter reports collected at a snapshot barrier (see
-//! `memories-sim`). Because every piece is a commutative monoid under
-//! merge, the assembled snapshot is bit-identical to what a serial board
-//! would have shown at the same stream position.
+//! A whole board snapshots directly ([`MemoriesBoard::snapshot`]); the
+//! engine, serial or parallel, assembles the same view from a front-end
+//! copy plus per-shard counter reports collected at a snapshot barrier
+//! (see `memories-sim`). Because every piece is a commutative monoid
+//! under merge, the assembled snapshot is bit-identical to what a whole
+//! board would have shown at the same stream position.
 //!
 //! [`MemoriesBoard::snapshot`]: crate::MemoriesBoard::snapshot
 
@@ -25,7 +25,7 @@ use crate::stats::NodeStats;
 /// A point-in-time copy of every counter the console can read.
 ///
 /// Produced by [`MemoriesBoard::snapshot`](crate::MemoriesBoard::snapshot)
-/// (serial) or assembled by an engine from shard reports (parallel).
+/// (a whole board) or assembled by an engine from shard reports.
 /// Snapshots are plain data: comparing, storing, and diffing them never
 /// touches the live board.
 #[derive(Clone, Debug, Default)]
@@ -43,7 +43,7 @@ pub struct BoardSnapshot {
 
 impl BoardSnapshot {
     /// Assembles a snapshot from a front-end view plus per-shard node
-    /// reports `(node id, counters)` — the parallel engine's path. Parts
+    /// reports `(node id, counters)` — the engine's path. Parts
     /// may arrive in any order; missing nodes read as zero banks.
     pub fn assemble<I>(
         global: GlobalCounters,

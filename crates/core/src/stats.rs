@@ -81,18 +81,6 @@ impl NodeStats {
         }
     }
 
-    /// Read share of demand references (reads / (reads + writes)),
-    /// counting upgrades with the writes.
-    pub fn read_fraction(&self) -> f64 {
-        let reads = self.get(NodeCounter::ReadHits) + self.get(NodeCounter::ReadMisses);
-        let refs = self.demand_references();
-        if refs == 0 {
-            0.0
-        } else {
-            reads as f64 / refs as f64
-        }
-    }
-
     /// Shared interventions this node supplied.
     pub fn interventions_shared(&self) -> u64 {
         self.get(NodeCounter::InterventionsShared)
@@ -107,19 +95,6 @@ impl NodeStats {
     /// the paper's "never posted a retry" claim).
     pub fn events_dropped(&self) -> u64 {
         self.get(NodeCounter::EventsDropped)
-    }
-
-    /// The "effect of I/O on hit ratio" statistic (§2): how many valid
-    /// emulated-cache lines DMA writes destroyed, per thousand demand
-    /// references. Each such invalidation is a future miss the I/O
-    /// traffic caused.
-    pub fn io_disturbance_per_kilo_refs(&self) -> f64 {
-        let refs = self.demand_references();
-        if refs == 0 {
-            0.0
-        } else {
-            self.get(NodeCounter::IoInvalidations) as f64 * 1000.0 / refs as f64
-        }
     }
 
     /// Where this node's L2-miss traffic was satisfied, as fractions of
@@ -203,7 +178,6 @@ mod tests {
         assert!((s.hit_ratio() - 0.65).abs() < 1e-12);
         assert_eq!(s.cold_misses(), 21);
         assert!((s.cold_fraction() - 0.6).abs() < 1e-12);
-        assert!((s.read_fraction() - 0.9).abs() < 1e-12);
     }
 
     #[test]
@@ -213,17 +187,6 @@ mod tests {
         assert_eq!(s.hit_ratio(), 0.0);
         assert_eq!(s.cold_fraction(), 0.0);
         assert_eq!(s.events_dropped(), 0);
-        assert_eq!(s.io_disturbance_per_kilo_refs(), 0.0);
-    }
-
-    #[test]
-    fn io_disturbance_metric() {
-        let s = stats_with(&[
-            (NodeCounter::ReadHits, 500),
-            (NodeCounter::ReadMisses, 500),
-            (NodeCounter::IoInvalidations, 5),
-        ]);
-        assert!((s.io_disturbance_per_kilo_refs() - 5.0).abs() < 1e-12);
     }
 
     #[test]

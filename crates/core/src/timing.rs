@@ -30,14 +30,6 @@ impl Default for TimingConfig {
     }
 }
 
-impl TimingConfig {
-    /// The sustained fraction of peak bus transaction bandwidth the SDRAM
-    /// model can absorb (≈0.42 with defaults).
-    pub fn sustained_fraction(&self) -> f64 {
-        4.0 / self.sdram_cycles_per_op
-    }
-}
-
 /// Occupancy model of one node controller's transaction buffer feeding
 /// its SDRAM.
 ///
@@ -198,7 +190,9 @@ mod tests {
     #[test]
     fn default_timing_approximates_42_percent() {
         let t = TimingConfig::default();
-        assert!((t.sustained_fraction() - 0.42).abs() < 1e-9);
+        // A 4-cycle address tenure per SDRAM operation: the sustained
+        // fraction of peak bus transaction bandwidth.
+        assert!((4.0 / t.sdram_cycles_per_op - 0.42).abs() < 1e-9);
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl HostConfig {
         }
     }
 
-    /// The S7A rebooted with the alternate L2 configuration from §5:
-    /// 1 MB direct-mapped.
-    pub fn s7a_small_l2() -> Self {
-        HostConfig {
-            outer_cache: Geometry::new(1 << 20, 1, 128).expect("valid preset geometry"),
-            ..HostConfig::s7a()
-        }
-    }
-
     /// The S7A with its L2 switched off (the board then emulates an L2):
     /// the 64 KB L1 becomes the coherence point.
     pub fn s7a_l2_off() -> Self {
@@ -71,7 +62,8 @@ impl HostConfig {
     /// Returns [`ConfigError`] for a zero or oversized CPU count, an outer
     /// cache of more than 64 ways, an inner cache bigger than the outer
     /// (inclusion would be impossible), mismatched line sizes between the
-    /// levels, a zero CPU clock, or a CPI that is not positive and finite.
+    /// levels, a zero CPU or bus clock, a bus that moves zero bytes per
+    /// data beat, or a CPI that is not positive and finite.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cpus == 0 || self.num_cpus > ProcId::MAX_IDS - 1 {
             return Err(ConfigError::BadCpuCount {
@@ -99,6 +91,12 @@ impl HostConfig {
         }
         if self.cpu_frequency_hz == 0 {
             return Err(ConfigError::ZeroCpuFrequency);
+        }
+        if self.bus.frequency_hz == 0 {
+            return Err(ConfigError::ZeroBusFrequency);
+        }
+        if self.bus.bytes_per_beat == 0 {
+            return Err(ConfigError::ZeroBytesPerBeat);
         }
         if !(self.cycles_per_instruction > 0.0 && self.cycles_per_instruction.is_finite()) {
             return Err(ConfigError::BadCpi {
@@ -154,6 +152,12 @@ pub enum ConfigError {
     /// The processor clock is zero, so instruction counts would convert
     /// to infinite bus time.
     ZeroCpuFrequency,
+    /// The bus clock is zero, so instructions would never advance the bus
+    /// and cycle counts would convert to infinite time.
+    ZeroBusFrequency,
+    /// The bus moves zero bytes per data beat, so a data tenure would
+    /// take a division by zero.
+    ZeroBytesPerBeat,
     /// Cycles-per-instruction must be positive and finite.
     BadCpi {
         /// The offending value.
@@ -183,6 +187,8 @@ impl fmt::Display for ConfigError {
                 write!(f, "inner line size {inner} B differs from outer {outer} B")
             }
             ConfigError::ZeroCpuFrequency => write!(f, "cpu frequency must be nonzero"),
+            ConfigError::ZeroBusFrequency => write!(f, "bus frequency must be nonzero"),
+            ConfigError::ZeroBytesPerBeat => write!(f, "bus bytes per beat must be nonzero"),
             ConfigError::BadCpi { cpi } => {
                 write!(
                     f,
@@ -202,7 +208,6 @@ mod tests {
     #[test]
     fn presets_validate() {
         HostConfig::s7a().validate().unwrap();
-        HostConfig::s7a_small_l2().validate().unwrap();
         HostConfig::s7a_l2_off().validate().unwrap();
     }
 
@@ -213,9 +218,6 @@ mod tests {
         assert_eq!(c.outer_cache.capacity(), 8 << 20);
         assert_eq!(c.outer_cache.ways(), 4);
         assert_eq!(c.cpu_frequency_hz, 262_000_000);
-        let small = HostConfig::s7a_small_l2();
-        assert_eq!(small.outer_cache.capacity(), 1 << 20);
-        assert_eq!(small.outer_cache.ways(), 1);
     }
 
     #[test]
@@ -254,12 +256,19 @@ mod tests {
     }
 
     /// A zero clock or a non-finite CPI would turn instruction counts into
-    /// an infinite or NaN idle time on the bus.
+    /// an infinite or NaN idle time on the bus, and a zero beat width
+    /// would divide by zero on the first data tenure.
     #[test]
     fn rejects_clocks_that_make_idle_time_non_finite() {
         let mut c = HostConfig::s7a();
         c.cpu_frequency_hz = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroCpuFrequency));
+        let mut c = HostConfig::s7a();
+        c.bus.frequency_hz = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroBusFrequency));
+        let mut c = HostConfig::s7a();
+        c.bus.bytes_per_beat = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroBytesPerBeat));
         for cpi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut c = HostConfig::s7a();
             c.cycles_per_instruction = cpi;

@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use memories_bus::{
-    Address, BlockPool, BusListener, BusOp, LineAddr, ProcId, SnoopResponse, SystemBus,
-};
+use memories_bus::{Address, BusListener, BusOp, LineAddr, ProcId, SnoopResponse, SystemBus};
 
 use crate::config::{ConfigError, HostConfig};
 use crate::cpu::{AccessKind, CpuView, Processor};
@@ -73,20 +71,9 @@ impl HostMachine {
         self.bus.attach(listener);
     }
 
-    /// Detaches all listeners, returning them for inspection. Any
-    /// batched block still filling is flushed to the listeners first.
+    /// Detaches all listeners, returning them for inspection.
     pub fn detach_listeners(&mut self) -> Vec<Box<dyn BusListener>> {
         self.bus.detach_all()
-    }
-
-    /// Switches the machine's bus to batched listener delivery: snooped
-    /// transactions accumulate in a pooled block and reach listeners
-    /// via [`BusListener::on_block`] when it fills. Listeners lose the
-    /// ability to upgrade individual responses (they see the block after
-    /// the fact — the §3.3 passivity caveat), which the MemorIES
-    /// pipeline never relies on.
-    pub fn deliver_batched(&mut self, pool: BlockPool) {
-        self.bus.deliver_batched(pool);
     }
 
     /// The bus (for statistics and elapsed-time queries).

@@ -30,11 +30,6 @@ impl MesiState {
     pub const fn is_dirty(self) -> bool {
         matches!(self, MesiState::Modified)
     }
-
-    /// Whether a store can proceed without a bus upgrade.
-    pub const fn is_writable(self) -> bool {
-        matches!(self, MesiState::Exclusive | MesiState::Modified)
-    }
 }
 
 impl fmt::Display for MesiState {
@@ -59,10 +54,6 @@ mod tests {
         assert!(MesiState::Shared.is_valid());
         assert!(MesiState::Modified.is_dirty());
         assert!(!MesiState::Exclusive.is_dirty());
-        assert!(MesiState::Exclusive.is_writable());
-        assert!(MesiState::Modified.is_writable());
-        assert!(!MesiState::Shared.is_writable());
-        assert!(!MesiState::Invalid.is_writable());
     }
 
     #[test]

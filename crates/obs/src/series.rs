@@ -79,11 +79,6 @@ impl SampleStats {
         ratio(self.interventions, self.demand_references)
     }
 
-    /// Retries per admitted transaction (0 when nothing admitted).
-    pub fn retry_rate(&self) -> f64 {
-        ratio(self.retries, self.admitted)
-    }
-
     /// Fraction of bus cycles carrying transactions, assuming the default
     /// [`BUS_CYCLES_PER_TRANSACTION`]-cycle tenure. 0 when the span is
     /// empty. Can exceed 1.0 if transactions arrive faster than the
@@ -252,7 +247,6 @@ mod tests {
         let empty = SampleStats::default();
         assert_eq!(empty.miss_rate(), 0.0);
         assert_eq!(empty.intervention_rate(), 0.0);
-        assert_eq!(empty.retry_rate(), 0.0);
         assert_eq!(empty.utilization(), 0.0);
     }
 

@@ -106,12 +106,6 @@ impl EngineTelemetry {
             0.0
         }
     }
-
-    /// The shard that spent the most busy time — the lock-step critical
-    /// path (`None` for a serial engine).
-    pub fn slowest_shard(&self) -> Option<&ShardTelemetry> {
-        self.shards.iter().max_by_key(|s| s.busy)
-    }
 }
 
 impl fmt::Display for EngineTelemetry {
@@ -168,31 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn slowest_shard_is_the_critical_path() {
-        let t = EngineTelemetry {
-            shards: vec![
-                ShardTelemetry {
-                    shard: 0,
-                    busy: Duration::from_millis(10),
-                    ..ShardTelemetry::default()
-                },
-                ShardTelemetry {
-                    shard: 1,
-                    busy: Duration::from_millis(30),
-                    ..ShardTelemetry::default()
-                },
-            ],
-            ..EngineTelemetry::default()
-        };
-        assert_eq!(t.slowest_shard().map(|s| s.shard), Some(1));
-    }
-
-    #[test]
     fn zero_wall_time_yields_zero_rates() {
         let t = EngineTelemetry::default();
         assert_eq!(t.throughput(), 0.0);
         assert_eq!(t.realtime_ratio(&SdramModel::table3_default()), 0.0);
-        assert!(t.slowest_shard().is_none());
     }
 
     #[test]

@@ -63,17 +63,6 @@ impl AccessEvent {
         }
     }
 
-    /// Whether the event originates from a processor of the owning node.
-    pub const fn is_local(self) -> bool {
-        matches!(
-            self,
-            AccessEvent::LocalRead
-                | AccessEvent::LocalWrite
-                | AccessEvent::LocalUpgrade
-                | AccessEvent::LocalCastout
-        )
-    }
-
     /// Whether the event is a demand access that the emulated cache scores
     /// as a hit or a miss (local reads and writes; castouts, remote, and
     /// I/O traffic maintain state but are not demand references).
@@ -187,11 +176,6 @@ mod tests {
 
     #[test]
     fn locality_and_demand_classification() {
-        assert!(AccessEvent::LocalRead.is_local());
-        assert!(AccessEvent::LocalCastout.is_local());
-        assert!(!AccessEvent::RemoteRead.is_local());
-        assert!(!AccessEvent::IoWrite.is_local());
-
         assert!(AccessEvent::LocalRead.is_demand());
         assert!(AccessEvent::LocalUpgrade.is_demand());
         assert!(!AccessEvent::LocalCastout.is_demand());

@@ -41,16 +41,6 @@ impl AugmintModel {
         };
         host_seconds * slowdown
     }
-
-    /// The speedup MemorIES (running at native host speed) achieves over
-    /// this simulator.
-    pub fn board_speedup(&self, cpus: usize) -> f64 {
-        if cpus > 1 {
-            self.multiprocessor_slowdown
-        } else {
-            self.uniprocessor_slowdown
-        }
-    }
 }
 
 impl fmt::Display for AugmintModel {
@@ -94,7 +84,5 @@ mod tests {
     fn uniprocessor_is_cheaper() {
         let m = AugmintModel::default();
         assert!(m.seconds_for(10.0, 1) < m.seconds_for(10.0, 8));
-        assert_eq!(m.board_speedup(8), 900.0);
-        assert_eq!(m.board_speedup(1), 60.0);
     }
 }

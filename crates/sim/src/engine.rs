@@ -1,37 +1,42 @@
-//! The sharded emulation engine: one transaction stream, N node shards.
+//! The emulation engine: one transaction stream, one front end, N node
+//! shards.
 //!
 //! The physical board keeps up with the bus because its four node
-//! controllers are parallel hardware; this engine recovers that
-//! parallelism in software. A producer thread admits every transaction
-//! exactly once through the board's [`BoardFrontEnd`], which holds the
-//! address filter, the global counters and every node's transaction
-//! buffer, so it alone decides which nodes drop an event and counts the
-//! retries. The engine takes the stream as pooled blocks, the one ingest
-//! unit of the data path: the front end filters each block in place, and
-//! the admitted remainder, with its sparse list of drops (empty in
-//! healthy runs), *is* the batch broadcast to worker threads that each
-//! own one [`NodeShard`] (a whole-domain group of node controllers — see
-//! `memories::NodeShard` for why that makes per-shard snooping exact).
-//! Nothing re-batches the stream between the filter and the shards, as
-//! on the board, where the filter hands each admitted transaction
-//! straight to the node controllers' buffers.
+//! controllers are parallel hardware, fed by one address filter with its
+//! transaction buffers (§3.1, §3.3). The engine has the same shape in
+//! both modes. The calling thread admits every transaction exactly once
+//! through the board's [`BoardFrontEnd`], which holds the address filter,
+//! the global counters and every node's transaction buffer, so it alone
+//! decides which nodes drop an event and counts the retries. The engine
+//! takes the stream as pooled blocks, the one ingest unit of the data
+//! path: the front end filters each block in place, and the admitted
+//! remainder, with its sparse list of drops (empty in healthy runs), is
+//! handed to the [`NodeShard`]s (whole-domain groups of node controllers
+//! — see `memories::NodeShard` for why that makes per-shard snooping
+//! exact). In serial mode the one shard snoops the block on the calling
+//! thread; in parallel mode the block *is* the batch broadcast to worker
+//! threads that each own one shard. Nothing copies or re-batches the
+//! stream between the filter and the shards, as on the board, where the
+//! filter hands each admitted transaction straight to the node
+//! controllers' buffers.
 //!
 //! At [`finish`] the shards are reassembled into a [`MemoriesBoard`]
 //! whose every counter and directory entry is **bit-identical** to a
-//! serial run of the same stream.
+//! per-transaction run of the same stream.
 //!
 //! # Online monitoring
 //!
 //! The board's console reads counters *while the workload runs*; the
-//! engine recovers that with **snapshot barriers**. [`barrier`] sends
-//! every worker a snapshot request over the same queue as the batches;
-//! every admitted block is already queued, so there is nothing to flush.
-//! Because each worker processes its queue in order, its reply — a copy
-//! of its node counters — reflects exactly the admitted stream so far,
-//! and the engine assembles the replies with the front end's own
-//! counters and retry count into a [`BoardSnapshot`] that is
-//! bit-identical to what a serial board would show at the same stream
-//! position.
+//! engine recovers that with **snapshot barriers**. In parallel mode
+//! [`barrier`] sends every worker a snapshot request over the same queue
+//! as the batches; every admitted block is already queued, so there is
+//! nothing to flush. Because each worker processes its queue in order,
+//! its reply — a copy of its node counters — reflects exactly the
+//! admitted stream so far. In serial mode the one shard is copied in
+//! place. Either way the engine assembles the shard reports with the
+//! front end's own counters and retry count into a [`BoardSnapshot`]
+//! that is bit-identical to what a per-transaction board would show at
+//! the same stream position.
 //!
 //! The engine has no sampling schedule of its own: the console
 //! pipeline's sampler and windowed profiler decide *when* to call
@@ -62,8 +67,9 @@ use memories_obs::{EngineTelemetry, ShardTelemetry};
 /// How the engine drives the node controllers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Snoop in the calling thread: the one serial backend, exactly
-    /// [`MemoriesBoard::observe_block`].
+    /// Snoop in the calling thread: the one serial backend. The board is
+    /// split into its front end and one shard holding every node
+    /// controller, and each admitted block is snooped in place.
     Serial,
     /// Fan admitted transactions out to up to `shards` worker threads.
     /// The effective count is capped at the board's coherence-domain
@@ -136,15 +142,12 @@ struct Worker {
     nodes: usize,
 }
 
-enum Inner {
-    Serial {
-        board: MemoriesBoard,
-    },
-    Parallel {
-        front: BoardFrontEnd,
-        node_count: usize,
-        workers: Vec<Worker>,
-    },
+/// Who snoops the blocks the front end admits.
+enum Snoopers {
+    /// Serial mode: the calling thread snoops the one shard.
+    Inline(NodeShard),
+    /// Parallel mode: one worker thread per shard.
+    Workers(Vec<Worker>),
 }
 
 /// A running emulation over one transaction stream.
@@ -192,7 +195,8 @@ enum Inner {
 /// # }
 /// ```
 pub struct EmulationEngine {
-    inner: Inner,
+    front: BoardFrontEnd,
+    snoopers: Snoopers,
     started: Instant,
     batches: u64,
     producer_stalls: u64,
@@ -200,26 +204,29 @@ pub struct EmulationEngine {
 }
 
 impl EmulationEngine {
-    /// Starts an engine over `board`.
+    /// Starts an engine over `board`, split into its front end and
+    /// whole-domain shards.
     ///
-    /// In parallel mode the board is split into whole-domain shards and
-    /// one worker thread is spawned per shard immediately.
+    /// In serial mode the board becomes one shard, snooped on the calling
+    /// thread. In parallel mode one worker thread is spawned per shard
+    /// immediately, even for a single shard, so admission overlaps
+    /// snooping.
     pub fn new(board: MemoriesBoard, config: EngineConfig) -> Self {
-        let inner = match config.mode {
-            EngineMode::Serial => Inner::Serial { board },
+        let (front, snoopers) = match config.mode {
+            EngineMode::Serial => {
+                let (front, mut shards) = board.split(1);
+                let shard = shards.pop().expect("split returns at least one shard");
+                (front, Snoopers::Inline(shard))
+            }
             EngineMode::Parallel { shards } => {
-                let node_count = board.node_count();
-                let (front, shard_vec) = board.split(shards);
-                let workers = shard_vec.into_iter().map(spawn_worker).collect();
-                Inner::Parallel {
-                    front,
-                    node_count,
-                    workers,
-                }
+                let (front, shards) = board.split(shards);
+                let workers = shards.into_iter().map(spawn_worker).collect();
+                (front, Snoopers::Workers(workers))
             }
         };
         EmulationEngine {
-            inner,
+            front,
+            snoopers,
             started: Instant::now(),
             batches: 0,
             producer_stalls: 0,
@@ -229,18 +236,15 @@ impl EmulationEngine {
 
     /// Number of independent snoop units (1 in serial mode).
     pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            Inner::Serial { .. } => 1,
-            Inner::Parallel { workers, .. } => workers.len(),
+        match &self.snoopers {
+            Snoopers::Inline(_) => 1,
+            Snoopers::Workers(workers) => workers.len(),
         }
     }
 
     /// Transactions the filter has admitted so far.
     pub fn admitted(&self) -> u64 {
-        match &self.inner {
-            Inner::Serial { board } => board.filter().stats().forwarded,
-            Inner::Parallel { front, .. } => front.filter().stats().forwarded,
-        }
+        self.front.filter().stats().forwarded
     }
 
     /// Feeds a pooled block of transactions, in stream order — the
@@ -248,24 +252,22 @@ impl EmulationEngine {
     ///
     /// Any block size gives the same result — a block of one is the
     /// per-transaction reference — because the filter, counters and
-    /// retry accounting all see the same stream. The serial board snoops
-    /// the block in one call; the parallel front end filters it **in
-    /// place** and broadcasts what it admitted to the workers as one
-    /// batch, so the transactions are never copied between the source
-    /// and the shards. The buffer returns to its pool when the last
-    /// worker is done with it.
+    /// retry accounting all see the same stream. The front end filters
+    /// the block **in place**; in serial mode the one shard then snoops
+    /// what it admitted, and in parallel mode that is broadcast to the
+    /// workers as one batch. Either way the transactions are never copied
+    /// between the source and the shards. The buffer returns to its pool
+    /// once the last snooper is done with it.
     pub fn feed_pooled(&mut self, mut block: PooledBlock) {
-        match &mut self.inner {
-            Inner::Serial { board } => {
-                board.observe_block(&block);
-            }
-            Inner::Parallel { front, workers, .. } => {
-                let mut drops = Vec::new();
-                front.admit_block(&mut block, &mut drops);
-                if block.is_empty() {
-                    return;
-                }
-                self.batches += 1;
+        let mut drops = Vec::new();
+        self.front.admit_block(&mut block, &mut drops);
+        if block.is_empty() {
+            return;
+        }
+        self.batches += 1;
+        match &mut self.snoopers {
+            Snoopers::Inline(shard) => shard.snoop_block(&block, &drops),
+            Snoopers::Workers(workers) => {
                 let batch = Batch { txns: block, drops };
                 self.producer_stalls += broadcast(workers, Arc::new(batch));
             }
@@ -274,10 +276,11 @@ impl EmulationEngine {
 
     /// Takes a counter snapshot of the emulation *right now*. In
     /// parallel mode this is a snapshot barrier: every worker reports its
-    /// counters once it has snooped every block fed so far, so the result
-    /// is bit-identical to what a serial board would show at the same
-    /// stream position. The retry count comes from the front end, which is
-    /// always exact.
+    /// counters once it has snooped every block fed so far. Both modes
+    /// assemble the shard reports with the front end's counters, so the
+    /// result is bit-identical to what a per-transaction board would show
+    /// at the same stream position. The retry count comes from the front
+    /// end, which is always exact.
     ///
     /// # Errors
     ///
@@ -289,13 +292,10 @@ impl EmulationEngine {
     /// Propagates a worker thread's panic.
     pub fn barrier(&mut self) -> Result<BoardSnapshot, Error> {
         self.snapshots += 1;
-        match &mut self.inner {
-            Inner::Serial { board } => Ok(board.snapshot()),
-            Inner::Parallel {
-                front,
-                node_count,
-                workers,
-            } => {
+        let node_count = self.front.filter().partition().node_count();
+        let parts = match &mut self.snoopers {
+            Snoopers::Inline(shard) => shard.counters_snapshot(),
+            Snoopers::Workers(workers) => {
                 let (reply, reports) = sync_channel::<ShardReport>(workers.len());
                 for w in workers.iter() {
                     if w.sender.send(Request::Snapshot(reply.clone())).is_err() {
@@ -303,26 +303,27 @@ impl EmulationEngine {
                     }
                 }
                 drop(reply);
-                let mut parts = Vec::with_capacity(*node_count);
+                let mut parts = Vec::with_capacity(node_count);
                 for _ in 0..workers.len() {
                     match reports.recv() {
                         Ok(report) => parts.extend(report),
                         Err(_) => propagate_worker_failure(std::mem::take(workers)),
                     }
                 }
-                Ok(BoardSnapshot::assemble(
-                    front.global().clone(),
-                    *front.filter().stats(),
-                    front.retries_posted(),
-                    *node_count,
-                    parts,
-                ))
+                parts
             }
-        }
+        };
+        Ok(BoardSnapshot::assemble(
+            self.front.global().clone(),
+            *self.front.filter().stats(),
+            self.front.retries_posted(),
+            node_count,
+            parts,
+        ))
     }
 
-    /// Joins the workers once they have drained their queues, and
-    /// reassembles the board.
+    /// Joins the workers, if any, once they have drained their queues,
+    /// and reassembles the board.
     ///
     /// # Errors
     ///
@@ -354,13 +355,9 @@ impl EmulationEngine {
             snapshots: self.snapshots,
             ..EngineTelemetry::default()
         };
-        let board = match self.inner {
-            Inner::Serial { board } => {
-                telemetry.seen = board.filter().stats().seen;
-                telemetry.admitted = board.filter().stats().forwarded;
-                board
-            }
-            Inner::Parallel { front, workers, .. } => {
+        let shards = match self.snoopers {
+            Snoopers::Inline(shard) => vec![shard],
+            Snoopers::Workers(workers) => {
                 let mut shards = Vec::with_capacity(workers.len());
                 for (i, worker) in workers.into_iter().enumerate() {
                     // Closes the channel; the worker drains it and exits.
@@ -377,11 +374,12 @@ impl EmulationEngine {
                     });
                     shards.push(done.shard);
                 }
-                telemetry.seen = front.filter().stats().seen;
-                telemetry.admitted = front.filter().stats().forwarded;
-                MemoriesBoard::assemble(front, shards)?
+                shards
             }
         };
+        telemetry.seen = self.front.filter().stats().seen;
+        telemetry.admitted = self.front.filter().stats().forwarded;
+        let board = MemoriesBoard::assemble(self.front, shards)?;
         telemetry.wall = self.started.elapsed();
         Ok((board, MonitorReport { telemetry }))
     }
@@ -389,9 +387,9 @@ impl EmulationEngine {
 
 impl fmt::Debug for EmulationEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            Inner::Serial { .. } => f.debug_struct("EmulationEngine(serial)").finish(),
-            Inner::Parallel { workers, .. } => f
+        match &self.snoopers {
+            Snoopers::Inline(_) => f.debug_struct("EmulationEngine(serial)").finish(),
+            Snoopers::Workers(workers) => f
                 .debug_struct("EmulationEngine(parallel)")
                 .field("shards", &workers.len())
                 .finish(),
@@ -656,27 +654,30 @@ mod tests {
 
     #[test]
     fn mid_run_snapshot_matches_serial_board_at_same_position() {
-        // Run a serial reference over the first half only; the parallel
-        // engine's barrier snapshot at that point must agree exactly.
+        // Run a serial reference over the first half only; the engine's
+        // barrier snapshot at that point must agree exactly, in both
+        // modes.
         let cfg = four_domain_config();
         let txns = stream(10_000, 60);
         let half = &txns[..5_000];
         let want = reference(&cfg, half).snapshot();
 
-        let mut engine =
-            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
-        let pool = BlockPool::new(512);
-        feed(&mut engine, &pool, half);
-        let got = engine.barrier().unwrap();
+        for engine_cfg in [EngineConfig::serial(), EngineConfig::parallel(4)] {
+            let mut engine =
+                EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
+            let pool = BlockPool::new(512);
+            feed(&mut engine, &pool, half);
+            let got = engine.barrier().unwrap();
 
-        assert_eq!(got.filter, want.filter);
-        assert_eq!(got.retries_posted, want.retries_posted);
-        assert_eq!(got.global.transactions(), want.global.transactions());
-        assert_eq!(got.nodes, want.nodes);
-        // The engine still finishes exactly after an explicit barrier.
-        feed(&mut engine, &pool, &txns[5_000..]);
-        let board = engine.finish().unwrap();
-        assert_eq!(board.global().transactions(), 10_000);
+            assert_eq!(got.filter, want.filter);
+            assert_eq!(got.retries_posted, want.retries_posted);
+            assert_eq!(got.global.transactions(), want.global.transactions());
+            assert_eq!(got.nodes, want.nodes);
+            // The engine still finishes exactly after an explicit barrier.
+            feed(&mut engine, &pool, &txns[5_000..]);
+            let board = engine.finish().unwrap();
+            assert_eq!(board.global().transactions(), 10_000);
+        }
     }
 
     #[test]
@@ -692,21 +693,23 @@ mod tests {
         let serial = reference(&cfg, &txns);
         assert!(serial.retries_posted() > 0);
 
-        let mut engine =
-            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
-        let pool = BlockPool::new(128);
-        let mut retries = Vec::new();
-        for slice in txns.chunks(700) {
-            feed(&mut engine, &pool, slice);
-            retries.push(engine.barrier().unwrap().retries_posted);
+        for engine_cfg in [EngineConfig::serial(), EngineConfig::parallel(4)] {
+            let mut engine =
+                EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
+            let pool = BlockPool::new(128);
+            let mut retries = Vec::new();
+            for slice in txns.chunks(700) {
+                feed(&mut engine, &pool, slice);
+                retries.push(engine.barrier().unwrap().retries_posted);
+            }
+            let board = engine.finish().unwrap();
+            assert_boards_identical(&serial, &board);
+            // Retries at the barriers never decrease and end at the total.
+            for pair in retries.windows(2) {
+                assert!(pair[0] <= pair[1]);
+            }
+            assert_eq!(*retries.last().unwrap(), board.retries_posted());
         }
-        let board = engine.finish().unwrap();
-        assert_boards_identical(&serial, &board);
-        // Retries at the barriers never decrease and end at the total.
-        for pair in retries.windows(2) {
-            assert!(pair[0] <= pair[1]);
-        }
-        assert_eq!(*retries.last().unwrap(), board.retries_posted());
     }
 
     /// A Worker whose thread dies with `message` instead of serving its
@@ -819,20 +822,28 @@ mod tests {
     fn telemetry_counts_batches_and_shards() {
         let cfg = four_domain_config();
         let txns = stream(4_000, 60);
-        let mut engine =
-            EmulationEngine::new(MemoriesBoard::new(cfg).unwrap(), EngineConfig::parallel(4));
-        feed(&mut engine, &BlockPool::new(100), &txns);
-        let (board, report) = engine.finish_monitored().unwrap();
-        let admitted = board.filter().stats().forwarded;
-        let t = &report.telemetry;
-        assert_eq!(t.admitted, admitted);
-        // One batch per fed block that kept an admitted transaction: the
-        // filter admits this whole stream, so every block of 100 counts.
-        assert_eq!(t.batches, admitted.div_ceil(100));
-        assert_eq!(t.shards.len(), 4);
-        for s in &t.shards {
-            assert_eq!(s.snooped, admitted);
+        for engine_cfg in [EngineConfig::serial(), EngineConfig::parallel(4)] {
+            let mut engine =
+                EmulationEngine::new(MemoriesBoard::new(cfg.clone()).unwrap(), engine_cfg);
+            feed(&mut engine, &BlockPool::new(100), &txns);
+            let (board, report) = engine.finish_monitored().unwrap();
+            let admitted = board.filter().stats().forwarded;
+            let t = &report.telemetry;
+            assert_eq!(t.admitted, admitted);
+            // One batch per fed block that kept an admitted transaction:
+            // the filter admits this whole stream, so every block of 100
+            // counts.
+            assert_eq!(t.batches, admitted.div_ceil(100));
+            if engine_cfg == EngineConfig::serial() {
+                // The calling thread snoops: there are no worker shards.
+                assert!(t.shards.is_empty());
+            } else {
+                assert_eq!(t.shards.len(), 4);
+                for s in &t.shards {
+                    assert_eq!(s.snooped, admitted);
+                }
+            }
+            assert!(t.wall > Duration::ZERO);
         }
-        assert!(t.wall > Duration::ZERO);
     }
 }

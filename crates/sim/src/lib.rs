@@ -20,9 +20,11 @@
 //! sizes.
 //!
 //! [`EmulationEngine`] is the one stream consumer, serial or sharded:
-//! it takes the stream in blocks, fans it out to worker threads that
-//! each snoop a whole-domain group of node controllers, and produces a
-//! board bit-identical to a serial run. Its [`barrier`] is an exact
+//! it takes the stream in pooled blocks, admits each in place through
+//! the board's one front end, and hands what it admitted to whole-domain
+//! groups of node controllers — snooped on the calling thread in serial
+//! mode, on one worker thread per group in parallel mode — producing a
+//! board bit-identical to a per-transaction run. Its [`barrier`] is an exact
 //! mid-stream counter snapshot — the only observation primitive the
 //! console pipeline's sampler and profiler use — and
 //! [`finish_monitored`] returns a [`MonitorReport`] carrying the

@@ -69,21 +69,6 @@ impl<W: Write> TraceWriter<W> {
         self.write_record(&TraceRecord::from_transaction(txn))
     }
 
-    /// Appends every transaction of a block, block-native: one encode
-    /// loop straight off the flat buffer, no per-transaction call from
-    /// the producer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TraceWriter::write_record`]; transactions before the
-    /// failure are written and counted.
-    pub fn write_block(&mut self, block: &TransactionBlock) -> Result<(), TraceError> {
-        for txn in block.as_slice() {
-            self.write_transaction(txn)?;
-        }
-        Ok(())
-    }
-
     /// Flushes buffered data and returns the record count.
     ///
     /// # Errors
@@ -415,18 +400,14 @@ mod tests {
         use memories_bus::TransactionBlock;
 
         let recs = records(1_000);
-        // Write via the block path…
+        // Write via the transaction path…
         let mut block = TransactionBlock::with_capacity(128);
         let mut buf = Vec::new();
         let mut w = TraceWriter::new(&mut buf).unwrap();
         for (i, rec) in recs.iter().enumerate() {
-            block.push(rec.to_transaction(i as u64, i as u64 * 60));
-            if block.is_full() {
-                w.write_block(&block).unwrap();
-                block.clear();
-            }
+            w.write_transaction(&rec.to_transaction(i as u64, i as u64 * 60))
+                .unwrap();
         }
-        w.write_block(&block).unwrap();
         assert_eq!(w.finish().unwrap(), 1_000);
         // …and it must be byte-identical to the record-at-a-time path.
         assert_eq!(buf, write_all(&recs));

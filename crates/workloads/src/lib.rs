@@ -15,8 +15,8 @@
 //! * [`splash`] — per-application access-pattern kernels: FFT (all-to-all
 //!   transpose), Ocean (stencil sweeps), Barnes-Hut (tree walks), Water
 //!   (neighbor lists), FMM (heavily shared cell data).
-//! * [`micro`] — sequential / strided / uniform / Zipf / pointer-chase
-//!   microworkloads for tests and calibration.
+//! * [`micro`] — sequential / uniform / Zipf microworkloads for tests and
+//!   calibration.
 //!
 //! Every workload implements [`Workload`]: an infinite, deterministic
 //! stream of [`WorkloadEvent`]s (memory references, instruction ticks,
@@ -43,14 +43,11 @@ mod event;
 pub mod micro;
 mod oltp;
 pub mod splash;
-mod web;
 mod zipf;
 
 pub use dss::{DssConfig, DssWorkload};
 pub use event::{MemRef, RefKind, WorkloadEvent};
 pub use oltp::{JournalConfig, OltpConfig, OltpWorkload};
-pub use web::{WebConfig, WebWorkload};
-pub use zipf::ZipfSampler;
 
 /// An infinite, deterministic stream of memory-system events.
 ///

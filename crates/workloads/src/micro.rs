@@ -1,5 +1,5 @@
 //! Microworkloads: simple reference patterns for tests, calibration, and
-//! benches.
+//! benches: sequential, uniform random and Zipf.
 
 use memories_bus::Address;
 use rand::rngs::SmallRng;
@@ -208,112 +208,6 @@ impl Workload for ZipfWorkload {
     }
 }
 
-/// Strided access: one CPU walking a region with a fixed large stride
-/// (pathological for direct-mapped caches when the stride aliases).
-#[derive(Clone, Debug)]
-pub struct Strided {
-    turn: Turn,
-    region_bytes: u64,
-    stride: u64,
-    offset: u64,
-}
-
-impl Strided {
-    /// A single-CPU strided walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region_bytes` or `stride` is zero.
-    pub fn new(region_bytes: u64, stride: u64) -> Self {
-        assert!(region_bytes > 0 && stride > 0);
-        Strided {
-            turn: Turn::new(1),
-            region_bytes,
-            stride,
-            offset: 0,
-        }
-    }
-}
-
-impl Workload for Strided {
-    fn name(&self) -> &str {
-        "strided"
-    }
-
-    fn num_cpus(&self) -> usize {
-        1
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.region_bytes
-    }
-
-    fn next_event(&mut self) -> WorkloadEvent {
-        let region = self.region_bytes;
-        let stride = self.stride;
-        let offset = &mut self.offset;
-        self.turn.next(|cpu| {
-            let addr = Address::new(*offset);
-            *offset = (*offset + stride) % region;
-            MemRef::load(cpu, addr)
-        })
-    }
-}
-
-/// Pointer chasing: a deterministic pseudo-random permutation walked one
-/// element at a time (defeats spatial locality entirely).
-#[derive(Clone, Debug)]
-pub struct PointerChase {
-    turn: Turn,
-    nodes: u64,
-    node_bytes: u64,
-    current: u64,
-}
-
-impl PointerChase {
-    /// A single-CPU chase over `nodes` nodes of `node_bytes` each, linked
-    /// by a multiplicative permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is not a power of two or `node_bytes` is zero.
-    pub fn new(nodes: u64, node_bytes: u64) -> Self {
-        assert!(nodes.is_power_of_two(), "nodes must be a power of two");
-        assert!(node_bytes > 0);
-        PointerChase {
-            turn: Turn::new(1),
-            nodes,
-            node_bytes,
-            current: 1,
-        }
-    }
-}
-
-impl Workload for PointerChase {
-    fn name(&self) -> &str {
-        "pointer-chase"
-    }
-
-    fn num_cpus(&self) -> usize {
-        1
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.nodes * self.node_bytes
-    }
-
-    fn next_event(&mut self) -> WorkloadEvent {
-        let addr = Address::new(self.current * self.node_bytes);
-        // An odd multiplier modulo a power of two permutes the ring.
-        self.current = (self
-            .current
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407))
-            % self.nodes;
-        self.turn.next(|cpu| MemRef::load(cpu, addr))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,25 +261,5 @@ mod tests {
         let hot = rs.iter().filter(|r| r.addr.value() < 128).count();
         // Rank 0 should absorb far more than 1/1000 of the traffic.
         assert!(hot > 100, "hot block got {hot} of 2000");
-    }
-
-    #[test]
-    fn strided_wraps_cleanly() {
-        let mut w = Strided::new(256, 128);
-        let rs = refs(&mut w, 4);
-        let addrs: Vec<u64> = rs.iter().map(|r| r.addr.value()).collect();
-        assert_eq!(addrs, vec![0, 128, 0, 128]);
-    }
-
-    #[test]
-    fn pointer_chase_covers_many_nodes() {
-        let mut w = PointerChase::new(1024, 64);
-        let rs = refs(&mut w, 512);
-        let distinct: std::collections::HashSet<u64> = rs.iter().map(|r| r.addr.value()).collect();
-        assert!(
-            distinct.len() > 256,
-            "only {} distinct nodes",
-            distinct.len()
-        );
     }
 }

@@ -99,9 +99,9 @@ impl Ocean {
         self.n
     }
 
-    /// End of the fine-grid region (coarse hierarchy lies above it);
-    /// exposed for tests.
-    pub fn fine_region_bytes(&self) -> u64 {
+    /// End of the fine-grid region (coarse hierarchy lies above it).
+    #[cfg(test)]
+    fn fine_region_bytes(&self) -> u64 {
         FINE_GRIDS * self.n * self.n * DOUBLE
     }
 

@@ -8,22 +8,9 @@ use rand::Rng;
 ///
 /// `theta` in `(0, 1)` controls skew (larger is more skewed; OLTP row
 /// popularity is traditionally modeled near 0.8).
-///
-/// # Examples
-///
-/// ```
-/// use memories_workloads::ZipfSampler;
-/// use rand::{rngs::SmallRng, SeedableRng};
-///
-/// let zipf = ZipfSampler::new(1000, 0.8);
-/// let mut rng = SmallRng::seed_from_u64(7);
-/// let rank = zipf.sample(&mut rng);
-/// assert!(rank < 1000);
-/// ```
 #[derive(Clone, Debug)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -45,7 +32,6 @@ impl ZipfSampler {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         ZipfSampler {
             n,
-            theta,
             alpha,
             zetan,
             eta,
@@ -75,16 +61,6 @@ impl ZipfSampler {
     /// Number of items.
     pub fn len(&self) -> u64 {
         self.n
-    }
-
-    /// Whether the sampler covers zero items (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Draws one rank in `0..n` (0 is the hottest).

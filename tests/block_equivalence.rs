@@ -498,7 +498,7 @@ proptest! {
                 for t in now {
                     block.push(*t);
                 }
-                pipeline.feed_pooled(block);
+                pipeline.feed_pooled(block).unwrap();
                 rest = later;
             }
             let run = pipeline.finish(SourceStats::default()).unwrap();
