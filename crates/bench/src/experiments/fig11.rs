@@ -7,14 +7,11 @@
 //! uses 128 B L2 lines and larger L3 lines; we use its Figure 12 L3 line
 //! size of 1 KB).
 
-use memories::BoardConfig;
-use memories_bus::ProcId;
 use memories_console::report::{bytes, Table};
-use memories_console::EmulationSession;
 use memories_workloads::splash::{Barnes, Fft, Fmm, Ocean, Water};
 use memories_workloads::Workload;
 
-use super::{scaled_cache, scaled_host, Scale};
+use super::{scaled_host, sweep_sizes, Scale};
 
 /// A named workload constructor.
 type AppMaker = Box<dyn Fn() -> Box<dyn Workload>>;
@@ -41,6 +38,7 @@ pub struct Fig11 {
 pub fn run(scale: Scale) -> Fig11 {
     let refs = scale.pick(200_000, 1_200_000);
     let sizes: Vec<u64> = [1u64, 2, 4, 8, 16].iter().map(|m| m << 20).collect();
+    let host = scaled_host(128 << 10, 4);
 
     let apps: Vec<(&str, AppMaker)> = vec![
         ("fmm", Box::new(|| Box::new(Fmm::scaled(8, 1 << 16, 7)))),
@@ -56,24 +54,7 @@ pub fn run(scale: Scale) -> Fig11 {
     let series = apps
         .into_iter()
         .map(|(name, make)| {
-            let mut points = Vec::with_capacity(sizes.len());
-            for batch in sizes.chunks(4) {
-                let configs = batch.iter().map(|&c| scaled_cache(c, 4, 1024)).collect();
-                let board =
-                    BoardConfig::parallel_configs(configs, (0..8).map(ProcId::new).collect())
-                        .unwrap();
-                let session = EmulationSession::builder()
-                    .host(scaled_host(128 << 10, 4))
-                    .board(board)
-                    .parallelism(batch.len())
-                    .build()
-                    .unwrap();
-                let mut workload = make();
-                let result = session.run(&mut *workload, refs).unwrap();
-                for (i, &cap) in batch.iter().enumerate() {
-                    points.push((cap, result.node_stats[i].miss_ratio()));
-                }
-            }
+            let points = sweep_sizes(&host, &*make, &sizes, (4, 1024), refs);
             Series {
                 app: name.to_string(),
                 points,

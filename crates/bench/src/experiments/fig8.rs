@@ -12,13 +12,10 @@
 //! long:short ratio preserved in spirit (long touches many times the
 //! largest cache; short touches less than the mid sizes).
 
-use memories::BoardConfig;
-use memories_bus::ProcId;
 use memories_console::report::{bytes, Table};
-use memories_console::EmulationSession;
 use memories_workloads::{DssConfig, DssWorkload, OltpConfig, OltpWorkload, Workload};
 
-use super::{scaled_cache, scaled_host, Scale};
+use super::{scaled_host, sweep_sizes, Scale};
 
 /// Miss ratio as a function of emulated cache size, for one trace length.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,42 +39,17 @@ pub struct Fig8 {
     pub sizes: Vec<u64>,
 }
 
-/// Sweeps `sizes` emulated caches over the same workload stream, four at
-/// a time (the board's Figure 4 parallel-configuration mode), returning
-/// the miss ratio per size.
-fn sweep(
-    make_workload: &dyn Fn() -> Box<dyn Workload>,
-    sizes: &[u64],
-    refs: u64,
-) -> Vec<(u64, f64)> {
-    let mut points = Vec::with_capacity(sizes.len());
-    for batch in sizes.chunks(4) {
-        let configs = batch.iter().map(|&c| scaled_cache(c, 8, 128)).collect();
-        let board =
-            BoardConfig::parallel_configs(configs, (0..8).map(ProcId::new).collect()).unwrap();
-        // Each configuration is its own coherence domain, so the sweep
-        // shards across all of them.
-        let session = EmulationSession::builder()
-            .host(scaled_host(256 << 10, 4))
-            .board(board)
-            .parallelism(batch.len())
-            .build()
-            .unwrap();
-        let mut workload = make_workload();
-        let result = session.run(&mut *workload, refs).unwrap();
-        for (i, &cap) in batch.iter().enumerate() {
-            points.push((cap, result.node_stats[i].miss_ratio()));
-        }
-    }
-    points
-}
-
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Fig8 {
     // Top size chosen so the long trace can actually reach steady state
     // there (a 32 MB cache is 256 K lines; the long runs push millions
     // of L2 misses through it).
     let sizes: Vec<u64> = [1u64, 2, 4, 8, 16, 32].iter().map(|m| m << 20).collect();
+    // 8-way, 128 B-line emulated caches behind 256 KB host L2s.
+    let host = scaled_host(256 << 10, 4);
+    let sweep = |make: &dyn Fn() -> Box<dyn Workload>, refs| {
+        sweep_sizes(&host, make, &sizes, (8, 128), refs)
+    };
 
     let tpcc_long = scale.pick(700_000, 4_000_000);
     let tpcc_short = scale.pick(25_000, 60_000);
@@ -98,29 +70,29 @@ pub fn run(scale: Scale) -> Fig8 {
         Series {
             label: format!("long ({tpcc_long} refs)"),
             refs: tpcc_long,
-            points: sweep(&*make_tpcc, &sizes, tpcc_long),
+            points: sweep(&*make_tpcc, tpcc_long),
         },
         Series {
             label: format!("short ({tpcc_short} refs)"),
             refs: tpcc_short,
-            points: sweep(&*make_tpcc, &sizes, tpcc_short),
+            points: sweep(&*make_tpcc, tpcc_short),
         },
     ];
     let tpch = vec![
         Series {
             label: format!("long ({tpch_long} refs)"),
             refs: tpch_long,
-            points: sweep(&*make_tpch, &sizes, tpch_long),
+            points: sweep(&*make_tpch, tpch_long),
         },
         Series {
             label: format!("medium ({tpch_mid} refs)"),
             refs: tpch_mid,
-            points: sweep(&*make_tpch, &sizes, tpch_mid),
+            points: sweep(&*make_tpch, tpch_mid),
         },
         Series {
             label: format!("short ({tpch_short} refs)"),
             refs: tpch_short,
-            points: sweep(&*make_tpch, &sizes, tpch_short),
+            points: sweep(&*make_tpch, tpch_short),
         },
     ];
     Fig8 { tpcc, tpch, sizes }

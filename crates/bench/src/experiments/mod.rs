@@ -15,9 +15,11 @@ pub mod table4;
 pub mod table5;
 pub mod table6;
 
-use memories::{CacheParams, ReplacementPolicy};
-use memories_bus::Geometry;
+use memories::{BoardConfig, CacheParams, ReplacementPolicy};
+use memories_bus::{Geometry, ProcId};
+use memories_console::EmulationSession;
 use memories_host::HostConfig;
+use memories_workloads::Workload;
 
 /// How big an experiment run should be.
 ///
@@ -72,6 +74,39 @@ pub(crate) fn scaled_host(l2_capacity: u64, l2_ways: u32) -> HostConfig {
             .expect("experiment host geometry is valid by construction"),
         ..HostConfig::s7a()
     }
+}
+
+/// Sweeps emulated caches of `sizes` bytes (`ways`-way, `line`-byte
+/// lines) over the same `refs`-reference workload stream on `host`, four
+/// at a time (the board's Figure 4 parallel-configuration mode), and
+/// returns the miss ratio per size, size order kept.
+pub(crate) fn sweep_sizes(
+    host: &HostConfig,
+    make_workload: &dyn Fn() -> Box<dyn Workload>,
+    sizes: &[u64],
+    (ways, line): (u32, u64),
+    refs: u64,
+) -> Vec<(u64, f64)> {
+    let mut points = Vec::with_capacity(sizes.len());
+    for batch in sizes.chunks(4) {
+        let configs = batch.iter().map(|&c| scaled_cache(c, ways, line)).collect();
+        let board =
+            BoardConfig::parallel_configs(configs, (0..8).map(ProcId::new).collect()).unwrap();
+        // Each configuration is its own coherence domain, so the sweep
+        // shards across all of them.
+        let session = EmulationSession::builder()
+            .host(host.clone())
+            .board(board)
+            .parallelism(batch.len())
+            .build()
+            .unwrap();
+        let mut workload = make_workload();
+        let result = session.run(&mut *workload, refs).unwrap();
+        for (i, &cap) in batch.iter().enumerate() {
+            points.push((cap, result.node_stats[i].miss_ratio()));
+        }
+    }
+    points
 }
 
 /// Drives `refs` workload references through a host machine with no board

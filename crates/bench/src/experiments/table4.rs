@@ -1,13 +1,14 @@
 //! Table 4: execution time of Augmint vs. MemorIES, SPLASH2 FFT.
 //!
 //! Both columns are model arithmetic (the real Augmint and the real S7A
-//! are unavailable): host run time comes from the FFT work model plus the
-//! S7A host time model, and the execution-driven simulator cost is the
+//! are unavailable): host run time comes from the FFT work model on the
+//! S7A's fixed clocks, and the execution-driven simulator cost is the
 //! calibrated ~900x slowdown — the ratio implied by every row of the
 //! paper's table.
 
 use memories_console::report::{seconds, Table};
-use memories_sim::{AugmintModel, HostTimeModel};
+use memories_host::HostConfig;
+use memories_sim::AugmintModel;
 use memories_workloads::splash::Fft;
 
 /// One Table 4 row.
@@ -30,8 +31,7 @@ pub struct Table4 {
 
 /// Runs the experiment (pure model arithmetic; scale-independent).
 pub fn run() -> Table4 {
-    let host = HostTimeModel::s7a();
-    let augmint = AugmintModel::default();
+    let host = HostConfig::s7a();
     let rows = [20u32, 22, 24, 26]
         .iter()
         .map(|&m| {
@@ -39,7 +39,7 @@ pub fn run() -> Table4 {
             let board_seconds = host.seconds_for_instructions(fft.estimated_instructions());
             Row {
                 m,
-                augmint_seconds: augmint.seconds_for(board_seconds, 8),
+                augmint_seconds: AugmintModel.seconds_for(board_seconds, 8),
                 board_seconds,
             }
         })

@@ -1,13 +1,14 @@
 //! Table 5: SPLASH2 application characteristics.
 //!
 //! Footprints come from the paper-size generators (calibrated to Table 5
-//! within a few percent). Runtime at the 8 MB 4-way L2 is the calibrated
-//! host-time model; the 1 MB direct-mapped column *predicts* the paper's
-//! slowdown from the miss-ratio difference measured on scaled runs at
-//! proportionally scaled caches, times a memory stall penalty.
+//! within a few percent). Runtime at the 8 MB 4-way L2 is the S7A's
+//! instruction time (`HostConfig::seconds_for_instructions`); the 1 MB
+//! direct-mapped column *predicts* the paper's slowdown from the
+//! miss-ratio difference measured on scaled runs at proportionally scaled
+//! caches, times a memory stall penalty.
 
 use memories_console::report::{bytes, Table};
-use memories_sim::HostTimeModel;
+use memories_host::HostConfig;
 use memories_workloads::splash::{Barnes, Fft, Fmm, Ocean, Water};
 use memories_workloads::Workload;
 
@@ -86,7 +87,7 @@ fn apps() -> Vec<AppSpec> {
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Table5 {
     let refs = scale.pick(150_000, 1_000_000);
-    let host = HostTimeModel::s7a();
+    let host = HostConfig::s7a();
     let rows = apps()
         .into_iter()
         .map(|spec| {

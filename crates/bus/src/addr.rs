@@ -16,7 +16,6 @@ use crate::error::GeometryError;
 ///
 /// let a = Address::new(0x1234);
 /// assert_eq!(a.value(), 0x1234);
-/// assert_eq!(a.offset_by(0x10), Address::new(0x1244));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Address(u64);
@@ -30,12 +29,6 @@ impl Address {
     /// Returns the raw byte value.
     pub const fn value(self) -> u64 {
         self.0
-    }
-
-    /// Returns this address advanced by `bytes` (wrapping on overflow).
-    #[must_use]
-    pub const fn offset_by(self, bytes: u64) -> Self {
-        Address(self.0.wrapping_add(bytes))
     }
 
     /// Returns the address aligned down to a `line_size` boundary.
@@ -333,7 +326,6 @@ mod tests {
     fn address_alignment_and_offset() {
         let a = Address::new(0x12345);
         assert_eq!(a.align_down(0x100), Address::new(0x12300));
-        assert_eq!(a.offset_by(0x10).value(), 0x12355);
         assert_eq!(format!("{a}"), "0x12345");
     }
 

@@ -8,47 +8,34 @@ use crate::op::BusOp;
 use crate::stats::BusStats;
 use crate::transaction::{SnoopResponse, Transaction};
 
-/// Timing parameters of the host memory bus.
-///
-/// The defaults model the 100 MHz 6xx bus of the S7A host: a 4-cycle
-/// address tenure plus, for data-bearing transactions, one beat per 16
-/// bytes of the 128-byte line (8 beats).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BusConfig {
-    /// Bus clock frequency in Hz.
-    pub frequency_hz: u64,
-    /// Cycles occupied by the address tenure of every transaction.
-    pub address_cycles: u64,
-    /// Bytes transferred per data beat.
-    pub bytes_per_beat: u64,
-    /// Line size in bytes assumed for data tenures.
-    pub line_size: u64,
-}
+/// Bus clock of the S7A's 6xx memory bus: 100 MHz (§5).
+pub const BUS_HZ: u64 = 100_000_000;
+
+/// Cycles of every transaction's address tenure.
+const ADDRESS_CYCLES: u64 = 4;
+
+/// Bus cycles of a data-bearing transaction: the address tenure plus one
+/// beat per 16 bytes of the 128-byte line (8 beats).
+pub const DATA_TRANSACTION_CYCLES: u64 = ADDRESS_CYCLES + 128 / 16;
+
+/// Timing of the host memory bus: the S7A's 100 MHz 6xx bus, whose
+/// numbers are the constants [`BUS_HZ`] and [`DATA_TRANSACTION_CYCLES`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BusConfig;
 
 impl BusConfig {
     /// Cycle cost of one transaction of kind `op`.
     pub fn transaction_cycles(&self, op: BusOp) -> u64 {
         if op.carries_data() {
-            self.address_cycles + self.line_size.div_ceil(self.bytes_per_beat)
+            DATA_TRANSACTION_CYCLES
         } else {
-            self.address_cycles
+            ADDRESS_CYCLES
         }
     }
 
-    /// Converts a cycle count to seconds at this bus frequency.
+    /// Converts a cycle count to seconds at the bus frequency.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.frequency_hz as f64
-    }
-}
-
-impl Default for BusConfig {
-    fn default() -> Self {
-        BusConfig {
-            frequency_hz: 100_000_000,
-            address_cycles: 4,
-            bytes_per_beat: 16,
-            line_size: 128,
-        }
+        cycles as f64 / BUS_HZ as f64
     }
 }
 
@@ -282,7 +269,7 @@ impl SystemBus {
 
 impl Default for SystemBus {
     fn default() -> Self {
-        SystemBus::new(BusConfig::default())
+        SystemBus::new(BusConfig)
     }
 }
 
@@ -341,7 +328,7 @@ mod tests {
 
     #[test]
     fn transaction_costs() {
-        let cfg = BusConfig::default();
+        let cfg = BusConfig;
         // Address-only op: 4 cycles. Data op: 4 + 128/16 = 12 cycles.
         assert_eq!(cfg.transaction_cycles(BusOp::DClaim), 4);
         assert_eq!(cfg.transaction_cycles(BusOp::Read), 12);

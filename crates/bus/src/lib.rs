@@ -39,7 +39,9 @@ mod transaction;
 
 pub use addr::{Address, Geometry, LineAddr, NodeId, ProcId};
 pub use block::{BlockPool, PoolStats, PooledBlock, TransactionBlock};
-pub use bus::{BusConfig, BusListener, ListenerReaction, SystemBus};
+pub use bus::{
+    BusConfig, BusListener, ListenerReaction, SystemBus, BUS_HZ, DATA_TRANSACTION_CYCLES,
+};
 pub use error::GeometryError;
 pub use op::{BusOp, OpClass};
 pub use stats::BusStats;

@@ -67,6 +67,3 @@ pub use session::{
     EmulationSession, EmulationSessionBuilder, MonitoredRun, ReplayResult, SessionError,
 };
 pub use shared::Shared;
-// Re-exported so session callers can configure and read verification
-// without naming the verify crate directly.
-pub use memories_verify::{CheckReport, FuzzConfig, FuzzReport, VerifyReport, Violation};

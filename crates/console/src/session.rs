@@ -52,7 +52,6 @@ use memories::{BoardConfig, Error, MemoriesBoard};
 use memories_host::{HostConfig, HostMachine};
 use memories_obs::{EngineTelemetry, TimeSeries};
 use memories_sim::{EmulationEngine, EngineConfig};
-use memories_verify::{verify_board, FuzzConfig, VerifyReport};
 use memories_workloads::Workload;
 
 use crate::pipeline::{
@@ -228,49 +227,6 @@ impl EmulationSession {
     /// Starts a session builder.
     pub fn builder() -> EmulationSessionBuilder {
         EmulationSessionBuilder::default()
-    }
-
-    /// The validated board configuration.
-    pub fn board_config(&self) -> &BoardConfig {
-        &self.board
-    }
-
-    /// Configured shard parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Verifies this session's board configuration: model-checks every
-    /// distinct protocol loaded into a node slot, then differentially
-    /// fuzzes the exact topology (serial vs. parallel engines vs. the
-    /// reference model) with the given fuzz configuration.
-    ///
-    /// This is the programmatic face of the `memories-verify` subsystem —
-    /// the same checks the CI `verify` job runs against the builtin
-    /// protocols, but aimed at whatever (possibly hand-written) tables
-    /// and node layout this session was built with.
-    ///
-    /// # Errors
-    ///
-    /// Propagates board construction or corpus I/O failures. A *verifier
-    /// finding* (a protocol violation or an engine divergence) is not an
-    /// error: it is reported in the returned [`VerifyReport`], whose
-    /// `is_clean` answers pass/fail.
-    pub fn verify(&self, config: FuzzConfig) -> Result<VerifyReport, Error> {
-        let slots = self
-            .board
-            .slots
-            .iter()
-            .map(|slot| {
-                (
-                    slot.params,
-                    slot.protocol.clone(),
-                    slot.domain,
-                    slot.cpus.clone(),
-                )
-            })
-            .collect();
-        verify_board(slots, config)
     }
 
     /// The engine configuration this session's parallelism implies.

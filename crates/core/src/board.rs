@@ -837,10 +837,7 @@ pub(crate) mod tests {
     #[test]
     fn board_posts_retry_only_on_overflow() {
         let mut cfg = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
-        cfg.timing = TimingConfig {
-            buffer_capacity: 4,
-            ..TimingConfig::default()
-        };
+        cfg.timing = TimingConfig { buffer_capacity: 4 };
         let mut b = MemoriesBoard::new(cfg).unwrap();
         // Back-to-back transactions in the same cycle overflow a 4-deep
         // buffer.
@@ -865,10 +862,7 @@ pub(crate) mod tests {
     #[test]
     fn buffer_overflow_drops_events() {
         let mut cfg = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
-        cfg.timing = TimingConfig {
-            buffer_capacity: 2,
-            ..TimingConfig::default()
-        };
+        cfg.timing = TimingConfig { buffer_capacity: 2 };
         let mut b = MemoriesBoard::new(cfg).unwrap();
         // All arrivals in the same cycle: only 2 fit.
         let mut retried = 0;

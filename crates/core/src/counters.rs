@@ -333,7 +333,8 @@ mod tests {
         // §3: at 20% utilization of a 100 MHz bus, transactions arrive at
         // most every ~12 cycles busy / 0.2 => ~1.7M txns/s. 30 hours of
         // that is ~1.8e11, comfortably below 2^40 - 1 ~ 1.1e12.
-        let txn_per_sec = 100_000_000.0 * 0.2 / 12.0;
+        let txn_per_sec =
+            memories_bus::BUS_HZ as f64 * 0.2 / memories_bus::DATA_TRANSACTION_CYCLES as f64;
         let thirty_hours = txn_per_sec * 30.0 * 3600.0;
         assert!(thirty_hours < Counter40::MAX as f64);
     }

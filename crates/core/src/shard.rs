@@ -382,10 +382,7 @@ mod tests {
             slot(2..4, 1),
         ])
         .unwrap();
-        cfg.timing = TimingConfig {
-            buffer_capacity: 2,
-            ..TimingConfig::default()
-        };
+        cfg.timing = TimingConfig { buffer_capacity: 2 };
         let (front, mut shards) = MemoriesBoard::new(cfg).unwrap().split(1);
         (front, shards.pop().unwrap())
     }

@@ -10,13 +10,11 @@
 
 use std::fmt;
 
+use memories_bus::BUS_HZ;
+
 /// Timing parameters of the board.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingConfig {
-    /// Bus cycles the SDRAM needs per tag operation. The default (9.6)
-    /// makes sustained SDRAM throughput ~42% of the bus's peak
-    /// back-to-back address rate (one address tenure per 4 cycles).
-    pub sdram_cycles_per_op: f64,
     /// Node-controller transaction buffer capacity (512 on the board).
     pub buffer_capacity: usize,
 }
@@ -24,7 +22,6 @@ pub struct TimingConfig {
 impl Default for TimingConfig {
     fn default() -> Self {
         TimingConfig {
-            sdram_cycles_per_op: 4.0 / 0.42,
             buffer_capacity: 512,
         }
     }
@@ -34,19 +31,18 @@ impl Default for TimingConfig {
 /// its SDRAM.
 ///
 /// Events arrive stamped with the bus cycle of their transaction; the
-/// SDRAM drains the buffer at `1 / sdram_cycles_per_op` events per cycle.
-/// Arrivals beyond capacity overflow.
+/// SDRAM drains the buffer at 0.105 events per cycle: one tag operation
+/// per 4-cycle address tenure at 42% of peak (§3.3). Arrivals beyond
+/// capacity overflow.
 ///
 /// Occupancy is tracked in integer fixed point (micro-entries,
 /// 1/1,000,000 of a buffer entry) rather than `f64`: accumulating
 /// fractional drains in floating point drifts over multi-billion-cycle
 /// runs, and cycle deltas beyond 2^53 do not even round-trip through
 /// `f64`, so long traces could flip overflow/retry decisions. The drain
-/// rate is quantized once at construction (`round(10^6 /
-/// sdram_cycles_per_op)` micro-entries per cycle — exact for the default
-/// 42%-of-peak rate, within 5·10⁻⁷ entry/cycle otherwise); after that
-/// every update is exact integer arithmetic with a 128-bit intermediate,
-/// so overflow counts are reproducible at any trace length.
+/// rate is exactly 105 000 micro-entries per cycle, and every update is
+/// exact integer arithmetic with a 128-bit intermediate, so overflow
+/// counts are reproducible at any trace length.
 ///
 /// # Examples
 ///
@@ -60,8 +56,6 @@ impl Default for TimingConfig {
 #[derive(Clone, Debug)]
 pub struct TransactionBuffer {
     capacity: usize,
-    /// Micro-entries drained per idle bus cycle.
-    drain_micro_per_cycle: u64,
     /// Current occupancy in micro-entries (≤ capacity · 10⁶).
     occupancy_micro: u64,
     last_cycle: u64,
@@ -73,18 +67,14 @@ pub struct TransactionBuffer {
 /// Micro-entries per buffer entry (the fixed-point scale).
 const MICRO: u64 = 1_000_000;
 
+/// Micro-entries the SDRAM drains per bus cycle: 10⁶ × 0.42 / 4.
+const DRAIN_MICRO_PER_CYCLE: u64 = 105_000;
+
 impl TransactionBuffer {
     /// Creates an empty buffer.
     pub fn new(config: &TimingConfig) -> Self {
-        // Quantize the service rate once; all later arithmetic is exact.
-        let rate = MICRO as f64 / config.sdram_cycles_per_op;
         TransactionBuffer {
             capacity: config.buffer_capacity,
-            drain_micro_per_cycle: if rate.is_finite() && rate > 0.0 {
-                rate.round() as u64
-            } else {
-                0
-            },
             occupancy_micro: 0,
             last_cycle: 0,
             peak_micro: 0,
@@ -99,8 +89,7 @@ impl TransactionBuffer {
         // idle gaps (cycle deltas up to 2^64) exact, and what is left
         // never exceeds the old occupancy, so it fits back in 64 bits.
         if cycle > self.last_cycle {
-            let drained =
-                u128::from(cycle - self.last_cycle) * u128::from(self.drain_micro_per_cycle);
+            let drained = u128::from(cycle - self.last_cycle) * u128::from(DRAIN_MICRO_PER_CYCLE);
             self.occupancy_micro = u128::from(self.occupancy_micro).saturating_sub(drained) as u64;
         }
         self.last_cycle = self.last_cycle.max(cycle);
@@ -143,37 +132,31 @@ impl fmt::Display for TransactionBuffer {
 }
 
 /// Wall-clock arithmetic for the board: how long processing a reference
-/// stream takes at a given bus speed and utilization.
+/// stream takes at the paper's Table 3 bus speed and utilization.
 ///
 /// This is the model behind Table 3's MemorIES column: the board runs in
 /// real time, so processing N references takes exactly as long as the host
 /// takes to *produce* N references.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SdramModel {
-    /// Bus frequency in Hz.
-    pub bus_hz: u64,
-    /// Bus cycles per transaction (address + data tenure).
-    pub cycles_per_transaction: f64,
-    /// Fraction of bus cycles carrying transactions.
-    pub utilization: f64,
-}
+pub struct SdramModel;
 
 impl SdramModel {
+    /// Bus cycles per reference: one 8-byte-wide reference per two cycles.
+    const CYCLES_PER_TRANSACTION: f64 = 2.0;
+    /// Fraction of bus cycles carrying transactions.
+    const UTILIZATION: f64 = 0.20;
+
     /// The paper's Table 3 assumptions: 100 MHz bus at 20% utilization,
     /// one 8-byte-wide reference per two bus cycles — which reproduces the
     /// published column exactly (32768 refs → 3.28 ms, 10 M refs → 1 s,
     /// 10 G refs → 16.67 min).
     pub fn table3_default() -> Self {
-        SdramModel {
-            bus_hz: 100_000_000,
-            cycles_per_transaction: 2.0,
-            utilization: 0.20,
-        }
+        SdramModel
     }
 
     /// Transactions the bus delivers per second at this utilization.
     pub fn transactions_per_second(&self) -> f64 {
-        self.bus_hz as f64 * self.utilization / self.cycles_per_transaction
+        BUS_HZ as f64 * Self::UTILIZATION / Self::CYCLES_PER_TRANSACTION
     }
 
     /// Seconds of real time the board needs to observe `references` bus
@@ -188,14 +171,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_timing_approximates_42_percent() {
-        let t = TimingConfig::default();
-        // A 4-cycle address tenure per SDRAM operation: the sustained
-        // fraction of peak bus transaction bandwidth.
-        assert!((4.0 / t.sdram_cycles_per_op - 0.42).abs() < 1e-9);
-    }
-
-    #[test]
     fn buffer_absorbs_bursts_below_capacity() {
         let mut b = TransactionBuffer::new(&TimingConfig::default());
         // 100 arrivals in the same cycle: fits in 512 entries.
@@ -208,10 +183,7 @@ mod tests {
 
     #[test]
     fn buffer_overflows_on_sustained_oversubscription() {
-        let cfg = TimingConfig {
-            buffer_capacity: 8,
-            ..TimingConfig::default()
-        };
+        let cfg = TimingConfig { buffer_capacity: 8 };
         let mut b = TransactionBuffer::new(&cfg);
         let mut rejected = 0;
         // Back-to-back arrivals every cycle: drain is ~0.1/cycle, so the
@@ -230,7 +202,6 @@ mod tests {
     fn buffer_drains_over_idle_time() {
         let cfg = TimingConfig {
             buffer_capacity: 16,
-            ..TimingConfig::default()
         };
         let mut b = TransactionBuffer::new(&cfg);
         for _ in 0..10 {
@@ -291,7 +262,6 @@ mod tests {
         // that don't round-trip through f64).
         let cfg = TimingConfig {
             buffer_capacity: 32,
-            ..TimingConfig::default()
         };
         let mut arrivals: Vec<u64> = Vec::new();
         let mut cycle: u64 = 0;
@@ -325,7 +295,7 @@ mod tests {
         }
 
         let (ref_overflows, ref_occupancy) =
-            exact_reference(&arrivals, cfg.buffer_capacity, buf.drain_micro_per_cycle);
+            exact_reference(&arrivals, cfg.buffer_capacity, DRAIN_MICRO_PER_CYCLE);
         // The bursts really do oversubscribe a 32-deep buffer.
         assert!(ref_overflows > 0, "pattern should provoke overflows");
         assert_eq!(buf.overflows(), ref_overflows);
@@ -336,11 +306,19 @@ mod tests {
 
     #[test]
     fn drain_rate_is_exact_for_default_timing() {
-        // 10^6 / (200/21) = 105_000 exactly: the default service rate
-        // quantizes with zero error, so default-config emulation incurs
-        // no fixed-point rounding at all.
-        let b = TransactionBuffer::new(&TimingConfig::default());
-        assert_eq!(b.drain_micro_per_cycle, 105_000);
+        // 42% of one operation per 4-cycle address tenure is exactly
+        // 0.105 entries per cycle, so 21 entries drain in 200 cycles with
+        // no fixed-point rounding.
+        assert_eq!(DRAIN_MICRO_PER_CYCLE * 4 * 100, 42 * MICRO);
+        let mut b = TransactionBuffer::new(&TimingConfig::default());
+        for _ in 0..21 {
+            assert!(b.arrive(0));
+        }
+        let mut early = b.clone();
+        assert!(early.arrive(199));
+        assert_eq!(early.occupancy(), 2);
+        assert!(b.arrive(200));
+        assert_eq!(b.occupancy(), 1);
     }
 
     #[test]

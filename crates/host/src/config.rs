@@ -3,16 +3,25 @@
 use std::error::Error;
 use std::fmt;
 
-use memories_bus::{BusConfig, Geometry, ProcId};
+use memories_bus::{BusConfig, Geometry, ProcId, BUS_HZ};
 
 use crate::outer::MAX_WAYS;
 
+/// Processor clock of the S7A's 262 MHz Northstar processors (§5).
+const CPU_HZ: u64 = 262_000_000;
+
+/// Average cycles per instruction, which converts instruction counts
+/// into elapsed time.
+const CPI: f64 = 1.5;
+
 /// Configuration of the host SMP machine.
 ///
-/// `outer_cache` is the coherence point (normally the L2); `inner_cache`
-/// is an optional L1 in front of it. Turning the L2 "off" — the paper's
-/// trick for making MemorIES emulate an L2 instead of an L3 (§2) — is
-/// modeled by passing the L1 geometry as `outer_cache` and no inner cache.
+/// The processors always run at the S7A's 262 MHz and CPI 1.5, on the
+/// 100 MHz bus of [`BusConfig`]. `outer_cache` is the coherence point
+/// (normally the L2); `inner_cache` is an optional L1 in front of it.
+/// Turning the L2 "off" — the paper's trick for making MemorIES emulate
+/// an L2 instead of an L3 (§2) — is modeled by passing the L1 geometry as
+/// `outer_cache` and no inner cache.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HostConfig {
     /// Number of processors (1–12 on the S7A-class hosts).
@@ -23,11 +32,6 @@ pub struct HostConfig {
     pub outer_cache: Geometry,
     /// Memory bus timing.
     pub bus: BusConfig,
-    /// Processor clock in Hz (262 MHz Northstar on the S7A).
-    pub cpu_frequency_hz: u64,
-    /// Average cycles per instruction used to convert instruction counts
-    /// into elapsed bus time.
-    pub cycles_per_instruction: f64,
 }
 
 impl HostConfig {
@@ -38,9 +42,7 @@ impl HostConfig {
             num_cpus: 8,
             inner_cache: Some(Geometry::new(64 << 10, 2, 128).expect("valid preset geometry")),
             outer_cache: Geometry::new(8 << 20, 4, 128).expect("valid preset geometry"),
-            bus: BusConfig::default(),
-            cpu_frequency_hz: 262_000_000,
-            cycles_per_instruction: 1.5,
+            bus: BusConfig,
         }
     }
 
@@ -61,9 +63,8 @@ impl HostConfig {
     ///
     /// Returns [`ConfigError`] for a zero or oversized CPU count, an outer
     /// cache of more than 64 ways, an inner cache bigger than the outer
-    /// (inclusion would be impossible), mismatched line sizes between the
-    /// levels, a zero CPU or bus clock, a bus that moves zero bytes per
-    /// data beat, or a CPI that is not positive and finite.
+    /// (inclusion would be impossible), or mismatched line sizes between
+    /// the levels.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cpus == 0 || self.num_cpus > ProcId::MAX_IDS - 1 {
             return Err(ConfigError::BadCpuCount {
@@ -89,28 +90,20 @@ impl HostConfig {
                 });
             }
         }
-        if self.cpu_frequency_hz == 0 {
-            return Err(ConfigError::ZeroCpuFrequency);
-        }
-        if self.bus.frequency_hz == 0 {
-            return Err(ConfigError::ZeroBusFrequency);
-        }
-        if self.bus.bytes_per_beat == 0 {
-            return Err(ConfigError::ZeroBytesPerBeat);
-        }
-        if !(self.cycles_per_instruction > 0.0 && self.cycles_per_instruction.is_finite()) {
-            return Err(ConfigError::BadCpi {
-                cpi: self.cycles_per_instruction,
-            });
-        }
         Ok(())
     }
 
     /// Idle bus cycles corresponding to executing `instructions`
     /// instructions on one processor.
     pub fn instructions_to_bus_cycles(&self, instructions: u64) -> f64 {
-        instructions as f64 * self.cycles_per_instruction * self.bus.frequency_hz as f64
-            / self.cpu_frequency_hz as f64
+        instructions as f64 * CPI * BUS_HZ as f64 / CPU_HZ as f64
+    }
+
+    /// Host wall-clock seconds to execute `instructions` instructions
+    /// spread across all the processors. The board runs in real time, so
+    /// this is also its run time (the "MemorIES" columns of Tables 4–5).
+    pub fn seconds_for_instructions(&self, instructions: u64) -> f64 {
+        instructions as f64 / (self.num_cpus as f64 * CPU_HZ as f64 / CPI)
     }
 }
 
@@ -149,20 +142,6 @@ pub enum ConfigError {
         /// Outer line size in bytes.
         outer: u64,
     },
-    /// The processor clock is zero, so instruction counts would convert
-    /// to infinite bus time.
-    ZeroCpuFrequency,
-    /// The bus clock is zero, so instructions would never advance the bus
-    /// and cycle counts would convert to infinite time.
-    ZeroBusFrequency,
-    /// The bus moves zero bytes per data beat, so a data tenure would
-    /// take a division by zero.
-    ZeroBytesPerBeat,
-    /// Cycles-per-instruction must be positive and finite.
-    BadCpi {
-        /// The offending value.
-        cpi: f64,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -186,15 +165,6 @@ impl fmt::Display for ConfigError {
             ConfigError::LineSizeMismatch { inner, outer } => {
                 write!(f, "inner line size {inner} B differs from outer {outer} B")
             }
-            ConfigError::ZeroCpuFrequency => write!(f, "cpu frequency must be nonzero"),
-            ConfigError::ZeroBusFrequency => write!(f, "bus frequency must be nonzero"),
-            ConfigError::ZeroBytesPerBeat => write!(f, "bus bytes per beat must be nonzero"),
-            ConfigError::BadCpi { cpi } => {
-                write!(
-                    f,
-                    "cycles per instruction must be positive and finite, got {cpi}"
-                )
-            }
         }
     }
 }
@@ -217,7 +187,6 @@ mod tests {
         assert_eq!(c.num_cpus, 8);
         assert_eq!(c.outer_cache.capacity(), 8 << 20);
         assert_eq!(c.outer_cache.ways(), 4);
-        assert_eq!(c.cpu_frequency_hz, 262_000_000);
     }
 
     #[test]
@@ -249,34 +218,6 @@ mod tests {
             c.validate(),
             Err(ConfigError::LineSizeMismatch { .. })
         ));
-
-        let mut c = HostConfig::s7a();
-        c.cycles_per_instruction = 0.0;
-        assert!(matches!(c.validate(), Err(ConfigError::BadCpi { .. })));
-    }
-
-    /// A zero clock or a non-finite CPI would turn instruction counts into
-    /// an infinite or NaN idle time on the bus, and a zero beat width
-    /// would divide by zero on the first data tenure.
-    #[test]
-    fn rejects_clocks_that_make_idle_time_non_finite() {
-        let mut c = HostConfig::s7a();
-        c.cpu_frequency_hz = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroCpuFrequency));
-        let mut c = HostConfig::s7a();
-        c.bus.frequency_hz = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroBusFrequency));
-        let mut c = HostConfig::s7a();
-        c.bus.bytes_per_beat = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroBytesPerBeat));
-        for cpi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut c = HostConfig::s7a();
-            c.cycles_per_instruction = cpi;
-            assert!(
-                matches!(c.validate(), Err(ConfigError::BadCpi { .. })),
-                "cpi {cpi} passed"
-            );
-        }
     }
 
     #[test]
@@ -285,5 +226,14 @@ mod tests {
         // 262 instructions at CPI 1.5 = 393 CPU cycles = 150 bus cycles.
         let cycles = c.instructions_to_bus_cycles(262);
         assert!((cycles - 150.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn s7a_matches_table4_calibration() {
+        let c = HostConfig::s7a();
+        // 8 × 262 MHz at CPI 1.5: ~1.4 G instructions/s aggregate, so
+        // 4.2e9 instructions take ~3 s (the FFT m=20 Table 4 row).
+        let t = c.seconds_for_instructions(4_200_000_000);
+        assert!((t - 3.0).abs() < 0.1, "got {t}");
     }
 }

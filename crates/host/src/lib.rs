@@ -22,8 +22,11 @@
 //!   the processors that hold the line.
 //! * [`CpuView`] and [`OuterView`] — read-only views of one processor
 //!   and of its outer cache, from [`HostMachine::cpu`].
-//! * [`HostConfig`] — machine parameters with an [`HostConfig::s7a`]
-//!   preset.
+//! * [`HostConfig`] — CPU count and cache geometry, with an
+//!   [`HostConfig::s7a`] preset. The clocks are not settings: every
+//!   processor runs at the S7A's 262 MHz and CPI 1.5 on the 100 MHz bus,
+//!   and [`HostConfig::seconds_for_instructions`] turns an instruction
+//!   count into host run time (Tables 4 and 5).
 //!
 //! # Examples
 //!

@@ -31,5 +31,5 @@ pub mod export;
 mod series;
 mod telemetry;
 
-pub use series::{SamplePoint, SampleStats, TimeSeries, BUS_CYCLES_PER_TRANSACTION};
+pub use series::{SamplePoint, SampleStats, TimeSeries};
 pub use telemetry::{EngineTelemetry, ShardTelemetry};

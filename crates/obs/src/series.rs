@@ -1,11 +1,7 @@
 //! Counter time series: periodic snapshots with windowed deltas.
 
 use memories::BoardSnapshot;
-
-/// Bus cycles one full transaction occupies (address + data tenure) in
-/// the workloads' timing convention: one transaction per 60 cycles is 20%
-/// utilization. Used as the default for [`SampleStats::utilization`].
-pub const BUS_CYCLES_PER_TRANSACTION: f64 = 12.0;
+use memories_bus::DATA_TRANSACTION_CYCLES;
 
 /// Aggregate statistics over a stretch of the transaction stream —
 /// either cumulative (start of run to a sample) or windowed (between two
@@ -79,21 +75,17 @@ impl SampleStats {
         ratio(self.interventions, self.demand_references)
     }
 
-    /// Fraction of bus cycles carrying transactions, assuming the default
-    /// [`BUS_CYCLES_PER_TRANSACTION`]-cycle tenure. 0 when the span is
-    /// empty. Can exceed 1.0 if transactions arrive faster than the
-    /// assumed tenure permits (back-to-back same-cycle bursts).
+    /// Fraction of bus cycles carrying transactions, assuming every
+    /// transaction holds the bus for a full 12-cycle data tenure
+    /// ([`DATA_TRANSACTION_CYCLES`]): one transaction per 60 cycles is 20%
+    /// utilization. 0 when the span is empty. Can exceed 1.0 if
+    /// transactions arrive faster than that tenure permits (back-to-back
+    /// same-cycle bursts).
     pub fn utilization(&self) -> f64 {
-        self.utilization_with(BUS_CYCLES_PER_TRANSACTION)
-    }
-
-    /// [`SampleStats::utilization`] with an explicit cycles-per-
-    /// transaction tenure.
-    pub fn utilization_with(&self, cycles_per_transaction: f64) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
-            self.seen as f64 * cycles_per_transaction / self.cycles as f64
+            self.seen as f64 * DATA_TRANSACTION_CYCLES as f64 / self.cycles as f64
         }
     }
 }
@@ -259,6 +251,5 @@ mod tests {
             ..SampleStats::default()
         };
         assert!((stats.utilization() - 0.2).abs() < 1e-12);
-        assert!((stats.utilization_with(6.0) - 0.1).abs() < 1e-12);
     }
 }

@@ -49,8 +49,6 @@ pub struct EngineTelemetry {
     /// Batches broadcast to the workers: one per fed block that kept at
     /// least one admitted transaction.
     pub batches: u64,
-    /// Batch-queue slots per worker (the channel bound).
-    pub queue_capacity: usize,
     /// Times the stream's producer stage found its downstream queue full
     /// and had to block (backpressure events). When a trace or stream
     /// source feeds the engine in the calling thread this is the feed

@@ -8,48 +8,28 @@
 //! paper's observation that the factor is much worse for multiprocessor
 //! workloads (Embra: 7–20× uniprocessor, 94–221× multiprocessor).
 
-use std::fmt;
-
-/// Execution-driven simulator time model.
+/// Execution-driven simulator time model: host run time times a fixed
+/// slowdown.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AugmintModel {
-    /// Simulation slowdown versus native execution for multiprocessor
-    /// workloads. Calibrated to Table 4 (≈900×: Augmint interprets x86
-    /// memory ops and simulates the memory hierarchy event by event).
-    pub multiprocessor_slowdown: f64,
-    /// Slowdown for uniprocessor workloads (cheaper: no coherence).
-    pub uniprocessor_slowdown: f64,
-}
-
-impl Default for AugmintModel {
-    fn default() -> Self {
-        AugmintModel {
-            multiprocessor_slowdown: 900.0,
-            uniprocessor_slowdown: 60.0,
-        }
-    }
-}
+pub struct AugmintModel;
 
 impl AugmintModel {
+    /// Slowdown versus native execution for multiprocessor workloads,
+    /// calibrated to Table 4 (Augmint interprets x86 memory ops and
+    /// simulates the memory hierarchy event by event).
+    const MULTIPROCESSOR_SLOWDOWN: f64 = 900.0;
+    /// Slowdown for uniprocessor workloads (cheaper: no coherence).
+    const UNIPROCESSOR_SLOWDOWN: f64 = 60.0;
+
     /// Simulation wall-clock seconds for a workload whose *native* host
     /// run time is `host_seconds`, using `cpus` processors.
     pub fn seconds_for(&self, host_seconds: f64, cpus: usize) -> f64 {
         let slowdown = if cpus > 1 {
-            self.multiprocessor_slowdown
+            Self::MULTIPROCESSOR_SLOWDOWN
         } else {
-            self.uniprocessor_slowdown
+            Self::UNIPROCESSOR_SLOWDOWN
         };
         host_seconds * slowdown
-    }
-}
-
-impl fmt::Display for AugmintModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "augmint model: {}x MP / {}x UP slowdown",
-            self.multiprocessor_slowdown, self.uniprocessor_slowdown
-        )
     }
 }
 
@@ -66,7 +46,7 @@ mod tests {
             (53.0, 13.0 * 3600.0),
             (196.0, 2.0 * 86_400.0), // "> 2 days": lower bound
         ];
-        let m = AugmintModel::default();
+        let m = AugmintModel;
         for (host, paper) in rows.iter().take(3) {
             let predicted = m.seconds_for(*host, 8);
             let err = (predicted - paper).abs() / paper;
@@ -82,7 +62,7 @@ mod tests {
 
     #[test]
     fn uniprocessor_is_cheaper() {
-        let m = AugmintModel::default();
+        let m = AugmintModel;
         assert!(m.seconds_for(10.0, 1) < m.seconds_for(10.0, 8));
     }
 }

@@ -13,10 +13,6 @@ use memories_bus::BusOp;
 use memories_protocol::{AccessEvent, Action, ProtocolTable, RemoteSummary, StateId};
 use memories_trace::TraceRecord;
 
-/// Hit/miss counts produced by the simulator, aligned field-for-field
-/// with the board's [`NodeCounters`] so the two can be compared exactly.
-pub type SimCounts = NodeCounters;
-
 /// One entry of a set.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -78,7 +74,7 @@ impl CacheSim {
     }
 
     /// Accumulated counts.
-    pub fn counts(&self) -> &SimCounts {
+    pub fn counts(&self) -> &NodeCounters {
         &self.counts
     }
 
@@ -216,7 +212,7 @@ impl CacheSim {
     }
 
     /// Runs an entire trace.
-    pub fn run<I: IntoIterator<Item = TraceRecord>>(&mut self, trace: I) -> &SimCounts {
+    pub fn run<I: IntoIterator<Item = TraceRecord>>(&mut self, trace: I) -> &NodeCounters {
         for rec in trace {
             self.step(&rec);
         }

@@ -234,14 +234,6 @@ impl EmulationEngine {
         }
     }
 
-    /// Number of independent snoop units (1 in serial mode).
-    pub fn shard_count(&self) -> usize {
-        match &self.snoopers {
-            Snoopers::Inline(_) => 1,
-            Snoopers::Workers(workers) => workers.len(),
-        }
-    }
-
     /// Transactions the filter has admitted so far.
     pub fn admitted(&self) -> u64 {
         self.front.filter().stats().forwarded
@@ -350,7 +342,6 @@ impl EmulationEngine {
     pub fn finish_monitored(self) -> Result<(MemoriesBoard, MonitorReport), Error> {
         let mut telemetry = EngineTelemetry {
             batches: self.batches,
-            queue_capacity: QUEUE_CAPACITY,
             producer_stalls: self.producer_stalls,
             snapshots: self.snapshots,
             ..EngineTelemetry::default()
@@ -594,10 +585,7 @@ mod tests {
     fn overflow_retries_merge_exactly() {
         // Back-to-back transactions into a tiny buffer force overflows.
         let mut cfg = four_domain_config();
-        cfg.timing = TimingConfig {
-            buffer_capacity: 4,
-            ..TimingConfig::default()
-        };
+        cfg.timing = TimingConfig { buffer_capacity: 4 };
         let txns = stream(5_000, 0);
         let serial = reference(&cfg, &txns);
         assert!(serial.retries_posted() > 0, "test needs overflow pressure");
@@ -611,16 +599,17 @@ mod tests {
             MemoriesBoard::new(four_domain_config()).unwrap(),
             EngineConfig::parallel(2),
         );
-        assert_eq!(engine.shard_count(), 2);
+        let (_, report) = engine.finish_monitored().unwrap();
+        assert_eq!(report.telemetry.shards.len(), 2);
         // One-domain boards cannot shard.
         let single = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
         let engine = EmulationEngine::new(
             MemoriesBoard::new(single).unwrap(),
             EngineConfig::parallel(8),
         );
-        assert_eq!(engine.shard_count(), 1);
         // Workers must still shut down cleanly with no traffic.
-        engine.finish().unwrap();
+        let (_, report) = engine.finish_monitored().unwrap();
+        assert_eq!(report.telemetry.shards.len(), 1);
     }
 
     #[test]
@@ -685,10 +674,7 @@ mod tests {
         // Overflow pressure plus frequent barriers: the retries read at
         // each barrier must end at the serial retry count.
         let mut cfg = four_domain_config();
-        cfg.timing = TimingConfig {
-            buffer_capacity: 4,
-            ..TimingConfig::default()
-        };
+        cfg.timing = TimingConfig { buffer_capacity: 4 };
         let txns = stream(5_000, 0);
         let serial = reference(&cfg, &txns);
         assert!(serial.retries_posted() > 0);

@@ -10,14 +10,13 @@
 //!   measures its wall-clock against the board's real-time model.
 //! * **Augmint**, an execution-driven simulator (§4.2, Table 4).
 //!   [`AugmintModel`] is a cost model of such a simulator: execution time
-//!   is host time multiplied by a calibrated slowdown (~900×, the ratio
+//!   is host time multiplied by a fixed slowdown (900×, the ratio
 //!   implied by every row of Table 4).
 //!
-//! [`HostTimeModel`] converts instruction counts into host wall-clock
-//! seconds (the "MemorIES time" of Tables 3–4: the board runs in real
-//! time, so its cost is the host's run time), and [`CSimTimeModel`]
-//! extrapolates measured simulator throughput to the paper's huge trace
-//! sizes.
+//! [`CSimTimeModel`] extrapolates measured simulator throughput to the
+//! paper's huge trace sizes. The board's own cost needs no model here: it
+//! runs in real time, so its cost is the host's run time
+//! (`memories_host::HostConfig::seconds_for_instructions`).
 //!
 //! [`EmulationEngine`] is the one stream consumer, serial or sharded:
 //! it takes the stream in pooled blocks, admits each in place through
@@ -47,7 +46,7 @@ mod timing;
 
 pub use augmint::AugmintModel;
 pub use compare::{compare_counts, CompareReport};
-pub use csim::{CacheSim, SimCounts};
+pub use csim::CacheSim;
 pub use engine::{EmulationEngine, EngineConfig, EngineMode, MonitorReport};
 pub use multinode::MultiNodeSim;
-pub use timing::{CSimTimeModel, HostTimeModel};
+pub use timing::CSimTimeModel;

@@ -1,56 +1,6 @@
-//! Host and simulator wall-clock models.
+//! The trace-driven simulator's wall-clock model.
 
-use std::fmt;
 use std::time::Duration;
-
-/// Converts instruction counts into host wall-clock seconds.
-///
-/// The board's cost for any experiment *is* the host's native run time
-/// (§1: "without any slowdown in application execution speed"), so this
-/// model provides the "Execution time of MemorIES" columns of Tables 3–4.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HostTimeModel {
-    /// Number of processors executing concurrently.
-    pub cpus: usize,
-    /// Processor clock in Hz.
-    pub frequency_hz: u64,
-    /// Average cycles per instruction.
-    pub cycles_per_instruction: f64,
-}
-
-impl HostTimeModel {
-    /// The S7A host of §5: 8 × 262 MHz, CPI 1.5.
-    pub fn s7a() -> Self {
-        HostTimeModel {
-            cpus: 8,
-            frequency_hz: 262_000_000,
-            cycles_per_instruction: 1.5,
-        }
-    }
-
-    /// Aggregate instructions per second.
-    pub fn instructions_per_second(&self) -> f64 {
-        self.cpus as f64 * self.frequency_hz as f64 / self.cycles_per_instruction
-    }
-
-    /// Host wall-clock seconds to execute `instructions` instructions
-    /// spread across the processors.
-    pub fn seconds_for_instructions(&self, instructions: u64) -> f64 {
-        instructions as f64 / self.instructions_per_second()
-    }
-}
-
-impl fmt::Display for HostTimeModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cpus @ {} MHz, CPI {}",
-            self.cpus,
-            self.frequency_hz / 1_000_000,
-            self.cycles_per_instruction
-        )
-    }
-}
 
 /// Extrapolates trace-driven simulator cost from a measured sample.
 ///
@@ -98,16 +48,6 @@ impl CSimTimeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn s7a_model_matches_table4_calibration() {
-        let m = HostTimeModel::s7a();
-        // ~1.4 G instructions/s aggregate.
-        assert!((m.instructions_per_second() - 1.397e9).abs() < 1e7);
-        // 4.2e9 instructions ~ 3 s (the FFT m=20 Table 4 row).
-        let t = m.seconds_for_instructions(4_200_000_000);
-        assert!((t - 3.0).abs() < 0.1, "got {t}");
-    }
 
     #[test]
     fn csim_model_reproduces_table3_extrapolation() {

@@ -139,11 +139,6 @@ impl<R: Read> TraceReader<R> {
         })
     }
 
-    /// Number of records successfully read so far.
-    pub fn records_read(&self) -> u64 {
-        self.read
-    }
-
     /// Decodes records **directly into a transaction block** — the
     /// block-native replay path. The block is cleared, then filled with
     /// up to `block.capacity()` transactions: record `i` of the call
@@ -164,8 +159,7 @@ impl<R: Read> TraceReader<R> {
     /// [`TraceError::TruncatedRecord`] if the stream ends mid-record,
     /// [`TraceError::Corrupt`] for an undecodable record, or an
     /// underlying I/O error. Transactions decoded before the failure are
-    /// left in the block (and counted by [`TraceReader::records_read`]),
-    /// so a caller that tolerates truncated tails can still use the
+    /// left in the block, so a caller that tolerates truncated tails can still use the
     /// prefix.
     pub fn read_block(
         &mut self,
@@ -321,7 +315,6 @@ mod tests {
         let buf = write_all(&[]);
         let mut reader = TraceReader::new(buf.as_slice()).unwrap();
         assert!(reader.next().is_none());
-        assert_eq!(reader.records_read(), 0);
     }
 
     #[test]
@@ -431,7 +424,6 @@ mod tests {
             .map(|(i, r)| r.to_transaction(i as u64, i as u64 * 60))
             .collect();
         assert_eq!(back, want);
-        assert_eq!(reader.records_read(), 1_000);
         assert_eq!(reader.read_block(&mut block, base, 60).unwrap(), 0);
 
         // A capped read stops at the cap and the next read resumes there.

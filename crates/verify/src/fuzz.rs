@@ -6,8 +6,8 @@
 //! 1. the reference model ([`MultiNodeSim`], untimed, per-line hash maps),
 //! 2. the serial [`MemoriesBoard`] via a serial [`EmulationEngine`],
 //! 3. the parallel [`EmulationEngine`] at each configured shard count,
-//!    fed pooled blocks of [`FuzzConfig::batch`] records, cut at every
-//!    mid-stream snapshot barrier (fixed record indices),
+//!    fed pooled blocks of 512 records, cut at every mid-stream snapshot
+//!    barrier (fixed record indices),
 //! 4. the streaming-replay path: the stream round-trips through the
 //!    on-disk trace codec ([`TraceWriter`] →
 //!    [`TraceReader::read_block`]) and replays one decoded pooled block
@@ -56,25 +56,17 @@ pub struct FuzzConfig {
     /// Note a time box trades away determinism of the *iteration count*
     /// (found counterexamples are still deterministic per iteration).
     pub time_box: Option<Duration>,
-    /// Fresh-stream length bounds.
-    pub min_len: usize,
-    /// See [`FuzzConfig::min_len`].
+    /// Longest stream, fresh or mutated. Fresh streams are at least
+    /// 16 records long, or `max_len` if that is shorter.
     pub max_len: usize,
     /// Parallel shard counts to differentiate against the serial engine.
     pub shards: Vec<usize>,
     /// Snapshot barrier period, in trace records (a prime, so barriers
     /// land mid-block at every block size).
     pub sample_period: usize,
-    /// Records per block fed to the engine and to the block-native board
-    /// (small, to force frequent hand-offs).
-    pub batch: usize,
-    /// Bus cycles between consecutive records.
-    pub cycle_spacing: u64,
     /// Requester-id space of generated streams (`0..procs`); ids outside
     /// every node's partition exercise the filter-drop path.
     pub procs: u8,
-    /// Line pool size of generated streams (small: maximal collisions).
-    pub lines: u64,
     /// Corpus directory to replay (and, with `write_corpus`, extend).
     pub corpus_dir: Option<PathBuf>,
     /// Whether coverage-adding streams are written back to `corpus_dir`.
@@ -82,9 +74,19 @@ pub struct FuzzConfig {
     pub write_corpus: bool,
     /// Where shrunk counterexamples are written (if anywhere).
     pub counterexample_dir: Option<PathBuf>,
-    /// Maximum stream executions the shrinker may spend.
-    pub shrink_budget: usize,
 }
+
+/// Shortest fresh stream (unless `max_len` is shorter).
+const MIN_LEN: usize = 16;
+/// Records per block fed to the engine and to the block-native board
+/// (small, to force frequent hand-offs).
+const BATCH: usize = 512;
+/// Bus cycles between consecutive records.
+const CYCLE_SPACING: u64 = 60;
+/// Line pool size of generated streams (small: maximal collisions).
+const LINES: u64 = 64;
+/// Maximum stream executions the shrinker may spend.
+const SHRINK_BUDGET: usize = 2_000;
 
 impl Default for FuzzConfig {
     fn default() -> Self {
@@ -92,18 +94,13 @@ impl Default for FuzzConfig {
             seed: 0x4d49_4553, // "MIES"
             iterations: 200,
             time_box: None,
-            min_len: 16,
             max_len: 2048,
             shards: vec![2, 4, 8],
             sample_period: 257,
-            batch: 512,
-            cycle_spacing: 60,
             procs: 10,
-            lines: 64,
             corpus_dir: None,
             write_corpus: false,
             counterexample_dir: None,
-            shrink_budget: 2_000,
         }
     }
 }
@@ -205,13 +202,12 @@ impl DifferentialFuzzer {
         // that timing never drops or retries events.
         cfg.timing = TimingConfig {
             buffer_capacity: 1 << 20,
-            ..TimingConfig::default()
         };
         Ok(cfg)
     }
 
     /// Replays `records` through an engine with `shards` workers
-    /// (1 = serial) in pooled blocks of [`FuzzConfig::batch`] records,
+    /// (1 = serial) in pooled blocks of [`BATCH`] records,
     /// cutting a block and taking a snapshot barrier every
     /// [`FuzzConfig::sample_period`] records.
     fn run_engine(&self, records: &[TraceRecord], shards: usize) -> Result<EngineRun, Error> {
@@ -222,12 +218,12 @@ impl DifferentialFuzzer {
             EngineConfig::parallel(shards)
         };
         let mut engine = EmulationEngine::new(board, cfg);
-        let pool = BlockPool::new(self.config.batch);
+        let pool = BlockPool::new(BATCH);
         let period = self.config.sample_period.max(1);
         let mut snaps = Vec::new();
         let mut block = pool.take();
         for (i, rec) in records.iter().enumerate() {
-            block.push(rec.to_transaction(i as u64, i as u64 * self.config.cycle_spacing));
+            block.push(rec.to_transaction(i as u64, i as u64 * CYCLE_SPACING));
             let barrier = (i + 1) % period == 0;
             if barrier || block.is_full() {
                 engine.feed_pooled(std::mem::replace(&mut block, pool.take()));
@@ -266,7 +262,7 @@ impl DifferentialFuzzer {
         let mut n = 0u64;
         loop {
             let mut chunk = pool.take();
-            let got = reader.read_block(&mut chunk, n, self.config.cycle_spacing)?;
+            let got = reader.read_block(&mut chunk, n, CYCLE_SPACING)?;
             if got == 0 {
                 break;
             }
@@ -277,15 +273,15 @@ impl DifferentialFuzzer {
     }
 
     /// Replays `records` block-natively: transactions accumulate in
-    /// pooled blocks of the configured batch size and reach the board
+    /// pooled blocks of [`BATCH`] records and reach the board
     /// through `BusListener::on_block` — the batched delivery path the
     /// live bus and the block-native trace reader use.
     fn run_block(&self, records: &[TraceRecord]) -> Result<BoardSnapshot, Error> {
         let mut board = MemoriesBoard::new(self.board_config()?)?;
-        let pool = BlockPool::new(self.config.batch.max(1));
+        let pool = BlockPool::new(BATCH);
         let mut block = pool.take();
         for (i, rec) in records.iter().enumerate() {
-            block.push(rec.to_transaction(i as u64, i as u64 * self.config.cycle_spacing));
+            block.push(rec.to_transaction(i as u64, i as u64 * CYCLE_SPACING));
             if block.is_full() {
                 board.on_block(&block);
                 block.clear();
@@ -407,7 +403,7 @@ impl DifferentialFuzzer {
             }
         }
 
-        let mut gen = StreamGenerator::new(self.config.seed, self.config.procs, self.config.lines);
+        let mut gen = StreamGenerator::new(self.config.seed, self.config.procs, LINES);
         let mut iterations = 0;
         for _ in 0..self.config.iterations {
             if let Some(budget) = self.config.time_box {
@@ -452,9 +448,9 @@ impl DifferentialFuzzer {
         gen: &mut StreamGenerator,
         corpus_streams: &[Vec<TraceRecord>],
     ) -> Vec<TraceRecord> {
-        let span = (self.config.max_len - self.config.min_len).max(1) as u64;
-        let fresh_len =
-            |gen: &mut StreamGenerator| self.config.min_len + (gen.next_word() % span) as usize;
+        let min_len = MIN_LEN.min(self.config.max_len);
+        let span = (self.config.max_len - min_len).max(1) as u64;
+        let fresh_len = |gen: &mut StreamGenerator| min_len + (gen.next_word() % span) as usize;
         if corpus_streams.is_empty() || gen.next_word().is_multiple_of(4) {
             let len = fresh_len(gen);
             return gen.stream(len);
@@ -533,13 +529,13 @@ impl DifferentialFuzzer {
 
     /// Chunk-removal delta debugging: repeatedly drop chunks (halving the
     /// chunk size down to single records) while the stream still
-    /// diverges, bounded by [`FuzzConfig::shrink_budget`] executions.
+    /// diverges, bounded by 2 000 executions.
     pub fn shrink(
         &self,
         mut records: Vec<TraceRecord>,
         mut divergence: String,
     ) -> Result<(Vec<TraceRecord>, String), Error> {
-        let mut budget = self.config.shrink_budget;
+        let mut budget = SHRINK_BUDGET;
         let mut chunk = (records.len() / 2).max(1);
         loop {
             let mut progressed = false;

@@ -16,25 +16,27 @@ use rand::{Rng, SeedableRng};
 use crate::event::{MemRef, RefKind, WorkloadEvent};
 use crate::Workload;
 
-/// DSS generator parameters.
+/// Total scanned table bytes (the paper's runs: 100 GB, scaled down),
+/// split into [`TABLE_COUNT`] tables of doubling size, 2–64 MB, smallest
+/// first — the dimension-to-fact hierarchy.
+const TABLE_BYTES: u64 = 126 << 20;
+/// Number of tables in the doubling hierarchy.
+const TABLE_COUNT: usize = 6;
+/// Hash-join probe table bytes (random access).
+const HASH_BYTES: u64 = 16 << 20;
+/// Per-CPU aggregation state (hot).
+const AGG_BYTES_PER_CPU: u64 = 64 << 10;
+/// Fraction of references that probe the hash table.
+const HASH_FRACTION: f64 = 0.25;
+/// Fraction of references that touch aggregation state.
+const AGG_FRACTION: f64 = 0.15;
+
+/// DSS generator parameters. The schema is fixed: 126 MB of tables
+/// (2–64 MB, doubling) and a 16 MB hash table.
 #[derive(Clone, Debug)]
 pub struct DssConfig {
     /// Processors driven.
     pub cpus: usize,
-    /// Total scanned table bytes (the paper's runs: 100 GB, scaled
-    /// down). Split into `table_count` tables of doubling size, smallest
-    /// first — the dimension-to-fact hierarchy.
-    pub table_bytes: u64,
-    /// Number of tables in the doubling hierarchy.
-    pub table_count: usize,
-    /// Hash-join probe table bytes (random access).
-    pub hash_bytes: u64,
-    /// Per-CPU aggregation state (hot).
-    pub agg_bytes_per_cpu: u64,
-    /// Fraction of references that probe the hash table.
-    pub hash_fraction: f64,
-    /// Fraction of references that touch aggregation state.
-    pub agg_fraction: f64,
     /// Instructions per memory reference.
     pub instructions_per_ref: u64,
     /// RNG seed.
@@ -42,38 +44,13 @@ pub struct DssConfig {
 }
 
 impl DssConfig {
-    /// Scaled-down defaults: 126 MB of tables (2–64 MB doubling), 16 MB
-    /// hash table, 8 CPUs.
+    /// Scaled-down defaults: 8 CPUs.
     pub fn scaled_default() -> Self {
         DssConfig {
             cpus: 8,
-            table_bytes: 126 << 20,
-            table_count: 6,
-            hash_bytes: 16 << 20,
-            agg_bytes_per_cpu: 64 << 10,
-            hash_fraction: 0.25,
-            agg_fraction: 0.15,
             instructions_per_ref: 5,
             seed: 0xD55_D55,
         }
-    }
-
-    /// The paper-scale shape (~100 GB of tables).
-    pub fn paper_scale() -> Self {
-        DssConfig {
-            table_bytes: 100 << 30,
-            hash_bytes: 4 << 30,
-            ..DssConfig::scaled_default()
-        }
-    }
-
-    /// The byte sizes of the doubling table hierarchy (smallest first);
-    /// sums to `table_bytes` (up to rounding).
-    pub fn table_sizes(&self) -> Vec<u64> {
-        let denom = (1u64 << self.table_count) - 1;
-        (0..self.table_count)
-            .map(|i| self.table_bytes * (1 << i) / denom)
-            .collect()
     }
 }
 
@@ -95,13 +72,13 @@ impl DssWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if sizes, table count, or CPU count are zero, or fractions
-    /// exceed 1.
+    /// Panics if the CPU count is zero.
     pub fn new(config: DssConfig) -> Self {
-        assert!(config.cpus > 0 && config.table_bytes > 0 && config.hash_bytes > 0);
-        assert!(config.table_count > 0 && config.table_count < 16);
-        assert!(config.hash_fraction + config.agg_fraction <= 1.0);
-        let tables = config.table_sizes();
+        assert!(config.cpus > 0);
+        let denom = (1u64 << TABLE_COUNT) - 1;
+        let tables: Vec<u64> = (0..TABLE_COUNT)
+            .map(|i| TABLE_BYTES * (1 << i) / denom)
+            .collect();
         let mut table_bases = Vec::with_capacity(tables.len());
         let mut base = 0;
         for t in &tables {
@@ -134,9 +111,7 @@ impl Workload for DssWorkload {
     }
 
     fn footprint_bytes(&self) -> u64 {
-        self.scans_base()
-            + self.config.hash_bytes
-            + self.config.agg_bytes_per_cpu * self.config.cpus as u64
+        self.scans_base() + HASH_BYTES + AGG_BYTES_PER_CPU * self.config.cpus as u64
     }
 
     fn next_event(&mut self) -> WorkloadEvent {
@@ -152,22 +127,22 @@ impl Workload for DssWorkload {
         self.cpu = (self.cpu + 1) % self.config.cpus;
 
         let hash_base = self.scans_base();
-        let agg_base = hash_base + self.config.hash_bytes;
+        let agg_base = hash_base + HASH_BYTES;
 
         let roll: f64 = self.rng.random();
-        let r = if roll < self.config.hash_fraction {
+        let r = if roll < HASH_FRACTION {
             // Hash probe: uniform random, read-mostly.
-            let within = self.rng.random_range(0..self.config.hash_bytes) & !7;
+            let within = self.rng.random_range(0..HASH_BYTES) & !7;
             let addr = Address::new(hash_base + within);
             if self.rng.random_bool(0.1) {
                 MemRef::store(cpu, addr)
             } else {
                 MemRef::load(cpu, addr)
             }
-        } else if roll < self.config.hash_fraction + self.config.agg_fraction {
+        } else if roll < HASH_FRACTION + AGG_FRACTION {
             // Aggregation state: hot, read/write.
-            let base = agg_base + cpu as u64 * self.config.agg_bytes_per_cpu;
-            let within = self.rng.random_range(0..self.config.agg_bytes_per_cpu) & !7;
+            let base = agg_base + cpu as u64 * AGG_BYTES_PER_CPU;
+            let within = self.rng.random_range(0..AGG_BYTES_PER_CPU) & !7;
             let addr = Address::new(base + within);
             if self.rng.random_bool(0.5) {
                 MemRef::store(cpu, addr)
@@ -176,7 +151,7 @@ impl Workload for DssWorkload {
             }
         } else {
             // Sequential scan step on a table chosen with equal time
-            // share: each table receives ~1/table_count of the scan
+            // share: each table receives ~1/TABLE_COUNT of the scan
             // references, so a small dimension table's lines are
             // re-scanned after proportionally little intervening traffic
             // — a cache that holds a few times its size captures it.
@@ -203,12 +178,6 @@ mod tests {
     fn small() -> DssConfig {
         DssConfig {
             cpus: 4,
-            table_bytes: 63 << 10, // tables of 1,2,4,8,16,32 KB
-            table_count: 6,
-            hash_bytes: 256 << 10,
-            agg_bytes_per_cpu: 16 << 10,
-            hash_fraction: 0.2,
-            agg_fraction: 0.15,
             instructions_per_ref: 5,
             seed: 11,
         }
@@ -216,12 +185,13 @@ mod tests {
 
     #[test]
     fn table_hierarchy_doubles_and_sums() {
-        let sizes = small().table_sizes();
+        let sizes = DssWorkload::new(small()).tables;
         assert_eq!(sizes.len(), 6);
+        assert_eq!(sizes[0], 2 << 20);
         for w in sizes.windows(2) {
             assert_eq!(w[1], w[0] * 2);
         }
-        assert_eq!(sizes.iter().sum::<u64>(), 63 << 10);
+        assert_eq!(sizes.iter().sum::<u64>(), TABLE_BYTES);
     }
 
     #[test]
@@ -246,12 +216,12 @@ mod tests {
     #[test]
     fn small_tables_are_rescanned_more_often() {
         let mut w = DssWorkload::new(small());
-        let sizes = small().table_sizes();
+        let sizes = w.tables.clone();
         let mut per_table = vec![0u64; sizes.len()];
         for e in w.events().take(60_000) {
             if let Some(r) = e.as_ref_event() {
                 let a = r.addr.value();
-                if a < 63 << 10 {
+                if a < TABLE_BYTES {
                     let mut base = 0;
                     for (i, s) in sizes.iter().enumerate() {
                         if a < base + s {
@@ -286,11 +256,5 @@ mod tests {
             stores < 800,
             "stores {stores} of 4000 — DSS should be read-mostly"
         );
-    }
-
-    #[test]
-    fn paper_scale_footprint_exceeds_100gb() {
-        let w = DssWorkload::new(DssConfig::paper_scale());
-        assert!(w.footprint_bytes() > 100u64 << 30);
     }
 }

@@ -27,6 +27,19 @@ pub struct JournalConfig {
     pub region_bytes: u64,
 }
 
+/// Page granularity of row placement.
+const PAGE_BYTES: u64 = 4096;
+/// Warehouses the database is partitioned into (TPC-C assigns each
+/// terminal a home warehouse).
+const WAREHOUSES: u64 = 8;
+/// Fraction of database references that stay in the issuing CPU's home
+/// warehouse (TPC-C: the large majority).
+const HOME_FRACTION: f64 = 0.8;
+/// Store fraction of database references (~0.3 for OLTP).
+const DB_WRITE_FRACTION: f64 = 0.3;
+/// Shared lock/metadata region size.
+const METADATA_BYTES: u64 = 64 << 10;
+
 /// OLTP generator parameters.
 #[derive(Clone, Debug)]
 pub struct OltpConfig {
@@ -35,22 +48,10 @@ pub struct OltpConfig {
     /// Database size in bytes (the paper's runs: 150 GB, scaled down for
     /// software experiments).
     pub db_bytes: u64,
-    /// Page granularity of row placement.
-    pub page_bytes: u64,
     /// Zipf skew of page popularity (within a warehouse).
     pub theta: f64,
-    /// Number of warehouses the database is partitioned into (TPC-C
-    /// assigns each terminal a home warehouse).
-    pub warehouses: usize,
-    /// Fraction of database references that stay in the issuing CPU's
-    /// home warehouse (TPC-C: the large majority).
-    pub home_fraction: f64,
-    /// Store fraction of database references (~0.3 for OLTP).
-    pub db_write_fraction: f64,
     /// Private per-CPU working set (stack, locals, connection state).
     pub private_bytes_per_cpu: u64,
-    /// Shared lock/metadata region size.
-    pub metadata_bytes: u64,
     /// Optional journaling bursts.
     pub journal: Option<JournalConfig>,
     /// Instructions per memory reference.
@@ -66,13 +67,8 @@ impl OltpConfig {
         OltpConfig {
             cpus: 8,
             db_bytes: 256 << 20,
-            page_bytes: 4096,
             theta: 0.8,
-            warehouses: 8,
-            home_fraction: 0.8,
-            db_write_fraction: 0.3,
             private_bytes_per_cpu: 256 << 10,
-            metadata_bytes: 64 << 10,
             journal: Some(JournalConfig {
                 period_instructions: 2_000_000,
                 burst_refs: 20_000,
@@ -80,22 +76,6 @@ impl OltpConfig {
             }),
             instructions_per_ref: 4,
             seed: 0x7C1C_0C0C,
-        }
-    }
-
-    /// The paper-scale shape (150 GB database); only usable for footprint
-    /// arithmetic and documentation — actually running it would need the
-    /// real machine the board plugged into.
-    pub fn paper_scale() -> Self {
-        OltpConfig {
-            db_bytes: 150 << 30,
-            journal: Some(JournalConfig {
-                // ~5 minutes at 262 MHz, CPI 1.5, 8 CPUs.
-                period_instructions: 5 * 60 * 262_000_000 * 8 * 2 / 3,
-                burst_refs: 2_000_000,
-                region_bytes: 64 << 20,
-            }),
-            ..OltpConfig::scaled_default()
         }
     }
 }
@@ -131,17 +111,15 @@ impl OltpWorkload {
     ///
     /// Panics if region sizes or CPU count are zero.
     pub fn new(config: OltpConfig) -> Self {
-        assert!(config.cpus > 0 && config.db_bytes > 0 && config.page_bytes > 0);
-        assert!(config.metadata_bytes > 0 && config.private_bytes_per_cpu > 0);
-        assert!(config.warehouses > 0 && (0.0..=1.0).contains(&config.home_fraction));
-        let warehouse_pages = config.db_bytes / config.page_bytes / config.warehouses as u64;
+        assert!(config.cpus > 0 && config.db_bytes > 0 && config.private_bytes_per_cpu > 0);
+        let warehouse_pages = config.db_bytes / PAGE_BYTES / WAREHOUSES;
         let layout = Layout {
             db_base: 0,
             private_base: config.db_bytes,
             metadata_base: config.db_bytes + config.private_bytes_per_cpu * config.cpus as u64,
             journal_base: config.db_bytes
                 + config.private_bytes_per_cpu * config.cpus as u64
-                + config.metadata_bytes,
+                + METADATA_BYTES,
         };
         let next_journal_at = config.journal.map_or(u64::MAX, |j| j.period_instructions);
         OltpWorkload {
@@ -156,11 +134,6 @@ impl OltpWorkload {
             journal_refs_left: 0,
             journal_offset: 0,
         }
-    }
-
-    /// Total instructions issued so far.
-    pub fn instructions_issued(&self) -> u64 {
-        self.instructions_issued
     }
 
     fn journal_ref(&mut self) -> MemRef {
@@ -180,26 +153,23 @@ impl OltpWorkload {
         if roll < 0.60 {
             // Database row access: home (or occasionally remote)
             // warehouse, Zipf page within it, random line inside.
-            let warehouse = if self.rng.random_bool(self.config.home_fraction) {
-                (cpu % self.config.warehouses) as u64
+            let warehouse = if self.rng.random_bool(HOME_FRACTION) {
+                cpu as u64 % WAREHOUSES
             } else {
-                self.rng.random_range(0..self.config.warehouses as u64)
+                self.rng.random_range(0..WAREHOUSES)
             };
-            let warehouse_bytes = self.config.db_bytes / self.config.warehouses as u64;
+            let warehouse_bytes = self.config.db_bytes / WAREHOUSES;
             // Rotate each warehouse's popularity ranking so the hot pages
             // of different warehouses sit at different offsets (warehouse
             // regions are otherwise power-of-two aligned and their rank-k
             // pages would alias into the same cache sets).
             let rank = self.zipf.sample(&mut self.rng);
             let page = (rank + warehouse * 13) % self.zipf.len();
-            let within = self.rng.random_range(0..self.config.page_bytes) & !7;
+            let within = self.rng.random_range(0..PAGE_BYTES) & !7;
             let addr = Address::new(
-                self.layout.db_base
-                    + warehouse * warehouse_bytes
-                    + page * self.config.page_bytes
-                    + within,
+                self.layout.db_base + warehouse * warehouse_bytes + page * PAGE_BYTES + within,
             );
-            if self.rng.random_bool(self.config.db_write_fraction) {
+            if self.rng.random_bool(DB_WRITE_FRACTION) {
                 MemRef::store(cpu, addr)
             } else {
                 MemRef::load(cpu, addr)
@@ -217,7 +187,7 @@ impl OltpWorkload {
             }
         } else {
             // Shared lock metadata: contended, write-heavy.
-            let within = self.rng.random_range(0..self.config.metadata_bytes) & !7;
+            let within = self.rng.random_range(0..METADATA_BYTES) & !7;
             let addr = Address::new(self.layout.metadata_base + within);
             if self.rng.random_bool(0.5) {
                 MemRef::store(cpu, addr)
@@ -277,13 +247,8 @@ mod tests {
         OltpConfig {
             cpus: 4,
             db_bytes: 1 << 20,
-            page_bytes: 4096,
             theta: 0.8,
-            warehouses: 4,
-            home_fraction: 0.8,
-            db_write_fraction: 0.3,
             private_bytes_per_cpu: 64 << 10,
-            metadata_bytes: 16 << 10,
             journal: None,
             instructions_per_ref: 4,
             seed: 99,
@@ -331,7 +296,7 @@ mod tests {
             if let WorkloadEvent::Ref(r) = e {
                 if r.addr.value() >= 1 << 20 && r.cpu == 0 && r.kind.is_store() {
                     // Journal region starts above the db+private+meta.
-                    let journal_base = (1 << 20) + 4 * (64 << 10) + (16 << 10);
+                    let journal_base = (1 << 20) + 4 * (64 << 10) + METADATA_BYTES;
                     if r.addr.value() >= journal_base {
                         journal_stores += 1;
                         first_burst_ref_index.get_or_insert(i);
@@ -350,23 +315,23 @@ mod tests {
         let mut w = OltpWorkload::new(small_config());
         let mut hot_pages = 0u64;
         let mut db_refs = 0u64;
-        let warehouse_bytes = (1u64 << 20) / 4;
-        let pages_per_warehouse = warehouse_bytes / 4096;
+        let warehouse_bytes = (1u64 << 20) / WAREHOUSES;
+        let pages_per_warehouse = warehouse_bytes / PAGE_BYTES;
         for e in w.events().take(20_000) {
             if let WorkloadEvent::Ref(r) = e {
                 if r.addr.value() < 1 << 20 {
                     db_refs += 1;
                     // Warehouse w's hottest page is rank 0 rotated by 13w.
                     let warehouse = r.addr.value() / warehouse_bytes;
-                    let page = r.addr.value() % warehouse_bytes / 4096;
+                    let page = r.addr.value() % warehouse_bytes / PAGE_BYTES;
                     if page == warehouse * 13 % pages_per_warehouse {
                         hot_pages += 1;
                     }
                 }
             }
         }
-        // 64 pages per warehouse: the four hot pages should carry far
-        // more than 4/256 of the database traffic.
+        // 32 pages per warehouse: the eight hot pages should carry far
+        // more than 8/256 of the database traffic.
         assert!(
             hot_pages * 8 > db_refs,
             "hot pages carried {hot_pages}/{db_refs}"
@@ -376,14 +341,14 @@ mod tests {
     #[test]
     fn home_warehouse_locality_dominates() {
         let mut w = OltpWorkload::new(small_config());
-        let warehouse_bytes = (1u64 << 20) / 4;
+        let warehouse_bytes = (1u64 << 20) / WAREHOUSES;
         let mut home = 0u64;
         let mut away = 0u64;
         for e in w.events().take(40_000) {
             if let WorkloadEvent::Ref(r) = e {
                 if r.addr.value() < 1 << 20 {
-                    let warehouse = (r.addr.value() / warehouse_bytes) as usize;
-                    if warehouse == r.cpu % 4 {
+                    let warehouse = r.addr.value() / warehouse_bytes;
+                    if warehouse == r.cpu as u64 % WAREHOUSES {
                         home += 1;
                     } else {
                         away += 1;
@@ -391,15 +356,8 @@ mod tests {
                 }
             }
         }
-        // home_fraction 0.8 plus 1/4 of the remote rolls landing home.
+        // HOME_FRACTION 0.8 plus 1/8 of the remote rolls landing home.
         let frac = home as f64 / (home + away) as f64;
         assert!((0.75..0.95).contains(&frac), "home fraction {frac:.3}");
-    }
-
-    #[test]
-    fn paper_scale_footprint_is_150gb_plus() {
-        let cfg = OltpConfig::paper_scale();
-        let w = OltpWorkload::new(cfg);
-        assert!(w.footprint_bytes() > 150u64 << 30);
     }
 }

@@ -1,31 +1,16 @@
 //! Workspace root of the MemorIES reproduction.
 //!
 //! This crate exists to host the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`); it re-exports the member
-//! crates under short names for their convenience. Library users should
-//! depend on the member crates directly:
+//! cross-crate integration tests (`tests/`), which use the member crates
+//! directly:
 //!
-//! * [`memories`] — the board model (the paper's contribution).
-//! * [`memories_bus`] — the 6xx-style bus substrate.
-//! * [`memories_host`] — the host SMP machine.
-//! * [`memories_protocol`] — programmable coherence protocol tables.
-//! * [`memories_trace`] — bus trace records and files.
-//! * [`memories_workloads`] — synthetic TPC-C / TPC-H / SPLASH2 drivers.
-//! * [`memories_sim`] — baseline simulators and time models.
-//! * [`memories_console`] — board programming and experiment running.
+//! * `memories` — the board model (the paper's contribution).
+//! * `memories-bus` — the 6xx-style bus substrate.
+//! * `memories-host` — the host SMP machine.
+//! * `memories-protocol` — programmable coherence protocol tables.
+//! * `memories-trace` — bus trace records and files.
+//! * `memories-workloads` — synthetic TPC-C / TPC-H / SPLASH2 drivers.
+//! * `memories-sim` — baseline simulators and time models.
+//! * `memories-console` — board programming and experiment running.
 
 #![forbid(unsafe_code)]
-
-pub use memories;
-pub use memories_bus;
-pub use memories_console;
-pub use memories_host;
-pub use memories_protocol;
-pub use memories_sim;
-pub use memories_trace;
-pub use memories_workloads;
-/// The workspace's pseudo-random generator, re-exported for examples and
-/// downstream experiments. Gated behind the default `rand` feature so
-/// `--no-default-features` builds the root crate without it.
-#[cfg(feature = "rand")]
-pub use rand;

@@ -62,7 +62,6 @@ fn board_with_buffer(capacity: usize) -> MemoriesBoard {
     .unwrap();
     cfg.timing = TimingConfig {
         buffer_capacity: capacity,
-        ..TimingConfig::default()
     };
     MemoriesBoard::new(cfg).unwrap()
 }

@@ -20,7 +20,6 @@ fn run_both(params: CacheParams, protocol: ProtocolTable, trace: &[TraceRecord])
     // reference simulator is untimed).
     cfg.timing = TimingConfig {
         buffer_capacity: 1 << 20,
-        ..TimingConfig::default()
     };
     let mut board = MemoriesBoard::new(cfg).unwrap();
     let mut sim = CacheSim::new(params, protocol);

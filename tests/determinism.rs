@@ -90,3 +90,23 @@ fn different_seeds_explore_differently() {
     assert!(a.is_clean() && b.is_clean());
     assert!(a.coverage > 0 && b.coverage > 0);
 }
+
+/// A `max_len` below the shortest fresh stream clamps the fresh length
+/// to `max_len` instead of underflowing (`max_len - 16` in `usize`).
+#[test]
+fn max_len_below_the_fresh_minimum_runs_clean() {
+    let report = DifferentialFuzzer::new(
+        multi_slots(),
+        FuzzConfig {
+            max_len: 8,
+            iterations: 4,
+            shards: vec![2],
+            ..FuzzConfig::default()
+        },
+    )
+    .unwrap()
+    .run()
+    .unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.iterations, 4);
+}

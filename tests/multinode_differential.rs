@@ -34,7 +34,6 @@ fn run_both(slots: Vec<(CacheParams, ProtocolTable, u8, Vec<ProcId>)>, trace: &[
     let mut cfg = BoardConfig::from_slots(board_slots).unwrap();
     cfg.timing = TimingConfig {
         buffer_capacity: 1 << 20,
-        ..TimingConfig::default()
     };
     let node_count = cfg.slots.len();
     let mut board = MemoriesBoard::new(cfg).unwrap();
