@@ -223,91 +223,42 @@ on io-write      * *        -> I
 on flush         * *        -> I
 ";
 
-/// Parses the MESI map file.
-///
-/// # Errors
-///
-/// Returns the parse error verbatim; the infallible [`mesi`] wrapper
-/// `expect`s it (a failing builtin map is a bug in this crate, and the
-/// `memories-verify` suite asserts every builtin parses cleanly).
-pub fn try_mesi() -> Result<ProtocolTable, ProtocolParseError> {
-    ProtocolTable::parse_map_file(MESI_MAP)
-}
-
-/// Parses the MSI map file.
-///
-/// # Errors
-///
-/// As [`try_mesi`].
-pub fn try_msi() -> Result<ProtocolTable, ProtocolParseError> {
-    ProtocolTable::parse_map_file(MSI_MAP)
-}
-
-/// Parses the MOESI map file.
-///
-/// # Errors
-///
-/// As [`try_mesi`].
-pub fn try_moesi() -> Result<ProtocolTable, ProtocolParseError> {
-    ProtocolTable::parse_map_file(MOESI_MAP)
-}
-
-/// Parses the MESIF map file.
-///
-/// # Errors
-///
-/// As [`try_mesi`].
-pub fn try_mesif() -> Result<ProtocolTable, ProtocolParseError> {
-    ProtocolTable::parse_map_file(MESIF_MAP)
-}
-
-/// Parses the write-through map file.
-///
-/// # Errors
-///
-/// As [`try_mesi`].
-pub fn try_write_through() -> Result<ProtocolTable, ProtocolParseError> {
-    ProtocolTable::parse_map_file(WRITE_THROUGH_MAP)
-}
-
 /// Parses every builtin protocol, in the same order as [`all`].
 ///
 /// # Errors
 ///
 /// Returns the first builtin map file that fails to parse.
 pub fn try_all() -> Result<Vec<ProtocolTable>, ProtocolParseError> {
-    Ok(vec![
-        try_mesi()?,
-        try_msi()?,
-        try_moesi()?,
-        try_mesif()?,
-        try_write_through()?,
-    ])
+    [MESI_MAP, MSI_MAP, MOESI_MAP, MESIF_MAP, WRITE_THROUGH_MAP]
+        .into_iter()
+        .map(ProtocolTable::parse_map_file)
+        .collect()
 }
 
 /// The MESI protocol table.
 pub fn mesi() -> ProtocolTable {
-    try_mesi().expect("MESI_MAP is a valid builtin map file")
+    ProtocolTable::parse_map_file(MESI_MAP).expect("MESI_MAP is a valid builtin map file")
 }
 
 /// The MSI protocol table.
 pub fn msi() -> ProtocolTable {
-    try_msi().expect("MSI_MAP is a valid builtin map file")
+    ProtocolTable::parse_map_file(MSI_MAP).expect("MSI_MAP is a valid builtin map file")
 }
 
 /// The MOESI protocol table.
 pub fn moesi() -> ProtocolTable {
-    try_moesi().expect("MOESI_MAP is a valid builtin map file")
+    ProtocolTable::parse_map_file(MOESI_MAP).expect("MOESI_MAP is a valid builtin map file")
 }
 
 /// The MESIF protocol table.
 pub fn mesif() -> ProtocolTable {
-    try_mesif().expect("MESIF_MAP is a valid builtin map file")
+    ProtocolTable::parse_map_file(MESIF_MAP).expect("MESIF_MAP is a valid builtin map file")
 }
 
 /// The write-through protocol table.
 pub fn write_through() -> ProtocolTable {
-    try_write_through().expect("WRITE_THROUGH_MAP is a valid builtin map file")
+    ProtocolTable::parse_map_file(WRITE_THROUGH_MAP)
+        .expect("WRITE_THROUGH_MAP is a valid builtin map file")
 }
 
 /// All builtin protocols, for tests and tooling.
@@ -326,8 +277,6 @@ mod tests {
     fn fallible_constructors_agree_with_infallible_ones() {
         let tables = try_all().expect("every builtin parses");
         assert_eq!(tables, all());
-        assert_eq!(try_mesi().unwrap(), mesi());
-        assert_eq!(try_write_through().unwrap(), write_through());
     }
 
     #[test]

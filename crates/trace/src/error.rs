@@ -7,8 +7,16 @@ use std::io;
 /// An error produced while encoding, decoding, or transporting traces.
 #[derive(Debug)]
 pub enum TraceError {
-    /// Underlying I/O failure.
+    /// Underlying I/O failure outside the records (the stream header, or
+    /// a writer).
     Io(io::Error),
+    /// The underlying reader failed partway through the records.
+    ReadFailed {
+        /// Zero-based index of the first record not decoded.
+        record: u64,
+        /// The reader's error.
+        source: io::Error,
+    },
     /// The stream does not begin with the trace magic bytes.
     BadMagic {
         /// The bytes actually found.
@@ -42,6 +50,9 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
+            TraceError::ReadFailed { record, source } => {
+                write!(f, "trace read failed at record {record}: {source}")
+            }
             TraceError::BadMagic { found } => {
                 write!(f, "bad trace magic {found:02x?}")
             }
@@ -66,7 +77,7 @@ impl fmt::Display for TraceError {
 impl Error for TraceError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            TraceError::Io(e) => Some(e),
+            TraceError::Io(e) | TraceError::ReadFailed { source: e, .. } => Some(e),
             _ => None,
         }
     }

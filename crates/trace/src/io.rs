@@ -157,10 +157,11 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// [`TraceError::TruncatedRecord`] if the stream ends mid-record,
-    /// [`TraceError::Corrupt`] for an undecodable record, or an
-    /// underlying I/O error. Transactions decoded before the failure are
-    /// left in the block, so a caller that tolerates truncated tails can still use the
-    /// prefix.
+    /// [`TraceError::Corrupt`] for an undecodable record, or
+    /// [`TraceError::ReadFailed`] if the underlying reader fails; each
+    /// names the first record not decoded. Transactions decoded before
+    /// the failure are left in the block, so a caller that tolerates
+    /// truncated tails can still use the prefix.
     pub fn read_block(
         &mut self,
         block: &mut TransactionBlock,
@@ -191,14 +192,15 @@ impl<R: Read> TraceReader<R> {
         let want = max.saturating_mul(8);
         self.scratch.resize(want, 0);
         let mut filled = 0;
+        let mut failed = None;
         while filled < want {
             match self.inner.read(&mut self.scratch[filled..]) {
                 Ok(0) => break,
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    self.fused = true;
-                    return Err(TraceError::Io(e));
+                    failed = Some(e);
+                    break;
                 }
             }
         }
@@ -216,6 +218,13 @@ impl<R: Read> TraceReader<R> {
                     return Err(e);
                 }
             }
+        }
+        if let Some(source) = failed {
+            self.fused = true;
+            return Err(TraceError::ReadFailed {
+                record: self.read,
+                source,
+            });
         }
         if filled % 8 != 0 {
             self.fused = true;
@@ -242,9 +251,12 @@ impl<R: Read> Iterator for TraceReader<R> {
                 Ok(0) => break,
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
+                Err(source) => {
                     self.fused = true;
-                    return Some(Err(TraceError::Io(e)));
+                    return Some(Err(TraceError::ReadFailed {
+                        record: self.read,
+                        source,
+                    }));
                 }
             }
         }
@@ -448,6 +460,43 @@ mod tests {
         assert_eq!(block.len(), 5, "decodable prefix survives");
         assert_eq!(block.as_slice()[0].seq, 64);
         assert_eq!(reader.read_block(&mut block, 69, 60).unwrap(), 0);
+    }
+
+    /// A reader that fails once `bytes` runs out.
+    struct FailAtEnd<'a>(&'a [u8]);
+
+    impl Read for FailAtEnd<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::other("device gone"));
+            }
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn read_failures_name_the_first_record_not_decoded() {
+        use memories_bus::TransactionBlock;
+
+        let buf = write_all(&records(10));
+        // The reader fails three bytes into record 6.
+        let cut = 8 + 6 * 8 + 3;
+        let results: Vec<_> = TraceReader::new(FailAtEnd(&buf[..cut])).unwrap().collect();
+        assert_eq!(results.len(), 7);
+        assert!(matches!(
+            results[6],
+            Err(TraceError::ReadFailed { record: 6, .. })
+        ));
+
+        let mut reader = TraceReader::new(FailAtEnd(&buf[..cut])).unwrap();
+        let mut block = TransactionBlock::with_capacity(64);
+        let err = reader.read_block(&mut block, 0, 60).unwrap_err();
+        assert!(
+            matches!(err, TraceError::ReadFailed { record: 6, .. }),
+            "{err}"
+        );
+        assert_eq!(block.len(), 6, "records before the failure survive");
+        assert_eq!(reader.read_block(&mut block, 6, 60).unwrap(), 0);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! A damaged trace stops `replay_stream` with a typed error that names
-//! the record where the damage is, at 1 and 2 shards. The replay decodes
+//! the record where the damage is, at 1 and 2 shards: a trace cut
+//! mid-record, a reader that fails mid-record, and a record whose op
+//! nibble is out of range. The replay decodes
 //! the trace in blocks of 4096 records, so the cuts fall inside the first
 //! block and inside a later one. A trace cut exactly at a block boundary
 //! is a whole, shorter trace and replays cleanly.
+
+use std::io::{self, Read};
 
 use memories::{BoardConfig, CacheParams, Error};
 use memories_bus::{Address, BusOp, ProcId, SnoopResponse, Transaction};
@@ -57,6 +61,18 @@ fn trace(records: &[TraceRecord]) -> (Vec<u8>, usize) {
     (bytes, header)
 }
 
+/// A reader that fails once its bytes run out.
+struct FailAtEnd<'a>(&'a [u8]);
+
+impl Read for FailAtEnd<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.0.is_empty() {
+            return Err(io::Error::other("device gone"));
+        }
+        self.0.read(buf)
+    }
+}
+
 #[test]
 fn truncated_trace_names_its_record_at_1_and_2_shards() {
     let (bytes, header) = trace(&records());
@@ -73,6 +89,30 @@ fn truncated_trace_names_its_record_at_1_and_2_shards() {
                     Error::Trace(TraceError::TruncatedRecord { record: r }) if *r == record
                 ),
                 "parallelism {parallelism}, cut in record {record}: {err:?}"
+            );
+
+            let err = session
+                .replay_stream(FailAtEnd(&bytes[..cut]), 60)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    Error::Trace(TraceError::ReadFailed { record: r, .. }) if *r == record
+                ),
+                "parallelism {parallelism}, read fails in record {record}: {err:?}"
+            );
+
+            // The op nibble is the top nibble of the little-endian word,
+            // and 0xf names no bus operation.
+            let mut corrupt = bytes.clone();
+            corrupt[header + record as usize * 8 + 7] = 0xf0;
+            let err = session.replay_stream(corrupt.as_slice(), 60).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    Error::Trace(TraceError::Corrupt { record: r, .. }) if *r == record
+                ),
+                "parallelism {parallelism}, op corrupt in record {record}: {err:?}"
             );
         }
     }
