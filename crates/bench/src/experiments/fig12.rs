@@ -13,7 +13,7 @@
 //! Configurations: 2 nodes x 4 processors and 4 nodes x 2 processors;
 //! 4-way L2 and L3; L2 line 128 B, L3 line 1 KB (as in the figure).
 
-use memories::{BoardConfig, FillBreakdown, NodeCounters, NodeStats};
+use memories::{BoardConfig, FillBreakdown, NodeCounters};
 use memories_bus::ProcId;
 use memories_console::report::Table;
 use memories_console::EmulationSession;
@@ -67,13 +67,13 @@ fn measure(app: &str, make: &dyn Fn() -> Box<dyn Workload>, nodes: usize, refs: 
     // Aggregate the breakdown over nodes, weighted by fill counts.
     let mut totals = NodeCounters::new();
     for s in &result.node_stats {
-        totals.merge(s.counters());
+        totals.merge(s);
     }
     Bar {
         app: app.to_string(),
         nodes,
         procs_per_node,
-        breakdown: NodeStats::from_counters(totals).fill_breakdown(),
+        breakdown: totals.fill_breakdown(),
     }
 }
 

@@ -63,7 +63,8 @@ pub fn run(scale: Scale) -> Retries {
                 }
             }
             let dropped = board
-                .node_stats(memories_bus::NodeId::new(0))
+                .node(memories_bus::NodeId::new(0))
+                .counters()
                 .events_dropped();
             Point {
                 utilization: u,

@@ -44,9 +44,9 @@ use std::fmt;
 use std::io::Read;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
-use memories::{BoardSnapshot, Error, MemoriesBoard, NodeStats};
+use memories::{BoardSnapshot, Error, MemoriesBoard, NodeCounters};
 use memories_bus::{
-    BlockPool, BusListener, BusStats, ListenerReaction, NodeId, PoolStats, PooledBlock, Transaction,
+    BlockPool, BusListener, BusStats, ListenerReaction, PoolStats, PooledBlock, Transaction,
 };
 use memories_host::{AccessKind, HostConfig, HostMachine, MachineStats};
 use memories_obs::{EngineTelemetry, TimeSeries};
@@ -133,8 +133,9 @@ pub struct ProducerStats {
 pub struct PipelineRun {
     /// The board after consuming the whole stream.
     pub board: MemoriesBoard,
-    /// Per-node derived statistics, indexed by node id.
-    pub node_stats: Vec<NodeStats>,
+    /// Per-node counter banks, indexed by node id; their derived
+    /// statistics are methods of [`NodeCounters`].
+    pub node_stats: Vec<NodeCounters>,
     /// Retries the board posted (zero in healthy runs — §3.3).
     pub retries_posted: u64,
     /// Windowed miss-ratio profile (empty unless
@@ -180,8 +181,7 @@ impl Profiler {
             self.prev.resize(snap.node_count(), (0, 0));
         }
         let mut ratios = Vec::with_capacity(snap.node_count());
-        for (i, slot) in self.prev.iter_mut().enumerate() {
-            let s = snap.node_stats(i);
+        for (slot, s) in self.prev.iter_mut().zip(&snap.nodes) {
             let (h, m) = (s.demand_hits(), s.demand_misses());
             let (dh, dm) = (h - slot.0, m - slot.1);
             *slot = (h, m);
@@ -336,9 +336,7 @@ impl Pipeline {
             telemetry.pool_allocs += p.pool.fresh;
         }
         Ok(PipelineRun {
-            node_stats: (0..board.node_count())
-                .map(|i| board.node_stats(NodeId::new(i as u8)))
-                .collect(),
+            node_stats: board.nodes().map(|n| n.counters().clone()).collect(),
             retries_posted: board.retries_posted(),
             profile: self.profiler.map(|p| p.points).unwrap_or_default(),
             series: self.sampler.map(|s| s.series).unwrap_or_default(),

@@ -1,6 +1,6 @@
 //! Result types for live emulation runs.
 
-use memories::{MemoriesBoard, NodeStats};
+use memories::{MemoriesBoard, NodeCounters};
 use memories_bus::BusStats;
 use memories_host::MachineStats;
 
@@ -18,8 +18,9 @@ pub struct ProfilePoint {
 /// The outcome of a live experiment run.
 #[derive(Debug)]
 pub struct ExperimentResult {
-    /// Per-node derived statistics, indexed by node id.
-    pub node_stats: Vec<NodeStats>,
+    /// Per-node counter banks, indexed by node id; their derived
+    /// statistics are methods of [`NodeCounters`].
+    pub node_stats: Vec<NodeCounters>,
     /// Host machine counters.
     pub machine: MachineStats,
     /// Bus statistics (utilization, interventions, retries).

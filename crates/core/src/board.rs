@@ -13,7 +13,6 @@ use crate::filter::{AddressFilter, EventTable, FilterConfig, NodePartition};
 use crate::node::NodeController;
 use crate::params::CacheParams;
 use crate::shard::{plan_shards, NodeShard};
-use crate::stats::NodeStats;
 use crate::timing::{TimingConfig, TransactionBuffer};
 
 /// Configuration of one emulated shared-cache node (one node-controller
@@ -77,7 +76,7 @@ impl NodeSlot {
 pub struct BoardConfig {
     /// The node slots, in node-id order.
     pub slots: Vec<NodeSlot>,
-    /// Address filter settings.
+    /// The address filter, whose behaviour is fixed (see [`FilterConfig`]).
     pub filter: FilterConfig,
     /// SDRAM/buffer timing settings.
     pub timing: TimingConfig,
@@ -156,7 +155,7 @@ impl BoardConfig {
         }
         Ok(BoardConfig {
             slots,
-            filter: FilterConfig::default(),
+            filter: FilterConfig,
             timing: TimingConfig::default(),
             allow_retry: true,
         })
@@ -366,14 +365,14 @@ impl BoardFrontEnd {
 pub struct MemoriesBoard {
     front: BoardFrontEnd,
     shard: NodeShard,
-    /// The admitted part of the raw chunk in hand, reused across blocks.
-    admitted: Vec<Transaction>,
-    /// The drop list of `admitted`, reused likewise.
+    /// The raw chunk in hand, admitted in place, reused across blocks.
+    block: TransactionBlock,
+    /// The drop list of `block`, reused likewise.
     drops: Vec<(usize, u8)>,
 }
 
-/// Raw transactions [`MemoriesBoard::observe_block`] filters at a time
-/// before snooping what it admitted, which bounds its scratch buffer.
+/// Raw transactions [`MemoriesBoard::observe_block`] admits at a time
+/// before snooping what it admitted, which bounds its scratch block.
 const ADMIT_CHUNK: usize = 1024;
 
 impl MemoriesBoard {
@@ -408,7 +407,7 @@ impl MemoriesBoard {
         let shard = NodeShard::new(&partition, &events, indices, nodes);
         Ok(MemoriesBoard {
             front: BoardFrontEnd {
-                filter: AddressFilter::new(config.filter, partition),
+                filter: AddressFilter::new(partition),
                 global: GlobalCounters::default(),
                 buffers,
                 events,
@@ -416,7 +415,7 @@ impl MemoriesBoard {
                 retries_posted: 0,
             },
             shard,
-            admitted: Vec::new(),
+            block: TransactionBlock::with_capacity(ADMIT_CHUNK),
             drops: Vec::new(),
         })
     }
@@ -495,7 +494,7 @@ impl MemoriesBoard {
         Ok(MemoriesBoard {
             front,
             shard,
-            admitted: Vec::new(),
+            block: TransactionBlock::with_capacity(ADMIT_CHUNK),
             drops: Vec::new(),
         })
     }
@@ -527,15 +526,6 @@ impl MemoriesBoard {
     /// Iterates over the node controllers.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeController> {
         self.shard.nodes().iter()
-    }
-
-    /// Derived statistics of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a configured node.
-    pub fn node_stats(&self, id: NodeId) -> NodeStats {
-        self.shard.node_at(id.index()).stats()
     }
 
     /// Retries the board posted on the bus (should stay zero in healthy
@@ -579,17 +569,21 @@ impl MemoriesBoard {
         .expect("writing to String cannot fail");
         writeln!(out, "{}", self.front.filter.stats()).expect("infallible");
         for node in self.shard.nodes() {
-            let stats = node.stats();
+            let c = node.counters();
             writeln!(
                 out,
-                "\n{} [{} | {}]: {}",
+                "\n{} [{} | {}]: {} refs, miss ratio {:.4} (cold {:.2}%), interventions {}shr/{}mod",
                 node.id(),
                 node.params(),
                 node.protocol().name(),
-                stats
+                c.demand_references(),
+                c.miss_ratio(),
+                c.cold_fraction() * 100.0,
+                c.interventions_shared(),
+                c.interventions_modified()
             )
             .expect("infallible");
-            write!(out, "{}", stats.counters()).expect("infallible");
+            write!(out, "{c}").expect("infallible");
         }
         out
     }
@@ -640,18 +634,14 @@ impl MemoriesBoard {
     pub fn observe_block(&mut self, txns: &[Transaction]) -> ListenerReaction {
         let mut any_dropped = false;
         for chunk in txns.chunks(ADMIT_CHUNK) {
-            self.admitted.clear();
-            self.drops.clear();
+            self.block.clear();
             for txn in chunk {
-                if let Some(dropped) = self.front.admit(txn) {
-                    if dropped != 0 {
-                        self.drops.push((self.admitted.len(), dropped));
-                    }
-                    self.admitted.push(*txn);
-                }
+                self.block.push(*txn);
             }
+            self.drops.clear();
+            self.front.admit_block(&mut self.block, &mut self.drops);
             any_dropped |= !self.drops.is_empty();
-            self.shard.snoop_block(&self.admitted, &self.drops);
+            self.shard.snoop_block(&self.block, &self.drops);
         }
         self.reaction(any_dropped)
     }
@@ -713,7 +703,7 @@ pub(crate) mod tests {
         b.on_transaction(&txn(0, 0, BusOp::Read, 0x0));
         b.on_transaction(&txn(1, 1, BusOp::Read, 0x0));
         b.on_transaction(&txn(2, 2, BusOp::Rwitm, 0x1000));
-        let s = b.node_stats(NodeId::new(0));
+        let s = b.node(NodeId::new(0)).counters();
         assert_eq!(s.demand_references(), 3);
         assert_eq!(s.demand_misses(), 2);
         assert_eq!(s.demand_hits(), 1);
@@ -727,7 +717,7 @@ pub(crate) mod tests {
         b.on_transaction(&txn(0, 0, BusOp::Sync, 0x0));
         b.on_transaction(&txn(1, 0, BusOp::IoWrite, 0x0));
         b.on_transaction(&txn(2, 0, BusOp::Interrupt, 0x0));
-        assert_eq!(b.node_stats(NodeId::new(0)).demand_references(), 0);
+        assert_eq!(b.node(NodeId::new(0)).counters().demand_references(), 0);
         assert_eq!(b.global().transactions(), 3);
         assert_eq!(b.filter().stats().control_filtered, 3);
     }
@@ -758,8 +748,8 @@ pub(crate) mod tests {
             .node(NodeId::new(1))
             .probe(Address::new(0x2000))
             .is_invalid());
-        let n0 = b.node_stats(NodeId::new(0));
-        assert_eq!(n0.counters().get(NodeCounter::RemoteInvalidations), 1);
+        let n0 = b.node(NodeId::new(0)).counters();
+        assert_eq!(n0.get(NodeCounter::RemoteInvalidations), 1);
         assert_eq!(n0.interventions_modified(), 1);
     }
 
@@ -801,14 +791,14 @@ pub(crate) mod tests {
         for i in 0..64u64 {
             b.on_transaction(&txn(i, (i % 8) as u8, BusOp::Read, i * 128));
         }
-        let s0 = b.node_stats(NodeId::new(0));
-        let s1 = b.node_stats(NodeId::new(1));
+        let s0 = b.node(NodeId::new(0)).counters();
+        let s1 = b.node(NodeId::new(1)).counters();
         // Both nodes saw every reference as local demand traffic.
         assert_eq!(s0.demand_references(), 64);
         assert_eq!(s1.demand_references(), 64);
         // No cross-domain interventions or invalidations.
-        assert_eq!(s0.counters().get(NodeCounter::RemoteReadsSeen), 0);
-        assert_eq!(s1.counters().get(NodeCounter::RemoteReadsSeen), 0);
+        assert_eq!(s0.get(NodeCounter::RemoteReadsSeen), 0);
+        assert_eq!(s1.get(NodeCounter::RemoteReadsSeen), 0);
         // The bigger cache can only do better.
         assert!(s1.demand_misses() <= s0.demand_misses());
     }
@@ -829,9 +819,9 @@ pub(crate) mod tests {
             };
             b.on_transaction(&txn(i, (i % 8) as u8, op, (i * 7 % 64) * 128));
         }
-        let s0 = b.node_stats(NodeId::new(0));
-        let s1 = b.node_stats(NodeId::new(1));
-        assert_eq!(s0.counters(), s1.counters());
+        let s0 = b.node(NodeId::new(0)).counters();
+        let s1 = b.node(NodeId::new(1)).counters();
+        assert_eq!(s0, s1);
     }
 
     #[test]
@@ -907,7 +897,7 @@ pub(crate) mod tests {
         b.on_transaction(&txn(0, 0, BusOp::Read, 0x0));
         b.reset_statistics();
         assert_eq!(b.global().transactions(), 0);
-        assert_eq!(b.node_stats(NodeId::new(0)).demand_references(), 0);
+        assert_eq!(b.node(NodeId::new(0)).counters().demand_references(), 0);
         assert_ne!(
             b.node(NodeId::new(0)).probe(Address::new(0x0)),
             StateId::INVALID
@@ -929,6 +919,43 @@ pub(crate) mod tests {
         assert!(report.contains("mesi"));
         assert!(report.contains("read-misses"));
         assert!(report.contains("filter"));
+    }
+
+    /// The one-line summary each node gets in the statistics report, as
+    /// the console has always printed it.
+    #[test]
+    fn statistics_report_pins_each_nodes_summary_line() {
+        let cfg = BoardConfig::multi_node(
+            params(4096),
+            vec![
+                (0..4).map(ProcId::new).collect(),
+                (4..8).map(ProcId::new).collect(),
+            ],
+        )
+        .unwrap();
+        let mut b = MemoriesBoard::new(cfg).unwrap();
+        let ops = [
+            BusOp::Read,
+            BusOp::Rwitm,
+            BusOp::Read,
+            BusOp::DClaim,
+            BusOp::WriteBack,
+        ];
+        for i in 0..400u64 {
+            let op = ops[(i % 5) as usize];
+            b.on_transaction(&txn(i, (i * 3 % 8) as u8, op, (i % 36) * 128));
+        }
+        let report = b.statistics_report();
+        let summaries: Vec<&str> = report.lines().filter(|l| l.contains(" refs, ")).collect();
+        assert_eq!(
+            summaries,
+            [
+                "node0 [4KB/2-way/128B lru | mesi]: 160 refs, miss ratio 0.5500 (cold 17.05%), \
+                 interventions 0shr/84mod",
+                "node1 [4KB/2-way/128B lru | mesi]: 160 refs, miss ratio 0.5500 (cold 15.91%), \
+                 interventions 0shr/81mod",
+            ]
+        );
     }
 
     fn mixed_stream(n: u64) -> Vec<Transaction> {
@@ -1077,8 +1104,8 @@ pub(crate) mod tests {
         assert_eq!(snap.nodes.len(), 1);
         assert_eq!(&snap.nodes[0], b.node(NodeId::new(0)).counters());
         assert_eq!(
-            snap.node_stats(0).demand_references(),
-            b.node_stats(NodeId::new(0)).demand_references()
+            snap.nodes[0].demand_references(),
+            b.node(NodeId::new(0)).counters().demand_references()
         );
         // Snapshots are passive: the board keeps running unchanged.
         b.on_transaction(&txn(100, 0, BusOp::Read, 0));

@@ -243,24 +243,14 @@ impl EventTable {
     }
 }
 
-/// Address filter configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FilterConfig {
-    /// Whether DMA memory traffic is forwarded to the node controllers
-    /// (true on the board: "effect of I/O on hit ratio" is measured).
-    pub pass_dma: bool,
-    /// Optional inclusive address window; traffic outside it is filtered.
-    pub address_window: Option<(Address, Address)>,
-}
-
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            pass_dma: true,
-            address_window: None,
-        }
-    }
-}
+/// Address filter configuration: the board's fixed filter, which passes
+/// DMA memory traffic (the "effect of I/O on hit ratio" is measured) and
+/// filters no address range. Kept as a type so a [`BoardConfig`] can
+/// still be copied field by field.
+///
+/// [`BoardConfig`]: crate::BoardConfig
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FilterConfig;
 
 /// Filter statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -272,10 +262,6 @@ pub struct FilterStats {
     pub control_filtered: u64,
     /// Bus-level retries dropped (the transaction will reappear).
     pub retries_filtered: u64,
-    /// DMA transactions dropped because `pass_dma` is off.
-    pub dma_filtered: u64,
-    /// Transactions outside the address window.
-    pub window_filtered: u64,
     /// Transactions forwarded to the node controllers.
     pub forwarded: u64,
 }
@@ -284,16 +270,14 @@ pub struct FilterStats {
 /// pipeline and classifies requesters into emulated nodes.
 #[derive(Clone, Debug)]
 pub struct AddressFilter {
-    config: FilterConfig,
     partition: NodePartition,
     stats: FilterStats,
 }
 
 impl AddressFilter {
-    /// Creates a filter.
-    pub fn new(config: FilterConfig, partition: NodePartition) -> Self {
+    /// Creates a filter over a node partition.
+    pub fn new(partition: NodePartition) -> Self {
         AddressFilter {
-            config,
             partition,
             stats: FilterStats::default(),
         }
@@ -322,32 +306,12 @@ impl AddressFilter {
             self.stats.retries_filtered += 1;
             return false;
         }
-        match txn.op.class() {
-            OpClass::Control => {
-                self.stats.control_filtered += 1;
-                return false;
-            }
-            OpClass::IoMemory if !self.config.pass_dma => {
-                self.stats.dma_filtered += 1;
-                return false;
-            }
-            _ => {}
-        }
-        if let Some((lo, hi)) = self.config.address_window {
-            if txn.addr < lo || txn.addr > hi {
-                self.stats.window_filtered += 1;
-                return false;
-            }
+        if txn.op.class() == OpClass::Control {
+            self.stats.control_filtered += 1;
+            return false;
         }
         self.stats.forwarded += 1;
         true
-    }
-
-    /// The protocol event `txn` produces at `node`, if any.
-    ///
-    /// Delegates to [`NodePartition::event_for`].
-    pub fn event_for(&self, node: NodeId, txn: &Transaction) -> Option<AccessEvent> {
-        self.partition.event_for(node, txn)
     }
 }
 
@@ -355,13 +319,8 @@ impl fmt::Display for FilterStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "filter: {} seen, {} forwarded ({} control, {} retries, {} dma, {} window dropped)",
-            self.seen,
-            self.forwarded,
-            self.control_filtered,
-            self.retries_filtered,
-            self.dma_filtered,
-            self.window_filtered
+            "filter: {} seen, {} forwarded ({} control, {} retries dropped)",
+            self.seen, self.forwarded, self.control_filtered, self.retries_filtered
         )
     }
 }
@@ -448,7 +407,7 @@ mod tests {
 
     #[test]
     fn filter_drops_control_and_retries() {
-        let mut f = AddressFilter::new(FilterConfig::default(), two_node_partition());
+        let mut f = AddressFilter::new(two_node_partition());
         assert!(f.admit(&txn(0, BusOp::Read)));
         assert!(!f.admit(&txn(0, BusOp::Sync)));
         assert!(!f.admit(&txn(0, BusOp::IoRead)));
@@ -464,61 +423,44 @@ mod tests {
     }
 
     #[test]
-    fn filter_dma_and_window_options() {
-        let cfg = FilterConfig {
-            pass_dma: false,
-            address_window: Some((Address::new(0x1000), Address::new(0x1fff))),
-        };
-        let mut f = AddressFilter::new(cfg, two_node_partition());
-        assert!(!f.admit(&txn(0, BusOp::DmaWrite)));
-        assert_eq!(f.stats().dma_filtered, 1);
-
-        let mut out = txn(0, BusOp::Read);
-        out.addr = Address::new(0x2000);
-        assert!(!f.admit(&out));
-        assert_eq!(f.stats().window_filtered, 1);
-        assert!(f.admit(&txn(0, BusOp::Read))); // 0x1000 inside window
-    }
-
-    #[test]
     fn event_classification_per_node() {
-        let f = AddressFilter::new(FilterConfig::default(), two_node_partition());
+        let p = two_node_partition();
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         assert_eq!(
-            f.event_for(n0, &txn(0, BusOp::Read)),
+            p.event_for(n0, &txn(0, BusOp::Read)),
             Some(AccessEvent::LocalRead)
         );
         assert_eq!(
-            f.event_for(n1, &txn(0, BusOp::Read)),
+            p.event_for(n1, &txn(0, BusOp::Read)),
             Some(AccessEvent::RemoteRead)
         );
         assert_eq!(
-            f.event_for(n0, &txn(0, BusOp::Rwitm)),
+            p.event_for(n0, &txn(0, BusOp::Rwitm)),
             Some(AccessEvent::LocalWrite)
         );
         assert_eq!(
-            f.event_for(n1, &txn(0, BusOp::DClaim)),
+            p.event_for(n1, &txn(0, BusOp::DClaim)),
             Some(AccessEvent::RemoteWrite)
         );
         assert_eq!(
-            f.event_for(n0, &txn(0, BusOp::WriteBack)),
+            p.event_for(n0, &txn(0, BusOp::WriteBack)),
             Some(AccessEvent::LocalCastout)
         );
-        assert_eq!(f.event_for(n1, &txn(0, BusOp::WriteBack)), None);
+        assert_eq!(p.event_for(n1, &txn(0, BusOp::WriteBack)), None);
         assert_eq!(
-            f.event_for(n0, &txn(9, BusOp::DmaRead)),
+            p.event_for(n0, &txn(9, BusOp::DmaRead)),
             Some(AccessEvent::IoRead)
         );
         assert_eq!(
-            f.event_for(n1, &txn(9, BusOp::DmaWrite)),
+            p.event_for(n1, &txn(9, BusOp::DmaWrite)),
             Some(AccessEvent::IoWrite)
         );
         assert_eq!(
-            f.event_for(n0, &txn(0, BusOp::Flush)),
+            p.event_for(n0, &txn(0, BusOp::Flush)),
             Some(AccessEvent::Flush)
         );
         // Unrelated CPU (id 12 not in any slot).
-        assert_eq!(f.event_for(n0, &txn(12, BusOp::Read)), None);
+        assert_eq!(p.event_for(n0, &txn(12, BusOp::Read)), None);
     }
 }

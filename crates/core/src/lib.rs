@@ -72,7 +72,8 @@
 //! let txn = Transaction::new(0, 0, ProcId::new(0), BusOp::Read,
 //!                            Address::new(0x10000), SnoopResponse::Null);
 //! board.on_transaction(&txn);
-//! assert_eq!(board.node_stats(memories_bus::NodeId::new(0)).demand_misses(), 1);
+//! let node = board.node(memories_bus::NodeId::new(0));
+//! assert_eq!(node.counters().demand_misses(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -102,13 +103,13 @@ pub use counters::{Counter40, NodeCounter, NodeCounters};
 pub use error::{BoardError, Error};
 pub use filter::{AddressFilter, FilterConfig, FilterStats, NodePartition};
 pub use hotspot::{Granularity, HotSpotProfiler, HotSpotReport};
-pub use node::{NodeController, NodeOutcome};
+pub use node::NodeController;
 pub use numa::NumaEmulator;
 pub use params::{CacheParams, CacheParamsBuilder, ParamError};
 pub use replacement::ReplacementPolicy;
 pub use shard::NodeShard;
 pub use snapshot::BoardSnapshot;
-pub use stats::{FillBreakdown, NodeStats};
+pub use stats::FillBreakdown;
 pub use tagstore::{EvictedLine, TagProbe, TagStore};
 pub use timing::{SdramModel, TimingConfig, TransactionBuffer};
 pub use tracecap::TraceCapture;

@@ -9,54 +9,46 @@ use std::collections::HashSet;
 use std::fmt;
 
 use memories_bus::{Address, LineAddr, NodeId, SnoopResponse};
-use memories_protocol::{AccessEvent, Action, ActionSet, ProtocolTable, RemoteSummary, StateId};
+use memories_protocol::{AccessEvent, Action, ProtocolTable, RemoteSummary, StateId};
 
 use crate::counters::{NodeCounter, NodeCounters};
 use crate::params::CacheParams;
-use crate::stats::NodeStats;
 use crate::tagstore::{TagProbe, TagStore};
-
-/// What one event did to a node controller.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeOutcome {
-    /// The classified event.
-    pub event: AccessEvent,
-    /// Whether the line was resident before the transition (for demand
-    /// events this is the hit/miss verdict).
-    pub hit: bool,
-    /// The protocol actions triggered.
-    pub actions: ActionSet,
-    /// The line's state after the transition.
-    pub next: StateId,
-}
 
 /// First-touch tracker for cold-miss classification.
 ///
-/// A growable bitmap over line numbers below the cap (2^31 lines, i.e.
-/// 256 GB of 128 B lines); touched lines above it are kept exactly in a
-/// set, so the bitmap never grows without bound and no line is miscounted.
+/// Lines below the cap (2^31 lines, i.e. 256 GB of 128 B lines) are bits
+/// in 4 KiB pages, allocated on a page's first touch and found through a
+/// directory indexed by the line's high bits, so memory follows the lines
+/// actually touched. Touched lines at and above the cap are kept exactly
+/// in a set, so no line is miscounted.
 #[derive(Clone, Debug, Default)]
 struct ColdTracker {
-    bits: Vec<u64>,
+    pages: Vec<Option<Box<[u64; ColdTracker::PAGE_WORDS]>>>,
     beyond_cap: HashSet<u64>,
 }
 
 impl ColdTracker {
-    const MAX_WORDS: usize = 1 << 25; // 2^31 bits = 256 MiB of bitmap at most
+    /// Lines per page, as a power of two: a page is 4 KiB of bits.
+    const PAGE_BITS: u32 = 15;
+    const PAGE_WORDS: usize = 1 << (Self::PAGE_BITS - 6);
+    const CAP: u64 = 1 << 31;
 
     /// Marks `line` touched; returns `true` if this was its first touch.
     fn first_touch(&mut self, line: LineAddr) -> bool {
         let bit = line.value();
-        let word = (bit / 64) as usize;
-        if word >= Self::MAX_WORDS {
+        if bit >= Self::CAP {
             return self.beyond_cap.insert(bit);
         }
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
+        let page = (bit >> Self::PAGE_BITS) as usize;
+        if page >= self.pages.len() {
+            self.pages.resize(page + 1, None);
         }
+        let words = self.pages[page].get_or_insert_with(|| Box::new([0; Self::PAGE_WORDS]));
+        let word = &mut words[(bit / 64) as usize % Self::PAGE_WORDS];
         let mask = 1u64 << (bit % 64);
-        let fresh = self.bits[word] & mask == 0;
-        self.bits[word] |= mask;
+        let fresh = *word & mask == 0;
+        *word |= mask;
         fresh
     }
 }
@@ -68,17 +60,20 @@ impl ColdTracker {
 ///
 /// # Examples
 ///
-/// ```
-/// use memories::{CacheParams, NodeController};
-/// use memories_bus::{Address, NodeId};
-/// use memories_protocol::{standard, AccessEvent, RemoteSummary};
+/// A node controller is driven only through the board it sits on:
 ///
-/// # fn main() -> Result<(), memories::ParamError> {
+/// ```
+/// use memories::{BoardConfig, CacheParams, MemoriesBoard, NodeCounter};
+/// use memories_bus::{Address, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction};
+///
+/// # fn main() -> Result<(), memories::BoardError> {
 /// let params = CacheParams::builder().capacity(2 << 20).build()?;
-/// let mut node = NodeController::new(NodeId::new(0), params, standard::mesi());
-/// let out = node.process(AccessEvent::LocalRead, Address::new(0x1000),
-///                        RemoteSummary::None);
-/// assert!(!out.hit); // cold miss
+/// let mut board = MemoriesBoard::new(BoardConfig::single_node(params, [ProcId::new(0)])?)?;
+/// board.on_transaction(&Transaction::new(0, 0, ProcId::new(0), BusOp::Read,
+///                                        Address::new(0x1000), SnoopResponse::Null));
+/// let node = board.node(NodeId::new(0));
+/// assert_eq!(node.counters().get(NodeCounter::ReadColdMisses), 1); // cold miss
+/// assert!(!node.probe(Address::new(0x1000)).is_invalid()); // now resident
 /// # Ok(())
 /// # }
 /// ```
@@ -120,14 +115,16 @@ impl NodeController {
         &self.protocol
     }
 
-    /// Raw event counters.
+    /// The node's counter bank; its derived statistics (`miss_ratio`,
+    /// `fill_breakdown`, ...) are methods of [`NodeCounters`].
     pub fn counters(&self) -> &NodeCounters {
         &self.counters
     }
 
-    /// Derived statistics view.
-    pub fn stats(&self) -> NodeStats {
-        NodeStats::from_counters(self.counters.clone())
+    /// [`NodeController::counters`] under its older name, kept because
+    /// the benchmark crate (`perfbench`) still calls it.
+    pub fn stats(&self) -> &NodeCounters {
+        &self.counters
     }
 
     /// The tag store (read-only; for directory inspection).
@@ -148,44 +145,6 @@ impl NodeController {
         self.tags.state(self.params.geometry().line_addr(addr))
     }
 
-    /// The remote summary this node would report to a sibling node for
-    /// `addr` (used as the "resulting state from other cache nodes" table
-    /// input).
-    pub fn summarize(&self, addr: Address) -> RemoteSummary {
-        self.protocol.summarize_state(self.probe(addr))
-    }
-
-    /// Processes one classified event, assuming a null host snoop
-    /// response (no L2-to-L2 intervention). Equivalent to
-    /// [`NodeController::process_with_resp`] with [`SnoopResponse::Null`].
-    pub fn process(
-        &mut self,
-        event: AccessEvent,
-        addr: Address,
-        remote: RemoteSummary,
-    ) -> NodeOutcome {
-        self.process_with_resp(event, addr, remote, SnoopResponse::Null)
-    }
-
-    /// Processes one classified event.
-    ///
-    /// `resp` is the transaction's combined host snoop response, used to
-    /// classify where an L2 miss was satisfied (Figure 12): an L2-to-L2
-    /// intervention wins over the emulated L3, which wins over memory.
-    ///
-    /// The tag store is probed exactly once; the transition is applied
-    /// through that probe.
-    pub fn process_with_resp(
-        &mut self,
-        event: AccessEvent,
-        addr: Address,
-        remote: RemoteSummary,
-        resp: SnoopResponse,
-    ) -> NodeOutcome {
-        let probe = self.tag_probe(addr);
-        self.apply(event, addr, probe, remote, resp)
-    }
-
     /// Probes the directory for the line containing `addr`.
     pub(crate) fn tag_probe(&self, addr: Address) -> TagProbe {
         self.tags.probe(self.params.geometry().line_addr(addr))
@@ -204,9 +163,14 @@ impl NodeController {
         self.counters.incr(NodeCounter::EventsDropped);
     }
 
-    /// [`NodeController::process_with_resp`] with the directory already
-    /// probed: `probe` must come from [`NodeController::tag_probe`] for
-    /// `addr`, with no transition applied to this node since.
+    /// Applies one classified event through a probe of its line: the
+    /// node's one transition path. `probe` must come from
+    /// [`NodeController::tag_probe`] for `addr`, with no transition applied
+    /// to this node since, so the directory is probed exactly once.
+    ///
+    /// `resp` is the transaction's combined host snoop response, used to
+    /// classify where an L2 miss was satisfied (Figure 12): an L2-to-L2
+    /// intervention wins over the emulated L3, which wins over memory.
     pub(crate) fn apply(
         &mut self,
         event: AccessEvent,
@@ -214,7 +178,7 @@ impl NodeController {
         probe: TagProbe,
         remote: RemoteSummary,
         resp: SnoopResponse,
-    ) -> NodeOutcome {
+    ) {
         let line = self.params.geometry().line_addr(addr);
         let state = probe.state();
         let hit = !state.is_invalid();
@@ -309,13 +273,6 @@ impl NodeController {
             }
         }
         // Miss without allocate: the emulated cache stays unchanged.
-
-        NodeOutcome {
-            event,
-            hit,
-            actions: transition.actions,
-            next: transition.next,
-        }
     }
 }
 
@@ -333,7 +290,41 @@ impl fmt::Debug for NodeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memories_protocol::standard;
+    use memories_protocol::{standard, ActionSet};
+
+    /// What one event did to a node controller.
+    struct Outcome {
+        /// Whether the line was resident before the transition.
+        hit: bool,
+        /// The protocol actions triggered.
+        actions: ActionSet,
+        /// The line's state after the transition.
+        next: StateId,
+    }
+
+    /// One event on `line` through the node's one transition path,
+    /// `tag_probe` then `apply`, with a null host snoop response.
+    fn process(
+        n: &mut NodeController,
+        event: AccessEvent,
+        line: u64,
+        remote: RemoteSummary,
+    ) -> Outcome {
+        let addr = addr(line);
+        let probe = n.tag_probe(addr);
+        let transition = n.protocol().lookup(event, probe.state(), remote);
+        n.apply(event, addr, probe, remote, SnoopResponse::Null);
+        Outcome {
+            hit: !probe.state().is_invalid(),
+            actions: transition.actions,
+            next: transition.next,
+        }
+    }
+
+    /// The remote summary `n` reports to a sibling node for `addr`.
+    fn summarize(n: &NodeController, addr: Address) -> RemoteSummary {
+        n.protocol().summarize_state(n.probe(addr))
+    }
 
     fn node() -> NodeController {
         let params = CacheParams::builder()
@@ -353,13 +344,13 @@ mod tests {
     #[test]
     fn read_miss_allocates_then_hits() {
         let mut n = node();
-        let out = n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
+        let out = process(&mut n, AccessEvent::LocalRead, 1, RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.protocol().state_name(out.next), "E");
         assert_eq!(n.counters().get(NodeCounter::ReadMisses), 1);
         assert_eq!(n.counters().get(NodeCounter::ReadColdMisses), 1);
 
-        let out = n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
+        let out = process(&mut n, AccessEvent::LocalRead, 1, RemoteSummary::None);
         assert!(out.hit);
         assert_eq!(n.counters().get(NodeCounter::ReadHits), 1);
     }
@@ -368,10 +359,10 @@ mod tests {
     fn cold_vs_capacity_misses_are_distinguished() {
         let mut n = node();
         // 4 KB / 2-way / 128 B = 16 sets; lines k and k+16 conflict.
-        n.process(AccessEvent::LocalRead, addr(0), RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(16), RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(32), RemoteSummary::None); // evicts line 0
-        let out = n.process(AccessEvent::LocalRead, addr(0), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 0, RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 16, RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 32, RemoteSummary::None); // evicts line 0
+        let out = process(&mut n, AccessEvent::LocalRead, 0, RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.counters().get(NodeCounter::ReadMisses), 4);
         // Only the first three were cold.
@@ -382,14 +373,14 @@ mod tests {
     #[test]
     fn write_miss_and_upgrade_paths() {
         let mut n = node();
-        let out = n.process(AccessEvent::LocalWrite, addr(5), RemoteSummary::None);
+        let out = process(&mut n, AccessEvent::LocalWrite, 5, RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.protocol().state_name(out.next), "M");
         assert_eq!(n.counters().get(NodeCounter::WriteMisses), 1);
 
         // A shared line upgraded in place.
-        n.process(AccessEvent::LocalRead, addr(6), RemoteSummary::Shared); // fills S
-        let out = n.process(AccessEvent::LocalUpgrade, addr(6), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 6, RemoteSummary::Shared); // fills S
+        let out = process(&mut n, AccessEvent::LocalUpgrade, 6, RemoteSummary::None);
         assert!(out.hit);
         assert_eq!(n.protocol().state_name(out.next), "M");
         assert_eq!(n.counters().get(NodeCounter::UpgradeHits), 1);
@@ -400,7 +391,7 @@ mod tests {
         // The host L2 may still hold a line the emulated cache evicted;
         // its DClaim then arrives for an absent line (§3.4).
         let mut n = node();
-        let out = n.process(AccessEvent::LocalUpgrade, addr(9), RemoteSummary::None);
+        let out = process(&mut n, AccessEvent::LocalUpgrade, 9, RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.counters().get(NodeCounter::UpgradeMisses), 1);
         // MESI allocates it Modified.
@@ -410,15 +401,15 @@ mod tests {
     #[test]
     fn castout_absorbs_dirty_data() {
         let mut n = node();
-        n.process(AccessEvent::LocalRead, addr(3), RemoteSummary::None); // E
-        let out = n.process(AccessEvent::LocalCastout, addr(3), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 3, RemoteSummary::None); // E
+        let out = process(&mut n, AccessEvent::LocalCastout, 3, RemoteSummary::None);
         assert!(out.hit);
         assert_eq!(n.protocol().state_name(out.next), "M");
         assert_eq!(n.counters().get(NodeCounter::CastoutsSeen), 1);
         assert_eq!(n.counters().get(NodeCounter::CastoutAllocates), 0);
 
         // Castout of a line the emulated cache no longer tracks.
-        let out = n.process(AccessEvent::LocalCastout, addr(7), RemoteSummary::None);
+        let out = process(&mut n, AccessEvent::LocalCastout, 7, RemoteSummary::None);
         assert!(!out.hit);
         assert_eq!(n.counters().get(NodeCounter::CastoutAllocates), 1);
     }
@@ -426,8 +417,8 @@ mod tests {
     #[test]
     fn remote_write_invalidates_and_counts() {
         let mut n = node();
-        n.process(AccessEvent::LocalWrite, addr(2), RemoteSummary::None); // M
-        let out = n.process(AccessEvent::RemoteWrite, addr(2), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalWrite, 2, RemoteSummary::None); // M
+        let out = process(&mut n, AccessEvent::RemoteWrite, 2, RemoteSummary::None);
         assert!(out.next.is_invalid());
         assert!(out.actions.contains(Action::InterveneModified));
         assert_eq!(n.counters().get(NodeCounter::RemoteInvalidations), 1);
@@ -438,8 +429,8 @@ mod tests {
     #[test]
     fn io_write_invalidates() {
         let mut n = node();
-        n.process(AccessEvent::LocalRead, addr(4), RemoteSummary::None);
-        n.process(AccessEvent::IoWrite, addr(4), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 4, RemoteSummary::None);
+        process(&mut n, AccessEvent::IoWrite, 4, RemoteSummary::None);
         assert_eq!(n.counters().get(NodeCounter::IoInvalidations), 1);
         assert_eq!(n.probe(addr(4)), StateId::INVALID);
     }
@@ -449,9 +440,9 @@ mod tests {
         let mut n = node();
         // Fill set 0 (lines 0 and 16) with modified data, then force an
         // eviction with line 32.
-        n.process(AccessEvent::LocalWrite, addr(0), RemoteSummary::None);
-        n.process(AccessEvent::LocalWrite, addr(16), RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(32), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalWrite, 0, RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalWrite, 16, RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 32, RemoteSummary::None);
         assert_eq!(n.counters().get(NodeCounter::VictimEvictions), 1);
         assert_eq!(n.counters().get(NodeCounter::VictimWritebacks), 1);
     }
@@ -459,20 +450,20 @@ mod tests {
     #[test]
     fn summarize_reports_remote_view() {
         let mut n = node();
-        assert_eq!(n.summarize(addr(1)), RemoteSummary::None);
-        n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None); // E: clean
-        assert_eq!(n.summarize(addr(1)), RemoteSummary::Shared);
-        n.process(AccessEvent::LocalWrite, addr(1), RemoteSummary::None); // M: dirty
-        assert_eq!(n.summarize(addr(1)), RemoteSummary::Modified);
+        assert_eq!(summarize(&n, addr(1)), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 1, RemoteSummary::None); // E: clean
+        assert_eq!(summarize(&n, addr(1)), RemoteSummary::Shared);
+        process(&mut n, AccessEvent::LocalWrite, 1, RemoteSummary::None); // M: dirty
+        assert_eq!(summarize(&n, addr(1)), RemoteSummary::Modified);
     }
 
     #[test]
     fn reset_counters_preserves_cache_contents() {
         let mut n = node();
-        n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
+        process(&mut n, AccessEvent::LocalRead, 1, RemoteSummary::None);
         n.reset_counters();
         assert_eq!(n.counters().get(NodeCounter::ReadMisses), 0);
-        let out = n.process(AccessEvent::LocalRead, addr(1), RemoteSummary::None);
+        let out = process(&mut n, AccessEvent::LocalRead, 1, RemoteSummary::None);
         assert!(out.hit, "cache contents must survive a counter reset");
     }
 
@@ -487,5 +478,16 @@ mod tests {
         assert!(!t.first_touch(LineAddr::new(u64::MAX)));
         assert!(t.first_touch(LineAddr::new(1 << 31)));
         assert!(!t.first_touch(LineAddr::new(1 << 31)));
+
+        // A touch just below the cap allocates the one 4 KiB page holding
+        // its bit, not a bitmap up to it.
+        let mut t = ColdTracker::default();
+        assert!(t.first_touch(LineAddr::new((1 << 31) - 1)));
+        assert!(!t.first_touch(LineAddr::new((1 << 31) - 1)));
+        assert!(t.first_touch(LineAddr::new((1 << 31) - 2)));
+        let pages: Vec<_> = t.pages.iter().flatten().collect();
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].len() * 8, 4096);
+        assert!(t.beyond_cap.is_empty());
     }
 }

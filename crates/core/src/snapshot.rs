@@ -20,7 +20,6 @@
 use crate::board::GlobalCounters;
 use crate::counters::NodeCounters;
 use crate::filter::FilterStats;
-use crate::stats::NodeStats;
 
 /// A point-in-time copy of every counter the console can read.
 ///
@@ -75,12 +74,6 @@ impl BoardSnapshot {
         self.filter.forwarded
     }
 
-    /// Derived statistics for node `id` (panics if out of range, like
-    /// [`MemoriesBoard::node_stats`](crate::MemoriesBoard::node_stats)).
-    pub fn node_stats(&self, id: usize) -> NodeStats {
-        NodeStats::from_counters(self.nodes[id].clone())
-    }
-
     /// Number of nodes covered.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -109,7 +102,7 @@ mod tests {
         assert_eq!(snap.nodes[0].get(NodeCounter::ReadHits), 3);
         assert_eq!(snap.nodes[1].get(NodeCounter::ReadHits), 0);
         assert_eq!(snap.nodes[2].get(NodeCounter::ReadMisses), 7);
-        assert_eq!(snap.node_stats(2).demand_misses(), 7);
+        assert_eq!(snap.nodes[2].demand_misses(), 7);
     }
 
     #[test]

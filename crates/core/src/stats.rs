@@ -1,32 +1,10 @@
-//! Derived statistics views over the node counters.
-
-use std::fmt;
+//! Derived statistics over a node's counter bank.
 
 use crate::counters::{NodeCounter, NodeCounters};
 
-/// A derived, read-only statistics view of one emulated cache node — the
-/// quantities the paper plots: hit/miss ratios, cold-miss fractions,
-/// read/write mix, and intervention counts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NodeStats {
-    counters: NodeCounters,
-}
-
-impl NodeStats {
-    /// Wraps a snapshot of counters.
-    pub fn from_counters(counters: NodeCounters) -> Self {
-        NodeStats { counters }
-    }
-
-    /// The underlying counters.
-    pub fn counters(&self) -> &NodeCounters {
-        &self.counters
-    }
-
-    fn get(&self, c: NodeCounter) -> u64 {
-        self.counters.get(c)
-    }
-
+/// The quantities the paper plots, derived from one node's counter bank:
+/// hit/miss ratios, cold-miss fractions and intervention counts.
+impl NodeCounters {
     /// Demand hits (local reads + writes + upgrades that hit).
     pub fn demand_hits(&self) -> u64 {
         self.get(NodeCounter::ReadHits)
@@ -133,30 +111,16 @@ pub struct FillBreakdown {
     pub modified_intervention: f64,
 }
 
-impl fmt::Display for NodeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} refs, miss ratio {:.4} (cold {:.2}%), interventions {}shr/{}mod",
-            self.demand_references(),
-            self.miss_ratio(),
-            self.cold_fraction() * 100.0,
-            self.interventions_shared(),
-            self.interventions_modified()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stats_with(edits: &[(NodeCounter, u64)]) -> NodeStats {
+    fn stats_with(edits: &[(NodeCounter, u64)]) -> NodeCounters {
         let mut c = NodeCounters::new();
         for (k, v) in edits {
             c.add(*k, *v);
         }
-        NodeStats::from_counters(c)
+        c
     }
 
     #[test]
@@ -205,11 +169,5 @@ mod tests {
         // Empty breakdown is all zeros.
         let empty = stats_with(&[]).fill_breakdown();
         assert_eq!(empty, FillBreakdown::default());
-    }
-
-    #[test]
-    fn display_mentions_miss_ratio() {
-        let s = stats_with(&[(NodeCounter::ReadMisses, 1)]);
-        assert!(s.to_string().contains("miss ratio"));
     }
 }

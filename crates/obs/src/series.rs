@@ -30,8 +30,7 @@ impl SampleStats {
         let mut demand_references = 0;
         let mut demand_misses = 0;
         let mut interventions = 0;
-        for i in 0..snap.node_count() {
-            let stats = snap.node_stats(i);
+        for stats in &snap.nodes {
             demand_references += stats.demand_references();
             demand_misses += stats.demand_misses();
             interventions += stats.interventions_shared() + stats.interventions_modified();

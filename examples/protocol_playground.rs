@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example protocol_playground`
 
-use memories::{BoardConfig, CacheParams, NodeCounter, NodeSlot, NodeStats};
+use memories::{BoardConfig, CacheParams, NodeCounter, NodeCounters, NodeSlot};
 use memories_bus::ProcId;
 use memories_console::report::Table;
 use memories_console::EmulationSession;
@@ -64,7 +64,7 @@ fn host() -> Result<HostConfig, memories_bus::GeometryError> {
 }
 
 /// Sums a statistic over a domain's two nodes.
-fn domain_sum(stats: &[NodeStats], nodes: [usize; 2], f: impl Fn(&NodeStats) -> u64) -> u64 {
+fn domain_sum(stats: &[NodeCounters], nodes: [usize; 2], f: impl Fn(&NodeCounters) -> u64) -> u64 {
     nodes.iter().map(|&n| f(&stats[n])).sum()
 }
 
@@ -113,10 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 n.interventions_shared() + n.interventions_modified()
             })
             .to_string(),
-            domain_sum(s, nodes, |n| {
-                n.counters().get(NodeCounter::ProtocolWritebacks)
-            })
-            .to_string(),
+            domain_sum(s, nodes, |n| n.get(NodeCounter::ProtocolWritebacks)).to_string(),
         ]);
     }
     println!("{}", t.render());
@@ -151,10 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.row([
             (*label).to_string(),
             format!("{:.4}", stats.miss_ratio()),
-            stats
-                .counters()
-                .get(NodeCounter::ProtocolWritebacks)
-                .to_string(),
+            stats.get(NodeCounter::ProtocolWritebacks).to_string(),
         ]);
     }
     println!("{}", t.render());

@@ -56,6 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  retries posted by the board: {}", result.retries_posted);
     println!();
     println!("raw counters:");
-    print!("{}", stats.counters());
+    print!("{stats}");
     Ok(())
 }

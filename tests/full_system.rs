@@ -48,15 +48,12 @@ fn board_sees_exactly_the_l2_miss_traffic() {
         "board demand events != host L2 misses + upgrades"
     );
     // Castouts seen by the board = dirty writebacks the host performed.
-    assert_eq!(
-        node.counters().get(NodeCounter::CastoutsSeen),
-        machine.writebacks
-    );
+    assert_eq!(node.get(NodeCounter::CastoutsSeen), machine.writebacks);
     // Figure 12 classification covers every L2 *miss* (not upgrades).
-    let fills = node.counters().get(NodeCounter::DemandFilledMemory)
-        + node.counters().get(NodeCounter::DemandFilledL3)
-        + node.counters().get(NodeCounter::DemandFilledL2Shared)
-        + node.counters().get(NodeCounter::DemandFilledL2Modified);
+    let fills = node.get(NodeCounter::DemandFilledMemory)
+        + node.get(NodeCounter::DemandFilledL3)
+        + node.get(NodeCounter::DemandFilledL2Shared)
+        + node.get(NodeCounter::DemandFilledL2Modified);
     assert_eq!(fills, machine.outer_misses());
 }
 
@@ -92,7 +89,7 @@ fn whole_stack_is_deterministic() {
             .run(&mut w, 60_000)
             .unwrap();
         (
-            result.node_stats[0].counters().clone(),
+            result.node_stats[0].clone(),
             result.machine.total().clone(),
             result.bus.transactions,
         )
@@ -212,8 +209,6 @@ fn domains_compose_with_multi_node_partitions() {
     let demand = |n: usize| result.node_stats[n].demand_references();
     assert_eq!(demand(0) + demand(1), demand(2) + demand(3));
     // Remote traffic flows within domains.
-    let remote0 = result.node_stats[0]
-        .counters()
-        .get(NodeCounter::RemoteReadsSeen);
+    let remote0 = result.node_stats[0].get(NodeCounter::RemoteReadsSeen);
     assert!(remote0 > 0, "no remote reads seen within domain 0");
 }

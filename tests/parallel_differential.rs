@@ -92,8 +92,7 @@ fn assert_shards_match_serial(name: &str, make: &dyn Fn() -> Box<dyn Workload>, 
             .enumerate()
         {
             assert_eq!(
-                s.counters(),
-                p.counters(),
+                s, p,
                 "{name}: node {node} counters diverged at {shards} shards"
             );
         }

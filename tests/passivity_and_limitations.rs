@@ -103,8 +103,8 @@ fn clean_evictions_are_invisible_to_the_board() {
     // passive, non-inclusive emulator.
     machine.load(0, line0);
     board.with(|b| {
-        let s = b.node_stats(NodeId::new(0));
-        assert_eq!(s.counters().get(NodeCounter::ReadHits), 1);
+        let s = b.node(NodeId::new(0)).counters();
+        assert_eq!(s.get(NodeCounter::ReadHits), 1);
     });
 }
 
@@ -149,8 +149,8 @@ fn upgrades_for_evicted_lines_are_counted_not_fatal() {
         SnoopResponse::Null,
     );
     board.on_transaction(&t);
-    let s = board.node_stats(NodeId::new(0));
-    assert_eq!(s.counters().get(NodeCounter::UpgradeMisses), 1);
+    let s = board.node(NodeId::new(0)).counters();
+    assert_eq!(s.get(NodeCounter::UpgradeMisses), 1);
 }
 
 /// Gapless capture: unlike a logic analyzer, the board never pauses the

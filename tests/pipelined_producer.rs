@@ -139,7 +139,7 @@ fn reference(
             .iter_mut()
             .enumerate()
             .map(|(i, slot)| {
-                let s = snap.node_stats(i);
+                let s = &snap.nodes[i];
                 let (hits, misses) = (s.demand_hits() - slot.0, s.demand_misses() - slot.1);
                 *slot = (s.demand_hits(), s.demand_misses());
                 if hits + misses == 0 {
