@@ -77,8 +77,8 @@ pub fn run(scale: Scale) -> Fig10 {
     let mut workload = OltpWorkload::new(workload_config);
     let result = session
         .execute(
-            PipelinedLiveSource::new(host, &mut workload, refs),
-            ExecutionOptions::new().window_refs(window_refs),
+            PipelinedLiveSource::new(host, &mut workload, refs).profile_every(window_refs),
+            ExecutionOptions::new(),
         )
         .unwrap();
 

@@ -16,11 +16,11 @@
 //! * [`pipeline`] — the machinery underneath: every run mode is a
 //!   [`TransactionSource`] (the pipelined live source, streaming trace
 //!   replay, raw transaction streams) packing pooled blocks into a
-//!   [`Pipeline`], whose optional sampling/profiling stages observe via
-//!   snapshot barriers of the one consumer,
+//!   [`Pipeline`], whose optional sampling stage observes via snapshot
+//!   barriers of the one consumer,
 //!   [`EmulationEngine`](memories_sim::EmulationEngine). Custom sources
-//!   and observation mixes — a windowed miss-ratio profile for the
-//!   Figure 10 style plots, say — compose through
+//!   and observation mixes — a live source with a windowed miss-ratio
+//!   profile for the Figure 10 style plots, say — compose through
 //!   [`EmulationSession::execute`].
 //! * [`ExperimentResult`] — the statistics extracted from a run.
 //! * [`report`] — ASCII table and CSV rendering for the `repro` harness.

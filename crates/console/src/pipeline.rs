@@ -1,40 +1,39 @@
 //! The unified execution pipeline: a [`TransactionSource`] streaming
-//! pooled blocks into an [`EmulationEngine`] through optional observation
-//! stages.
+//! pooled blocks into an [`EmulationEngine`] through one optional
+//! observation stage, the counter sampler.
 //!
 //! Every way of exercising the board — driving a live workload through
 //! the host machine, replaying a captured trace, pushing synthetic
 //! transactions — reduces to the same shape: a *source* packs one bus
 //! transaction stream into pooled blocks; the *engine* (serial or
-//! sharded) consumes them; observation stages watch the stream in
-//! between. [`Pipeline`] is that shape made concrete:
+//! sharded) consumes them; the sampler watches the stream in between.
+//! [`Pipeline`] is that shape made concrete:
 //!
 //! ```text
 //!   TransactionSource ──PooledBlock──▶ [sampler] ──▶ EmulationEngine
-//!   (live / trace / stream)   │            │         (serial or sharded)
-//!                   close_window ─▶ [profiler] ─── barrier
+//!   (live / trace / stream)                          (serial or sharded)
 //! ```
 //!
 //! The block is the only thing that moves: [`Pipeline::feed_pooled`] is
 //! the one entry point, and it hands blocks on to the engine's one entry
 //! point, [`EmulationEngine::feed_pooled`]. The sampler cuts a block at
-//! its sample positions with [`PooledBlock::split_off`]; the windowed
-//! profiler needs no per-unit delivery, because a source cuts its block
-//! at each profile-window boundary ([`Pipeline::profile_window`]) and
-//! closes the window with one [`Pipeline::close_window`] call carrying
-//! `(units, cycle)`.
+//! its sample positions with [`PooledBlock::split_off`].
 //!
-//! Both stages observe exclusively through [`EmulationEngine::barrier`]
+//! The sampler observes exclusively through [`EmulationEngine::barrier`]
 //! — an exact counter snapshot of the stream position so far. Because a
 //! barrier is bit-identical to a serial board at the same position
-//! regardless of parallelism, *every* pipeline composition (plain,
-//! sampled, profiled) produces bit-identical boards at any shard count;
-//! the differential suite enforces this.
+//! regardless of parallelism, every pipeline composition produces
+//! bit-identical boards at any shard count; the differential suite
+//! enforces this.
 //!
 //! A source is consumed when driven: [`TransactionSource::drive`] takes
 //! it by value, streams it through, and hands the pipeline back together
-//! with whatever statistics the source itself collected (host machine
-//! counters for live runs). [`ChunkedTraceSource`] streams records
+//! with whatever statistics the source itself collected. The live source
+//! reports its host machine and bus counters there, and its windowed
+//! miss-ratio profile ([`PipelinedLiveSource::profile_every`]): its unit
+//! is the workload reference, not the transaction, so it is the one
+//! source that cuts its blocks at window ends and takes a
+//! [`Pipeline::barrier`] at each. [`ChunkedTraceSource`] streams records
 //! straight off a reader in fixed-size blocks, so replaying a
 //! multi-gigabyte trace holds peak memory to O(chunk) — never a
 //! whole-trace `Vec`.
@@ -68,10 +67,6 @@ use crate::shared::Shared;
 /// [`EmulationSession::replay_stream`]: crate::EmulationSession::replay_stream
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecutionOptions {
-    /// Take a windowed miss-ratio [`ProfilePoint`] every this many
-    /// source units (workload references / trace records); 0 disables
-    /// profiling.
-    pub window_refs: u64,
     /// Record a counter sample into the time series every this many
     /// *admitted* transactions; `None` disables sampling. A period of 0
     /// is treated as 1.
@@ -82,13 +77,6 @@ impl ExecutionOptions {
     /// Observe nothing (the plain-run configuration).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the profiling window ([`window_refs`](Self::window_refs)).
-    #[must_use]
-    pub fn window_refs(mut self, window: u64) -> Self {
-        self.window_refs = window;
-        self
     }
 
     /// Sets the sampling period ([`sample_every`](Self::sample_every)).
@@ -113,6 +101,9 @@ pub struct SourceStats {
     /// Producer-stage counters (pipelined sources only); folded into the
     /// run's [`EngineTelemetry`] by [`Pipeline::finish`].
     pub producer: Option<ProducerStats>,
+    /// Windowed miss-ratio profile (live sources with
+    /// [`PipelinedLiveSource::profile_every`] set; empty otherwise).
+    pub profile: Vec<ProfilePoint>,
 }
 
 /// What a pipelined producer stage counted while running ahead of the
@@ -138,8 +129,7 @@ pub struct PipelineRun {
     pub node_stats: Vec<NodeCounters>,
     /// Retries the board posted (zero in healthy runs — §3.3).
     pub retries_posted: u64,
-    /// Windowed miss-ratio profile (empty unless
-    /// [`ExecutionOptions::window_refs`] was set).
+    /// Windowed miss-ratio profile (see [`SourceStats::profile`]).
     pub profile: Vec<ProfilePoint>,
     /// Counter samples (empty unless
     /// [`ExecutionOptions::sample_every`] was set).
@@ -163,49 +153,11 @@ struct Sampler {
     series: TimeSeries,
 }
 
-/// Windowed-profiling stage: at every window a source closes, turn the
-/// per-node demand hit/miss deltas since the previous window into a
-/// [`ProfilePoint`].
-#[derive(Debug)]
-struct Profiler {
-    window: u64,
-    /// Cumulative (demand hits, demand misses) per node at the previous
-    /// window boundary; sized lazily from the first snapshot.
-    prev: Vec<(u64, u64)>,
-    points: Vec<ProfilePoint>,
-}
-
-impl Profiler {
-    fn record(&mut self, units: u64, cycle: u64, snap: &BoardSnapshot) {
-        if self.prev.len() < snap.node_count() {
-            self.prev.resize(snap.node_count(), (0, 0));
-        }
-        let mut ratios = Vec::with_capacity(snap.node_count());
-        for (slot, s) in self.prev.iter_mut().zip(&snap.nodes) {
-            let (h, m) = (s.demand_hits(), s.demand_misses());
-            let (dh, dm) = (h - slot.0, m - slot.1);
-            *slot = (h, m);
-            let total = dh + dm;
-            ratios.push(if total == 0 {
-                0.0
-            } else {
-                dm as f64 / total as f64
-            });
-        }
-        self.points.push(ProfilePoint {
-            end_ref: units,
-            bus_cycle: cycle,
-            window_miss_ratio: ratios,
-        });
-    }
-}
-
-/// The engine plus its observation stages, ready to be driven by a
+/// The engine plus its sampling stage, ready to be driven by a
 /// [`TransactionSource`].
 pub struct Pipeline {
     engine: EmulationEngine,
     sampler: Option<Sampler>,
-    profiler: Option<Profiler>,
 }
 
 impl fmt::Debug for Pipeline {
@@ -214,13 +166,12 @@ impl fmt::Debug for Pipeline {
             .field("engine", &self.engine)
             .field("admitted", &self.engine.admitted())
             .field("sampler", &self.sampler)
-            .field("profiler", &self.profiler)
             .finish_non_exhaustive()
     }
 }
 
 impl Pipeline {
-    /// Wraps an engine in the stages `options` asks for.
+    /// Wraps an engine in the sampling stage `options` asks for.
     pub fn new(engine: EmulationEngine, options: &ExecutionOptions) -> Self {
         let sampler = options.sample_every.map(|period| {
             let period = period.max(1);
@@ -230,16 +181,7 @@ impl Pipeline {
                 series: TimeSeries::new(),
             }
         });
-        let profiler = (options.window_refs > 0).then(|| Profiler {
-            window: options.window_refs,
-            prev: Vec::new(),
-            points: Vec::new(),
-        });
-        Pipeline {
-            engine,
-            sampler,
-            profiler,
-        }
+        Pipeline { engine, sampler }
     }
 
     /// Feeds one pooled block of transactions, in stream order — the
@@ -292,27 +234,15 @@ impl Pipeline {
         Ok(())
     }
 
-    /// The profile window, in source units, if a profiling stage is
-    /// armed. A source must cut its block after every `window`-th unit
-    /// and then call [`close_window`](Self::close_window).
-    pub fn profile_window(&self) -> Option<u64> {
-        self.profiler.as_ref().map(|p| p.window)
-    }
-
-    /// Closes one profile window: `units` source units (workload
-    /// references, trace records, transactions) have been fed, the last
-    /// of them ending at bus cycle `cycle`. Takes a barrier and records a
-    /// [`ProfilePoint`]; a no-op without a profiling stage.
+    /// An exact counter snapshot at the stream position fed so far (see
+    /// [`EmulationEngine::barrier`]) — how a source observes the board
+    /// between its own blocks.
     ///
     /// # Errors
     ///
     /// Propagates the barrier's failure.
-    pub fn close_window(&mut self, units: u64, cycle: u64) -> Result<(), Error> {
-        let Some(profiler) = self.profiler.as_mut() else {
-            return Ok(());
-        };
-        profiler.record(units, cycle, &self.engine.barrier()?);
-        Ok(())
+    pub fn barrier(&mut self) -> Result<BoardSnapshot, Error> {
+        self.engine.barrier()
     }
 
     /// Tears the engine down and collects everything, folding in the
@@ -338,7 +268,7 @@ impl Pipeline {
         Ok(PipelineRun {
             node_stats: board.nodes().map(|n| n.counters().clone()).collect(),
             retries_posted: board.retries_posted(),
-            profile: self.profiler.map(|p| p.points).unwrap_or_default(),
+            profile: stats.profile,
             series: self.sampler.map(|s| s.series).unwrap_or_default(),
             telemetry,
             units: stats.units,
@@ -353,11 +283,8 @@ impl Pipeline {
 /// pipeline.
 ///
 /// `drive` consumes the whole stream, packing it into pooled blocks for
-/// [`Pipeline::feed_pooled`] and cutting a block at every
-/// [`Pipeline::profile_window`] boundary to
-/// [`close`](Pipeline::close_window) the window, then returns the
-/// pipeline together with the source's own statistics. Driving consumes
-/// the source.
+/// [`Pipeline::feed_pooled`], then returns the pipeline together with the
+/// source's own statistics. Driving consumes the source.
 pub trait TransactionSource {
     /// Drives the entire stream through `pipeline`.
     ///
@@ -371,32 +298,6 @@ pub trait TransactionSource {
 /// Transactions per pooled block for the sources that pack their own
 /// blocks.
 const BLOCK_CAPACITY: usize = 4096;
-
-/// Packs a stream in which every transaction is one source unit into
-/// pooled blocks, cutting a block at every profile-window boundary and
-/// closing the window at that transaction's cycle. Returns the units fed.
-fn pack_units(
-    pipeline: &mut Pipeline,
-    txns: impl Iterator<Item = Transaction>,
-) -> Result<u64, Error> {
-    let pool = BlockPool::new(BLOCK_CAPACITY);
-    let window = pipeline.profile_window();
-    let mut block = pool.take();
-    let mut units = 0u64;
-    for txn in txns {
-        block.push(txn);
-        units += 1;
-        let closes = window.is_some_and(|w| units.is_multiple_of(w));
-        if closes || block.is_full() {
-            pipeline.feed_pooled(std::mem::replace(&mut block, pool.take()))?;
-        }
-        if closes {
-            pipeline.close_window(units, txn.cycle)?;
-        }
-    }
-    pipeline.feed_pooled(block)?;
-    Ok(units)
-}
 
 /// Executes one workload event on the host machine: a reference, an
 /// instruction tick, or a DMA transfer. Returns whether it was a memory
@@ -492,10 +393,13 @@ impl BusListener for BlockShipper {
 /// the handoff is whole blocks — the software analogue of the board
 /// snooping the bus in real time while the host runs ahead (§2.1).
 ///
-/// One source unit is one memory reference. On a profiled run the
-/// producer cuts its block after every `window`-th reference, and the
-/// window mark — the reference count and the bus cycle it completed on —
-/// travels with that block over the queue.
+/// One source unit is one memory reference. On a profiled run
+/// ([`profile_every`](Self::profile_every)) the producer cuts its block
+/// after every `window`-th reference, and the window mark — the
+/// reference count and the bus cycle it completed on — travels with that
+/// block over the queue. The consumer takes a [`Pipeline::barrier`] at
+/// each mark and turns the per-node demand hit/miss deltas since the
+/// previous mark into a [`ProfilePoint`] of [`SourceStats::profile`].
 ///
 /// The board never retries the live bus (the shipper always reacts
 /// `Proceed`), so the stream order is fixed by the producer alone and
@@ -505,6 +409,7 @@ pub struct PipelinedLiveSource<'w> {
     host: HostConfig,
     workload: &'w mut dyn Workload,
     refs: u64,
+    window: u64,
 }
 
 impl<'w> PipelinedLiveSource<'w> {
@@ -521,7 +426,16 @@ impl<'w> PipelinedLiveSource<'w> {
             host,
             workload,
             refs,
+            window: 0,
         }
+    }
+
+    /// Records a windowed miss-ratio [`ProfilePoint`] every `window`
+    /// references (the Figure 10 series); 0 records none.
+    #[must_use]
+    pub fn profile_every(mut self, window: u64) -> Self {
+        self.window = window;
+        self
     }
 }
 
@@ -530,6 +444,7 @@ impl fmt::Debug for PipelinedLiveSource<'_> {
         f.debug_struct("PipelinedLiveSource")
             .field("host", &self.host)
             .field("refs", &self.refs)
+            .field("window", &self.window)
             .finish_non_exhaustive()
     }
 }
@@ -540,8 +455,8 @@ impl TransactionSource for PipelinedLiveSource<'_> {
             host,
             workload,
             refs,
+            window,
         } = self;
-        let window = pipeline.profile_window();
         let pool = BlockPool::new(Self::DEFAULT_BLOCK_CAPACITY);
         let (tx, rx) = sync_channel::<Shipment>(Self::DEFAULT_QUEUE_DEPTH);
 
@@ -562,7 +477,7 @@ impl TransactionSource for PipelinedLiveSource<'_> {
                 while done < refs && !shipper.with(|s| s.disconnected) {
                     if apply_event(&mut machine, workload.next_event()) {
                         done += 1;
-                        if window.is_some_and(|w| done.is_multiple_of(w)) {
+                        if window > 0 && done.is_multiple_of(window) {
                             let cycle = machine.bus().current_cycle();
                             shipper.with_mut(|s| s.ship(Some((done, cycle))));
                         }
@@ -588,6 +503,7 @@ impl TransactionSource for PipelinedLiveSource<'_> {
                         stalls: shipper.stalls,
                         pool: pool.stats(),
                     }),
+                    profile: Vec::new(),
                 })
             });
 
@@ -600,7 +516,7 @@ impl TransactionSource for PipelinedLiveSource<'_> {
             (consumed, producer.join())
         });
 
-        let stats = match produced {
+        let mut stats = match produced {
             Ok(stats) => stats?,
             Err(panic) => {
                 return Err(SessionError::ProducerPanicked {
@@ -610,22 +526,48 @@ impl TransactionSource for PipelinedLiveSource<'_> {
                 .into())
             }
         };
-        consumed?;
+        stats.profile = consumed?;
         Ok((pipeline, stats))
     }
 }
 
 /// The live source's consumer loop: feeds every shipped block to the
-/// pipeline and closes the windows the blocks carry, until the producer
-/// hangs up or the pipeline fails.
-fn consume(pipeline: &mut Pipeline, rx: Receiver<Shipment>) -> Result<(), Error> {
+/// pipeline and records a profile point at each window mark the blocks
+/// carry, until the producer hangs up or the pipeline fails.
+fn consume(pipeline: &mut Pipeline, rx: Receiver<Shipment>) -> Result<Vec<ProfilePoint>, Error> {
+    let mut profile = Vec::new();
+    // Cumulative (demand hits, demand misses) per node at the previous
+    // window mark.
+    let mut prev: Vec<(u64, u64)> = Vec::new();
     while let Ok(Shipment { block, closes }) = rx.recv() {
         pipeline.feed_pooled(block)?;
-        if let Some((units, cycle)) = closes {
-            pipeline.close_window(units, cycle)?;
-        }
+        let Some((end_ref, bus_cycle)) = closes else {
+            continue;
+        };
+        let snap = pipeline.barrier()?;
+        prev.resize(snap.node_count(), (0, 0));
+        let window_miss_ratio = prev
+            .iter_mut()
+            .zip(&snap.nodes)
+            .map(|(slot, s)| {
+                let (h, m) = (s.demand_hits(), s.demand_misses());
+                let (dh, dm) = (h - slot.0, m - slot.1);
+                *slot = (h, m);
+                let total = dh + dm;
+                if total == 0 {
+                    0.0
+                } else {
+                    dm as f64 / total as f64
+                }
+            })
+            .collect();
+        profile.push(ProfilePoint {
+            end_ref,
+            bus_cycle,
+            window_miss_ratio,
+        });
     }
-    Ok(())
+    Ok(profile)
 }
 
 /// The text of a panic payload: the `&str` or `String` that `panic!`
@@ -640,7 +582,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// A *streaming* trace source: decodes records straight off a byte
 /// reader into pooled blocks of 4096 records via
-/// [`TraceReader::read_block_up_to`], so the whole-trace
+/// [`TraceReader::read_block`], so the whole-trace
 /// `Vec<TraceRecord>` never exists. Peak memory is O(chunk) no matter how
 /// long the trace is — the software face of the board's
 /// billion-reference trace memory (§2.3). Record `n` is re-timed to bus
@@ -670,26 +612,16 @@ impl<R: Read> ChunkedTraceSource<R> {
 
 impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
     fn drive(mut self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let window = pipeline.profile_window();
         let pool = BlockPool::new(BLOCK_CAPACITY);
         let mut n = 0u64;
         loop {
-            // A block never crosses a profile-window boundary.
-            let room = window.map_or(usize::MAX, |w| {
-                usize::try_from(w - n % w).unwrap_or(usize::MAX)
-            });
             let mut block = pool.take();
-            let got = self
-                .reader
-                .read_block_up_to(&mut block, n, self.cycle_spacing, room)?;
+            let got = self.reader.read_block(&mut block, n, self.cycle_spacing)?;
             if got == 0 {
                 break;
             }
             n += got as u64;
             pipeline.feed_pooled(block)?;
-            if window.is_some_and(|w| n.is_multiple_of(w)) {
-                pipeline.close_window(n, (n - 1) * self.cycle_spacing)?;
-            }
         }
         Ok((
             pipeline,
@@ -704,8 +636,7 @@ impl<R: Read> TransactionSource for ChunkedTraceSource<R> {
 /// A raw transaction stream — synthetic generators, captured
 /// [`Transaction`] vectors, anything already in bus form — packed into
 /// pooled blocks. Transactions are fed exactly as given (sequence numbers
-/// and cycles included); one source unit = one transaction, closed at the
-/// transaction's own cycle.
+/// and cycles included); one source unit = one transaction.
 #[derive(Debug)]
 pub struct StreamSource<I> {
     txns: I,
@@ -720,7 +651,17 @@ impl<I> StreamSource<I> {
 
 impl<I: IntoIterator<Item = Transaction>> TransactionSource for StreamSource<I> {
     fn drive(self, mut pipeline: Pipeline) -> Result<(Pipeline, SourceStats), Error> {
-        let units = pack_units(&mut pipeline, self.txns.into_iter())?;
+        let pool = BlockPool::new(BLOCK_CAPACITY);
+        let mut block = pool.take();
+        let mut units = 0u64;
+        for txn in self.txns {
+            block.push(txn);
+            units += 1;
+            if block.is_full() {
+                pipeline.feed_pooled(std::mem::replace(&mut block, pool.take()))?;
+            }
+        }
+        pipeline.feed_pooled(block)?;
         Ok((
             pipeline,
             SourceStats {
@@ -777,9 +718,8 @@ mod tests {
         EmulationEngine::new(board(), cfg)
     }
 
-    /// Profiling and sampling stages run through barriers, so a pipeline
-    /// with both stages stays bit-identical to a bare serial board at
-    /// any parallelism.
+    /// The sampling stage runs through barriers, so a sampled pipeline
+    /// stays bit-identical to a bare serial board at any parallelism.
     #[test]
     fn observed_pipelines_stay_bit_identical_at_any_parallelism() {
         let mut reference = board();
@@ -788,9 +728,7 @@ mod tests {
             reference.on_transaction(&txn(i));
         }
 
-        let options = ExecutionOptions::new()
-            .window_refs(500)
-            .sample_every(Some(700));
+        let options = ExecutionOptions::new().sample_every(Some(700));
         let mut runs = Vec::new();
         for shards in [1, 2] {
             let source = StreamSource::new((0..3_000).map(txn));
@@ -803,13 +741,10 @@ mod tests {
                 "{shards}-shard pipeline diverged"
             );
             assert_eq!(run.units, 3_000);
-            assert_eq!(run.profile.len(), 6);
-            assert_eq!(run.profile.last().unwrap().end_ref, 3_000);
             assert!(!run.series.is_empty());
             runs.push(run);
         }
         // The observations themselves are identical across parallelism.
-        assert_eq!(runs[0].profile, runs[1].profile);
         assert_eq!(runs[0].series.len(), runs[1].series.len());
         for (a, b) in runs[0].series.points().iter().zip(runs[1].series.points()) {
             assert_eq!(a.cumulative, b.cumulative);
@@ -830,9 +765,7 @@ mod tests {
         }
         w.finish().unwrap();
 
-        // Windows of 100 records cut inside the 4096-record chunk, so the
-        // chunked source must cut its blocks at each boundary.
-        let options = ExecutionOptions::new().window_refs(100);
+        let options = ExecutionOptions::new();
         let buffered = StreamSource::new(
             (0u64..)
                 .zip(records)
@@ -851,8 +784,5 @@ mod tests {
             want.board.statistics_report(),
             got.board.statistics_report()
         );
-        assert_eq!(want.profile.len(), 15);
-        assert_eq!(want.profile[0].bus_cycle, 99 * 60);
-        assert_eq!(want.profile, got.profile);
     }
 }

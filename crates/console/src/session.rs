@@ -33,12 +33,13 @@
 //! [`run_monitored_pipelined`](EmulationSession::run_monitored_pipelined)
 //! and [`replay_stream`](EmulationSession::replay_stream) — is a thin
 //! composition over [`execute`](EmulationSession::execute): pick a
-//! [`TransactionSource`], pick the observation stages, drive the
-//! pipeline. Live runs all use the one [`PipelinedLiveSource`]; custom
-//! sources or observation mixes (a profiled live run, a sampled replay)
-//! call `execute` directly. Profiling and sampling act through snapshot
-//! barriers, so every mode works at any parallelism and produces
-//! bit-identical counters (see [`crate::pipeline`]).
+//! [`TransactionSource`], pick whether to sample, drive the pipeline.
+//! Live runs all use the one [`PipelinedLiveSource`]; custom sources or
+//! observation mixes (a sampled replay, or a live source built with
+//! [`profile_every`](PipelinedLiveSource::profile_every) for a windowed
+//! miss-ratio profile) call `execute` directly. Sampling and profiling
+//! act through snapshot barriers, so every mode works at any parallelism
+//! and produces bit-identical counters (see [`crate::pipeline`]).
 //!
 //! Every failure converts into the workspace-wide [`memories::Error`]
 //! (`enum Error` in the `memories` crate), so callers thread one error
@@ -211,7 +212,7 @@ pub struct MonitoredRun {
 ///
 /// Built by [`EmulationSession::builder`]. Every run mode flows through
 /// the same [`TransactionSource`] → [`Pipeline`] →
-/// [`EmulationEngine`] path; profiling and sampling observe through
+/// [`EmulationEngine`] path; sampling and profiling observe through
 /// snapshot barriers, so results are bit-identical at any
 /// [`parallelism`](EmulationSessionBuilder::parallelism) (see
 /// [`EmulationEngine`]).
@@ -239,7 +240,7 @@ impl EmulationSession {
     }
 
     /// Drives an arbitrary [`TransactionSource`] through this session's
-    /// engine with the given observation stages — the primitive every
+    /// engine with the given sampling stage — the primitive every
     /// run/replay method composes.
     ///
     /// # Errors
@@ -500,7 +501,7 @@ mod tests {
         let mut w = UniformRandom::new(2, 16 << 20, 0.3, 6);
         let source = session.live_source(&mut w, 10_000).unwrap();
         let result = session
-            .execute(source, ExecutionOptions::new().window_refs(2_000))
+            .execute(source.profile_every(2_000), ExecutionOptions::new())
             .unwrap();
         assert_eq!(result.profile.len(), 5);
         assert_eq!(result.profile.last().unwrap().end_ref, 10_000);
@@ -533,7 +534,7 @@ mod tests {
             let mut w = UniformRandom::new(2, 16 << 20, 0.3, 7);
             let source = session.live_source(&mut w, 12_000).unwrap();
             let run = session
-                .execute(source, ExecutionOptions::new().window_refs(3_000))
+                .execute(source.profile_every(3_000), ExecutionOptions::new())
                 .unwrap();
             assert_eq!(run.profile.len(), 4);
             run

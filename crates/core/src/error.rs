@@ -117,11 +117,6 @@ pub enum Error {
     Geometry(memories_bus::GeometryError),
     /// A bus trace failed to decode.
     Trace(memories_trace::TraceError),
-    /// A referenced node slot does not exist.
-    NoSuchNode {
-        /// The requested node.
-        node: NodeId,
-    },
     /// The host machine configuration was rejected. Boxed because the
     /// host crate sits above this one in the dependency graph; use
     /// [`Error::host`] to construct it.
@@ -151,7 +146,6 @@ impl fmt::Display for Error {
             Error::Protocol(e) => write!(f, "protocol map file rejected: {e}"),
             Error::Geometry(e) => write!(f, "invalid cache geometry: {e}"),
             Error::Trace(e) => write!(f, "trace decoding failed: {e}"),
-            Error::NoSuchNode { node } => write!(f, "{node} is not configured"),
             Error::Host(e) => write!(f, "host configuration rejected: {e}"),
             Error::Other(e) => write!(f, "{e}"),
         }
@@ -166,7 +160,6 @@ impl StdError for Error {
             Error::Protocol(e) => Some(e),
             Error::Geometry(e) => Some(e),
             Error::Trace(e) => Some(e),
-            Error::NoSuchNode { .. } => None,
             Error::Host(e) | Error::Other(e) => Some(e.as_ref()),
         }
     }

@@ -39,9 +39,9 @@
 //! the same stream position.
 //!
 //! The engine has no sampling schedule of its own: the console
-//! pipeline's sampler and windowed profiler decide *when* to call
-//! [`barrier`], and cut their blocks so each barrier lands at an exact
-//! stream position. Cuts change where batches end, but results are
+//! pipeline's sampler and the live source's profile windows decide
+//! *when* to call [`barrier`], and cut their blocks so each barrier lands
+//! at an exact stream position. Cuts change where batches end, but results are
 //! block-size-invariant, so an observed run's final board is still
 //! bit-identical to an unobserved one.
 //!

@@ -168,24 +168,8 @@ impl<R: Read> TraceReader<R> {
         base_seq: u64,
         cycle_spacing: u64,
     ) -> Result<usize, TraceError> {
-        self.read_block_up_to(block, base_seq, cycle_spacing, usize::MAX)
-    }
-
-    /// [`TraceReader::read_block`], decoding at most `max` records — how
-    /// a replay cuts its blocks at profile-window boundaries.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceReader::read_block`].
-    pub fn read_block_up_to(
-        &mut self,
-        block: &mut TransactionBlock,
-        base_seq: u64,
-        cycle_spacing: u64,
-        max: usize,
-    ) -> Result<usize, TraceError> {
         block.clear();
-        let max = block.capacity().min(max);
+        let max = block.capacity();
         if self.fused || max == 0 {
             return Ok(0);
         }
@@ -437,13 +421,6 @@ mod tests {
             .collect();
         assert_eq!(back, want);
         assert_eq!(reader.read_block(&mut block, base, 60).unwrap(), 0);
-
-        // A capped read stops at the cap and the next read resumes there.
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.read_block_up_to(&mut block, 0, 60, 7).unwrap(), 7);
-        assert_eq!(block.as_slice(), &want[..7]);
-        let n = reader.read_block(&mut block, 7, 60).unwrap();
-        assert_eq!(block.as_slice(), &want[7..7 + n]);
     }
 
     #[test]

@@ -305,8 +305,8 @@ fn profiled_windows_are_bit_identical_across_shard_counts() {
         let mut workload = make();
         session
             .execute(
-                PipelinedLiveSource::new(host(), &mut *workload, refs),
-                ExecutionOptions::new().window_refs(window),
+                PipelinedLiveSource::new(host(), &mut *workload, refs).profile_every(window),
+                ExecutionOptions::new(),
             )
             .unwrap()
     };

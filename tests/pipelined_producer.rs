@@ -248,8 +248,8 @@ fn assert_profile_matches(
         let mut workload = make();
         let got = session(parallelism, None)
             .execute(
-                PipelinedLiveSource::new(host(), &mut *workload, refs),
-                ExecutionOptions::new().window_refs(window),
+                PipelinedLiveSource::new(host(), &mut *workload, refs).profile_every(window),
+                ExecutionOptions::new(),
             )
             .unwrap();
         assert_eq!(
@@ -316,5 +316,58 @@ fn profile_marks_match_a_per_reference_reference() {
             (i as u64 + 1) * BLOCK,
             "window {i} is not block-aligned"
         );
+    }
+}
+
+/// Sampling and profiling at once: the sampler's barriers at admitted
+/// positions and the live source's barriers at window marks interleave
+/// in one run, and each must still match the per-reference reference —
+/// every sample at the same stream position with the same counters, and
+/// every profile point equal.
+#[test]
+fn sampled_and_profiled_live_run_matches_the_reference() {
+    const REFS: u64 = 12_000;
+    const WINDOW: u64 = 1_500;
+    let want = reference(&mut oltp(), REFS, Some(997), Some(WINDOW));
+    assert!(want.series.len() > 5, "reference must sample");
+    assert_eq!(want.profile.len() as u64, REFS / WINDOW);
+    for parallelism in [1usize, 2] {
+        let got = session(parallelism, None)
+            .execute(
+                PipelinedLiveSource::new(host(), &mut oltp(), REFS).profile_every(WINDOW),
+                ExecutionOptions::new().sample_every(Some(997)),
+            )
+            .unwrap();
+        assert_eq!(
+            want.board.statistics_report(),
+            got.board.statistics_report(),
+            "parallelism {parallelism}: sampled and profiled run diverged"
+        );
+        assert_eq!(
+            want.profile, got.profile,
+            "parallelism {parallelism}: profile diverged"
+        );
+        let s = want.series.points();
+        let p = got.series.points();
+        assert_eq!(
+            s.len(),
+            p.len(),
+            "parallelism {parallelism}: sample count diverged"
+        );
+        for (a, b) in s.iter().zip(p) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(
+                a.snapshot.admitted(),
+                b.snapshot.admitted(),
+                "parallelism {parallelism}: sample {} at a different stream position",
+                a.index
+            );
+            assert_eq!(
+                a.cumulative, b.cumulative,
+                "parallelism {parallelism}: sample {} counters diverged",
+                a.index
+            );
+            assert_eq!(a.window, b.window);
+        }
     }
 }
