@@ -142,7 +142,7 @@ impl NodeController {
     /// The protocol state the node's directory currently holds for the
     /// line containing `addr`.
     pub fn probe(&self, addr: Address) -> StateId {
-        self.tags.state(self.params.geometry().line_addr(addr))
+        self.tag_probe(addr).state()
     }
 
     /// Probes the directory for the line containing `addr`.

@@ -11,12 +11,12 @@
 
 use std::fmt;
 
-use memories_bus::{Address, BusListener, BusOp, Geometry, ListenerReaction, ProcId, Transaction};
+use memories_bus::{Address, BusListener, BusOp, ListenerReaction, ProcId, Transaction};
 use memories_protocol::StateId;
 
 use crate::error::BoardError;
 use crate::filter::NodePartition;
-use crate::params::CacheParams;
+use crate::params::{CacheParams, ParamError};
 use crate::tagstore::TagStore;
 
 /// L3 directory states used by the NUMA firmware (a fixed MSI-style
@@ -25,9 +25,14 @@ use crate::tagstore::TagStore;
 const L3_SHARED: StateId = StateId::new_const(1);
 const L3_MODIFIED: StateId = StateId::new_const(2);
 const RC_VALID: StateId = StateId::new_const(1);
+/// Sparse directory entry states: whether the line is dirty at its home.
+const DIR_CLEAN: StateId = StateId::new_const(1);
+const DIR_DIRTY: StateId = StateId::new_const(2);
 
 /// Sparse directory shape: a set-associative array of line entries, each
-/// holding a presence bitmask over the NUMA nodes and a dirty bit.
+/// holding a presence bitmask over the NUMA nodes and a dirty bit. The
+/// shape is held to Table 2's bounds (1–8 ways, 128 B–16 KB lines, a
+/// power-of-two set count), like every other directory on the board.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DirectoryParams {
     /// Number of sets (power of two).
@@ -42,6 +47,16 @@ impl DirectoryParams {
     /// Total entries.
     pub fn entries(&self) -> usize {
         self.sets * self.ways as usize
+    }
+
+    /// The directory's tag-store parameters (LRU, at any capacity).
+    fn cache_params(&self) -> Result<CacheParams, ParamError> {
+        CacheParams::builder()
+            .capacity(self.entries() as u64 * self.line_size)
+            .ways(self.ways)
+            .line_size(self.line_size)
+            .allow_scaled_down()
+            .build()
     }
 }
 
@@ -68,7 +83,8 @@ impl NumaConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`BoardError`] if the partition is invalid.
+    /// Returns [`BoardError`] if the partition or the directory shape is
+    /// invalid.
     pub fn four_node(
         cpus: impl IntoIterator<Item = ProcId>,
         l3: CacheParams,
@@ -89,14 +105,16 @@ impl NumaConfig {
         Ok(cfg)
     }
 
-    fn validate(&self) -> Result<(), BoardError> {
+    /// Checks the partition and the directory shape; returns the
+    /// directory's tag-store parameters.
+    fn validate(&self) -> Result<CacheParams, BoardError> {
         // Reuse the partition validator for shape checks.
         NodePartition::new(
             self.partition
                 .iter()
                 .map(|cpus| (0u8, cpus.iter().copied())),
         )?;
-        Ok(())
+        Ok(self.directory.cache_params()?)
     }
 
     /// Number of NUMA nodes.
@@ -151,114 +169,19 @@ impl NumaCounters {
     }
 }
 
-/// One home node's sparse directory.
-#[derive(Clone, Debug)]
-struct SparseDirectory {
-    geom: Geometry,
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    presence: Vec<u8>,
-    dirty: Vec<bool>,
-    stamps: Vec<u64>,
-    tick: u64,
-}
-
-/// What a directory update did.
-struct DirOutcome {
-    hit: bool,
-    /// Presence mask of nodes to invalidate (write to shared line).
-    invalidate_mask: u8,
-    /// An evicted entry: (line address, presence mask).
-    evicted: Option<(u64, u8)>,
-}
-
-impl SparseDirectory {
-    fn new(params: &DirectoryParams) -> Self {
-        let n = params.entries();
-        let geom = Geometry::new(
-            params.sets as u64 * u64::from(params.ways) * params.line_size,
-            params.ways,
-            params.line_size,
-        )
-        .expect("directory shape validated by construction");
-        SparseDirectory {
-            geom,
-            tags: vec![0; n],
-            valid: vec![false; n],
-            presence: vec![0; n],
-            dirty: vec![false; n],
-            stamps: vec![0; n],
-            tick: 0,
-        }
-    }
-
-    fn update(&mut self, addr: Address, node: usize, write: bool) -> DirOutcome {
-        self.tick += 1;
-        let line = self.geom.line_addr(addr);
-        let set = self.geom.set_index(line);
-        let tag = self.geom.tag(line);
-        let ways = self.geom.ways() as usize;
-        let base = set * ways;
-        let node_bit = 1u8 << node;
-
-        for i in base..base + ways {
-            if self.valid[i] && self.tags[i] == tag {
-                self.stamps[i] = self.tick;
-                let others = self.presence[i] & !node_bit;
-                let invalidate_mask = if write { others } else { 0 };
-                if write {
-                    self.presence[i] = node_bit;
-                    self.dirty[i] = true;
-                } else {
-                    self.presence[i] |= node_bit;
-                }
-                return DirOutcome {
-                    hit: true,
-                    invalidate_mask,
-                    evicted: None,
-                };
-            }
-        }
-
-        // Miss: allocate, evicting LRU if needed.
-        let slot = (base..base + ways)
-            .find(|&i| !self.valid[i])
-            .unwrap_or_else(|| {
-                (base..base + ways)
-                    .min_by_key(|&i| self.stamps[i])
-                    .expect("ways >= 1")
-            });
-        let evicted = if self.valid[slot] {
-            Some((
-                self.geom
-                    .line_base(self.geom.line_from_parts(self.tags[slot], set))
-                    .value(),
-                self.presence[slot],
-            ))
-        } else {
-            None
-        };
-        self.tags[slot] = tag;
-        self.valid[slot] = true;
-        self.presence[slot] = node_bit;
-        self.dirty[slot] = write;
-        self.stamps[slot] = self.tick;
-        DirOutcome {
-            hit: false,
-            invalidate_mask: 0,
-            evicted,
-        }
-    }
-}
-
 /// The NUMA emulation firmware: per-node L3 directories, per-home sparse
 /// directories, and optional per-node remote caches, driven passively
 /// from the bus.
+///
+/// Every directory is a [`TagStore`]. A sparse directory's entry state
+/// says whether its line is dirty; its presence bitmask over the nodes
+/// sits beside it, one byte per way at `set * ways + way`.
 pub struct NumaEmulator {
     config: NumaConfig,
     l3: Vec<TagStore>,
     remote_caches: Vec<Option<TagStore>>,
-    directories: Vec<SparseDirectory>,
+    directories: Vec<TagStore>,
+    presence: Vec<Vec<u8>>,
     counters: NumaCounters,
 }
 
@@ -267,18 +190,18 @@ impl NumaEmulator {
     ///
     /// # Errors
     ///
-    /// Returns [`BoardError`] for an invalid partition.
+    /// Returns [`BoardError`] for an invalid partition, or
+    /// [`BoardError::Params`] for a directory shape outside Table 2.
     pub fn new(config: NumaConfig) -> Result<Self, BoardError> {
-        config.validate()?;
+        let directory = config.validate()?;
         let nodes = config.nodes();
         Ok(NumaEmulator {
             l3: (0..nodes).map(|_| TagStore::new(&config.l3)).collect(),
             remote_caches: (0..nodes)
                 .map(|_| config.remote_cache.as_ref().map(TagStore::new))
                 .collect(),
-            directories: (0..nodes)
-                .map(|_| SparseDirectory::new(&config.directory))
-                .collect(),
+            directories: (0..nodes).map(|_| TagStore::new(&directory)).collect(),
+            presence: vec![vec![0; config.directory.entries()]; nodes],
             config,
             counters: NumaCounters::default(),
         })
@@ -296,33 +219,35 @@ impl NumaEmulator {
 
     /// The L3 directory state a node holds for `addr` (tests).
     pub fn l3_state(&self, node: usize, addr: Address) -> StateId {
-        self.l3[node].state(self.config.l3.geometry().line_addr(addr))
+        let l3 = &self.l3[node];
+        l3.probe(l3.geometry().line_addr(addr)).state()
     }
 
     /// Whether a node's remote cache holds `addr` (tests; `false` when no
     /// remote cache is configured).
     pub fn remote_cache_contains(&self, node: usize, addr: Address) -> bool {
-        match (&self.remote_caches[node], &self.config.remote_cache) {
-            (Some(rc), Some(params)) => rc.contains(params.geometry().line_addr(addr)),
-            _ => false,
-        }
+        self.remote_caches[node]
+            .as_ref()
+            .is_some_and(|rc| rc.probe(rc.geometry().line_addr(addr)).hit())
     }
 
-    fn invalidate_in_nodes(&mut self, addr_value: u64, mask: u8, skip: Option<usize>) -> u64 {
+    /// Drops `addr` from the L3 directory and remote cache of every node
+    /// in `mask` but `skip`; returns how many L3 entries it freed.
+    fn invalidate_in_nodes(&mut self, addr: Address, mask: u8, skip: Option<usize>) -> u64 {
         let mut invalidated = 0;
-        let addr = Address::new(addr_value);
         for node in 0..self.config.nodes() {
             if Some(node) == skip || mask & (1 << node) == 0 {
                 continue;
             }
-            let l3_line = self.config.l3.geometry().line_addr(addr);
-            if !self.l3[node].invalidate(l3_line).is_invalid() {
+            let l3 = &mut self.l3[node];
+            let probe = l3.probe(l3.geometry().line_addr(addr));
+            l3.update(&probe, StateId::INVALID, false);
+            if probe.hit() {
                 invalidated += 1;
             }
-            if let (Some(rc), Some(params)) =
-                (&mut self.remote_caches[node], &self.config.remote_cache)
-            {
-                rc.invalidate(params.geometry().line_addr(addr));
+            if let Some(rc) = &mut self.remote_caches[node] {
+                let probe = rc.probe(rc.geometry().line_addr(addr));
+                rc.update(&probe, StateId::INVALID, false);
             }
         }
         invalidated
@@ -346,46 +271,69 @@ impl BusListener for NumaEmulator {
         } else {
             self.counters.remote_requests += 1;
             // Remote requests go through the requester's remote cache.
-            if let (Some(rc), Some(params)) =
-                (&mut self.remote_caches[node], &self.config.remote_cache)
-            {
-                let line = params.geometry().line_addr(txn.addr);
-                if rc.contains(line) {
+            if let Some(rc) = &mut self.remote_caches[node] {
+                let line = rc.geometry().line_addr(txn.addr);
+                let probe = rc.probe(line);
+                if probe.hit() {
                     self.counters.remote_cache_hits += 1;
-                    rc.touch(line);
+                    rc.update(&probe, probe.state(), true);
                 } else {
                     self.counters.remote_cache_misses += 1;
-                    rc.allocate(line, RC_VALID);
+                    rc.fill(&probe, line, RC_VALID);
                 }
             }
         }
 
         // The requester's L3 directory tracks the line.
-        let l3_line = self.config.l3.geometry().line_addr(txn.addr);
+        let l3 = &mut self.l3[node];
+        let line = l3.geometry().line_addr(txn.addr);
         let state = if write { L3_MODIFIED } else { L3_SHARED };
-        self.l3[node].allocate(l3_line, state);
-        self.l3[node].touch(l3_line);
+        let probe = l3.probe(line);
+        if probe.hit() {
+            l3.update(&probe, state, true);
+        } else {
+            l3.fill(&probe, line, state);
+        }
 
         // The home node's sparse directory.
-        let outcome = self.directories[home].update(txn.addr, node, write);
-        if outcome.hit {
+        let dir = &mut self.directories[home];
+        let geom = *dir.geometry();
+        let line = geom.line_addr(txn.addr);
+        let node_bit = 1u8 << node;
+        let probe = dir.probe(line);
+        if let Some(way) = probe.way() {
             self.counters.directory_hits += 1;
+            let presence =
+                &mut self.presence[home][probe.set() * geom.ways() as usize + way as usize];
+            let others = *presence & !node_bit;
+            if write {
+                *presence = node_bit;
+                dir.update(&probe, DIR_DIRTY, true);
+            } else {
+                *presence |= node_bit;
+                dir.update(&probe, probe.state(), true);
+            }
+            if write && others != 0 {
+                self.counters.write_invalidations +=
+                    self.invalidate_in_nodes(geom.line_base(line), others, Some(node));
+            }
         } else {
             self.counters.directory_misses += 1;
-        }
-        if outcome.invalidate_mask != 0 {
-            self.counters.write_invalidations += self.invalidate_in_nodes(
-                txn.addr.align_down(self.config.directory.line_size).value(),
-                outcome.invalidate_mask,
-                Some(node),
-            );
-        }
-        if let Some((evicted_addr, presence)) = outcome.evicted {
-            self.counters.directory_evictions += 1;
-            // Inform the L3 nodes: the evicted entry's sharers must drop
-            // the line (the sparse directory can no longer track it).
-            self.counters.eviction_invalidations +=
-                self.invalidate_in_nodes(evicted_addr, presence, None);
+            let evicted = dir.fill(&probe, line, if write { DIR_DIRTY } else { DIR_CLEAN });
+            // The new line sits in the victim's way: read the victim's
+            // sharers before recording the requester.
+            let way = dir.probe(line).way().expect("a filled line is resident");
+            let presence =
+                &mut self.presence[home][probe.set() * geom.ways() as usize + way as usize];
+            let sharers = std::mem::replace(presence, node_bit);
+            if let Some(victim) = evicted {
+                self.counters.directory_evictions += 1;
+                // Inform the L3 nodes: the evicted entry's sharers must
+                // drop the line (the sparse directory can no longer
+                // track it).
+                self.counters.eviction_invalidations +=
+                    self.invalidate_in_nodes(geom.line_base(victim.line), sharers, None);
+            }
         }
         ListenerReaction::Proceed
     }

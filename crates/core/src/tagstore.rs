@@ -78,12 +78,9 @@ fn way_state(way: &Way) -> StateId {
 ///
 /// [`TagStore::probe`] reads a set once and returns a [`TagProbe`];
 /// [`TagStore::update`] and [`TagStore::fill`] apply a transition through
-/// it without searching again. The node controller makes exactly one
-/// probe per event. [`state`](TagStore::state),
-/// [`touch`](TagStore::touch), [`set_state`](TagStore::set_state),
-/// [`allocate`](TagStore::allocate) and
-/// [`invalidate`](TagStore::invalidate) are one-probe wrappers over those
-/// three calls.
+/// it without searching again. These three calls are the only way to
+/// query or change the store: the node controller makes exactly one probe
+/// per event, and the NUMA firmware's directories go through them too.
 ///
 /// States are the *programmable* protocol's [`StateId`]s; state 0 means
 /// the entry is free. The store never interprets states beyond "state 0 is
@@ -106,7 +103,7 @@ fn way_state(way: &Way) -> StateId {
 /// let probe = store.probe(line);
 /// assert_eq!(probe.state(), StateId::new(1));
 /// store.update(&probe, StateId::new(2), true);
-/// assert_eq!(store.state(line), StateId::new(2));
+/// assert_eq!(store.probe(line).state(), StateId::new(2));
 /// # Ok(())
 /// # }
 /// ```
@@ -288,64 +285,6 @@ impl TagStore {
         victim
     }
 
-    /// The protocol state of `line` ([`StateId::INVALID`] if absent).
-    pub fn state(&self, line: LineAddr) -> StateId {
-        self.probe(line).state
-    }
-
-    /// Whether `line` has an entry.
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.probe(line).hit()
-    }
-
-    /// Records a use of `line` for the replacement policy (LRU timestamp /
-    /// PLRU bit; no effect under FIFO or random). Returns whether the line
-    /// was resident.
-    pub fn touch(&mut self, line: LineAddr) -> bool {
-        let probe = self.probe(line);
-        self.update(&probe, probe.state, true);
-        probe.hit()
-    }
-
-    /// Sets the state of a resident line (no-op when absent); returns the
-    /// previous state if resident. A transition back to state 0 frees the
-    /// entry.
-    pub fn set_state(&mut self, line: LineAddr, state: StateId) -> Option<StateId> {
-        let probe = self.probe(line);
-        self.update(&probe, state, false);
-        probe.hit().then_some(probe.state)
-    }
-
-    /// Allocates an entry for `line` in `state`, evicting per the
-    /// replacement policy if the set is full. Returns the victim, if any.
-    ///
-    /// If the line is already resident, only its state is updated (and
-    /// the use recorded).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `state` is the invalid state.
-    pub fn allocate(&mut self, line: LineAddr, state: StateId) -> Option<EvictedLine> {
-        let probe = self.probe(line);
-        if probe.hit() {
-            debug_assert!(
-                !state.is_invalid(),
-                "cannot allocate into the invalid state"
-            );
-            self.update(&probe, state, true);
-            return None;
-        }
-        self.fill(&probe, line, state)
-    }
-
-    /// Frees the entry of `line`, returning its old state
-    /// ([`StateId::INVALID`] if it was absent).
-    pub fn invalidate(&mut self, line: LineAddr) -> StateId {
-        let probe = self.probe(line);
-        self.update(&probe, StateId::INVALID, false);
-        probe.state
-    }
-
     /// Iterates over `(line, state)` for every resident entry (tests and
     /// statistics extraction).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, StateId)> + '_ {
@@ -391,38 +330,71 @@ mod tests {
         store.geometry().line_addr(Address::new(n * 2 * 128))
     }
 
+    /// Brings `line` into `state` as the node controller does: one probe,
+    /// then `update` (recording a use) on a hit or `fill` on a miss.
+    fn allocate(t: &mut TagStore, line: LineAddr, state: StateId) -> Option<EvictedLine> {
+        let probe = t.probe(line);
+        if probe.hit() {
+            t.update(&probe, state, true);
+            return None;
+        }
+        t.fill(&probe, line, state)
+    }
+
+    /// Records a use of `line` and keeps its state.
+    fn touch(t: &mut TagStore, line: LineAddr) {
+        let probe = t.probe(line);
+        t.update(&probe, probe.state(), true);
+    }
+
+    /// Moves `line` to state `next` without recording a use; returns the
+    /// probe that found it.
+    fn set_state(t: &mut TagStore, line: LineAddr, next: StateId) -> TagProbe {
+        let probe = t.probe(line);
+        t.update(&probe, next, false);
+        probe
+    }
+
     #[test]
     fn allocate_lookup_invalidate() {
         let mut t = store(2, ReplacementPolicy::Lru);
         let a = l(&t, 0);
-        assert!(t.allocate(a, StateId::new(2)).is_none());
-        assert_eq!(t.state(a), StateId::new(2));
+        assert!(allocate(&mut t, a, StateId::new(2)).is_none());
+        assert_eq!(t.probe(a).state(), StateId::new(2));
         assert_eq!(t.resident_lines(), 1);
-        assert_eq!(t.invalidate(a), StateId::new(2));
-        assert_eq!(t.state(a), StateId::INVALID);
+        assert_eq!(
+            set_state(&mut t, a, StateId::INVALID).state(),
+            StateId::new(2)
+        );
+        assert_eq!(t.probe(a).state(), StateId::INVALID);
         assert_eq!(t.resident_lines(), 0);
-        assert_eq!(t.invalidate(a), StateId::INVALID);
+        assert_eq!(
+            set_state(&mut t, a, StateId::INVALID).state(),
+            StateId::INVALID
+        );
     }
 
     #[test]
     fn set_state_to_invalid_frees_entry() {
         let mut t = store(2, ReplacementPolicy::Lru);
         let a = l(&t, 0);
-        t.allocate(a, StateId::new(1));
-        assert_eq!(t.set_state(a, StateId::INVALID), Some(StateId::new(1)));
+        allocate(&mut t, a, StateId::new(1));
+        let probe = set_state(&mut t, a, StateId::INVALID);
+        assert_eq!(probe.hit().then_some(probe.state()), Some(StateId::new(1)));
         assert_eq!(t.resident_lines(), 0);
-        assert!(!t.contains(a));
-        assert_eq!(t.set_state(a, StateId::new(3)), None);
+        assert!(!t.probe(a).hit());
+        let probe = set_state(&mut t, a, StateId::new(3));
+        assert_eq!(probe.hit().then_some(probe.state()), None);
     }
 
     #[test]
     fn lru_evicts_least_recently_touched() {
         let mut t = store(2, ReplacementPolicy::Lru);
         let (a, b, c) = (l(&t, 0), l(&t, 1), l(&t, 2));
-        t.allocate(a, StateId::new(1));
-        t.allocate(b, StateId::new(1));
-        t.touch(a);
-        let v = t.allocate(c, StateId::new(1)).unwrap();
+        allocate(&mut t, a, StateId::new(1));
+        allocate(&mut t, b, StateId::new(1));
+        touch(&mut t, a);
+        let v = allocate(&mut t, c, StateId::new(1)).unwrap();
         assert_eq!(v.line, b);
         assert_eq!(v.state, StateId::new(1));
     }
@@ -431,10 +403,10 @@ mod tests {
     fn fifo_ignores_touches() {
         let mut t = store(2, ReplacementPolicy::Fifo);
         let (a, b, c) = (l(&t, 0), l(&t, 1), l(&t, 2));
-        t.allocate(a, StateId::new(1));
-        t.allocate(b, StateId::new(1));
-        t.touch(a); // should not save `a` under FIFO
-        let v = t.allocate(c, StateId::new(1)).unwrap();
+        allocate(&mut t, a, StateId::new(1));
+        allocate(&mut t, b, StateId::new(1));
+        touch(&mut t, a); // should not save `a` under FIFO
+        let v = allocate(&mut t, c, StateId::new(1)).unwrap();
         assert_eq!(v.line, a);
     }
 
@@ -443,10 +415,11 @@ mod tests {
         let mut t = store(4, ReplacementPolicy::PlruBits);
         let lines: Vec<LineAddr> = (0..4).map(|n| l(&t, n)).collect();
         for line in &lines {
-            t.allocate(*line, StateId::new(1));
+            allocate(&mut t, *line, StateId::new(1));
         }
         // After filling, way 3 was most recently allocated; victim != line 3.
-        let v = t.allocate(l(&t, 4), StateId::new(1)).unwrap();
+        let e = l(&t, 4);
+        let v = allocate(&mut t, e, StateId::new(1)).unwrap();
         assert_ne!(v.line, lines[3]);
     }
 
@@ -457,10 +430,11 @@ mod tests {
         let mut evictions1 = Vec::new();
         let mut evictions2 = Vec::new();
         for n in 0..32 {
-            if let Some(v) = t1.allocate(l(&t1, n), StateId::new(1)) {
+            let (line1, line2) = (l(&t1, n), l(&t2, n));
+            if let Some(v) = allocate(&mut t1, line1, StateId::new(1)) {
                 evictions1.push(v.line);
             }
-            if let Some(v) = t2.allocate(l(&t2, n), StateId::new(1)) {
+            if let Some(v) = allocate(&mut t2, line2, StateId::new(1)) {
                 evictions2.push(v.line);
             }
         }
@@ -472,17 +446,18 @@ mod tests {
     fn reallocation_updates_state_without_eviction() {
         let mut t = store(2, ReplacementPolicy::Lru);
         let a = l(&t, 0);
-        t.allocate(a, StateId::new(1));
-        assert!(t.allocate(a, StateId::new(3)).is_none());
-        assert_eq!(t.state(a), StateId::new(3));
+        allocate(&mut t, a, StateId::new(1));
+        assert!(allocate(&mut t, a, StateId::new(3)).is_none());
+        assert_eq!(t.probe(a).state(), StateId::new(3));
         assert_eq!(t.resident_lines(), 1);
     }
 
     #[test]
     fn iter_lists_resident_entries() {
         let mut t = store(2, ReplacementPolicy::Lru);
-        t.allocate(l(&t, 0), StateId::new(1));
-        t.allocate(l(&t, 1), StateId::new(2));
+        let (a, b) = (l(&t, 0), l(&t, 1));
+        allocate(&mut t, a, StateId::new(1));
+        allocate(&mut t, b, StateId::new(2));
         let mut got: Vec<_> = t.iter().collect();
         got.sort_by_key(|(line, _)| line.value());
         assert_eq!(got.len(), 2);
@@ -494,8 +469,8 @@ mod tests {
     fn direct_mapped_always_evicts_the_conflicting_way() {
         let mut t = store(1, ReplacementPolicy::Lru);
         let (a, b) = (l(&t, 0), l(&t, 1));
-        t.allocate(a, StateId::new(1));
-        let v = t.allocate(b, StateId::new(1)).unwrap();
+        allocate(&mut t, a, StateId::new(1));
+        let v = allocate(&mut t, b, StateId::new(1)).unwrap();
         assert_eq!(v.line, a);
     }
 }

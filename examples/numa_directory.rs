@@ -7,24 +7,13 @@
 //!
 //! Run with: `cargo run --release --example numa_directory`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use memories::numa::{DirectoryParams, NumaConfig, NumaEmulator};
 use memories::CacheParams;
-use memories_bus::{BusListener, ListenerReaction, ProcId, Transaction};
+use memories_bus::ProcId;
 use memories_console::report::Table;
-use memories_host::{AccessKind, HostConfig, HostMachine};
-use memories_workloads::{OltpConfig, OltpWorkload, RefKind, Workload, WorkloadEvent};
-
-/// Adapter sharing the emulator between the bus and this example.
-struct Tap(Rc<RefCell<NumaEmulator>>);
-
-impl BusListener for Tap {
-    fn on_transaction(&mut self, txn: &Transaction) -> ListenerReaction {
-        self.0.borrow_mut().on_transaction(txn)
-    }
-}
+use memories_console::{apply_event, Shared};
+use memories_host::{HostConfig, HostMachine};
+use memories_workloads::{OltpConfig, OltpWorkload, Workload};
 
 fn run_with_directory(dir_sets: usize, refs: u64) -> NumaEmulator {
     let l3 = CacheParams::builder()
@@ -55,33 +44,21 @@ fn run_with_directory(dir_sets: usize, refs: u64) -> NumaEmulator {
         ..HostConfig::s7a()
     };
     let mut machine = HostMachine::new(host).expect("valid host");
-    let shared = Rc::new(RefCell::new(
-        NumaEmulator::new(config).expect("valid emulator"),
-    ));
-    machine.attach_listener(Box::new(Tap(Rc::clone(&shared))));
+    let shared = Shared::new(NumaEmulator::new(config).expect("valid emulator"));
+    machine.attach_listener(Box::new(shared.handle()));
 
     let mut workload = OltpWorkload::new(OltpConfig::scaled_default());
     let mut done = 0;
     while done < refs {
-        match workload.next_event() {
-            WorkloadEvent::Ref(r) => {
-                let kind = match r.kind {
-                    RefKind::Load => AccessKind::Load,
-                    RefKind::Store => AccessKind::Store,
-                };
-                machine.access(r.cpu, kind, r.addr);
-                done += 1;
-            }
-            WorkloadEvent::Instructions { cpu, count } => machine.tick_instructions(cpu, count),
-            WorkloadEvent::Dma { write: true, addr } => machine.dma_write(addr),
-            WorkloadEvent::Dma { write: false, addr } => machine.dma_read(addr),
+        if apply_event(&mut machine, workload.next_event()) {
+            done += 1;
         }
     }
     drop(machine.detach_listeners());
-    let Ok(cell) = Rc::try_unwrap(shared) else {
+    let Ok(emulator) = shared.try_unwrap() else {
         panic!("last handle");
     };
-    cell.into_inner()
+    emulator
 }
 
 fn main() {

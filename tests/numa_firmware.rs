@@ -1,40 +1,33 @@
 //! The NUMA sparse-directory firmware (§2.3) driven end to end by a live
 //! host machine.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use memories::numa::{DirectoryParams, NumaConfig, NumaCounters, NumaEmulator};
+use memories::{BoardError, CacheParams, ParamError};
+use memories_bus::{Geometry, GeometryError, ProcId};
+use memories_console::{apply_event, Shared};
+use memories_host::{HostConfig, HostMachine};
+use memories_workloads::{OltpConfig, OltpWorkload, Workload};
 
-use memories::numa::{DirectoryParams, NumaConfig, NumaEmulator};
-use memories::CacheParams;
-use memories_bus::{BusListener, Geometry, ListenerReaction, ProcId, Transaction};
-use memories_host::{AccessKind, HostConfig, HostMachine};
-use memories_workloads::{OltpConfig, OltpWorkload, RefKind, Workload, WorkloadEvent};
-
-struct Tap(Rc<RefCell<NumaEmulator>>);
-
-impl BusListener for Tap {
-    fn on_transaction(&mut self, txn: &Transaction) -> ListenerReaction {
-        self.0.borrow_mut().on_transaction(txn)
-    }
-}
-
-fn run(dir_sets: usize, remote_cache: bool, refs: u64) -> NumaEmulator {
-    let l3 = CacheParams::builder()
+fn l3() -> CacheParams {
+    CacheParams::builder()
         .capacity(2 << 20)
         .ways(4)
         .allow_scaled_down()
         .build()
-        .unwrap();
-    let mut config = NumaConfig::four_node(
-        (0..8).map(ProcId::new),
-        l3,
-        DirectoryParams {
-            sets: dir_sets,
-            ways: 8,
-            line_size: 128,
-        },
-    )
-    .unwrap();
+        .unwrap()
+}
+
+fn directory(sets: usize, ways: u32) -> DirectoryParams {
+    DirectoryParams {
+        sets,
+        ways,
+        line_size: 128,
+    }
+}
+
+fn run(dir_sets: usize, remote_cache: bool, refs: u64) -> NumaEmulator {
+    let mut config =
+        NumaConfig::four_node((0..8).map(ProcId::new), l3(), directory(dir_sets, 8)).unwrap();
     if remote_cache {
         config.remote_cache = Some(
             CacheParams::builder()
@@ -51,8 +44,8 @@ fn run(dir_sets: usize, remote_cache: bool, refs: u64) -> NumaEmulator {
         ..HostConfig::s7a()
     };
     let mut machine = HostMachine::new(host).unwrap();
-    let shared = Rc::new(RefCell::new(NumaEmulator::new(config).unwrap()));
-    machine.attach_listener(Box::new(Tap(Rc::clone(&shared))));
+    let shared = Shared::new(NumaEmulator::new(config).unwrap());
+    machine.attach_listener(Box::new(shared.handle()));
 
     let mut w = OltpWorkload::new(OltpConfig {
         journal: None,
@@ -60,25 +53,15 @@ fn run(dir_sets: usize, remote_cache: bool, refs: u64) -> NumaEmulator {
     });
     let mut done = 0;
     while done < refs {
-        match w.next_event() {
-            WorkloadEvent::Ref(r) => {
-                let kind = match r.kind {
-                    RefKind::Load => AccessKind::Load,
-                    RefKind::Store => AccessKind::Store,
-                };
-                machine.access(r.cpu, kind, r.addr);
-                done += 1;
-            }
-            WorkloadEvent::Instructions { cpu, count } => machine.tick_instructions(cpu, count),
-            WorkloadEvent::Dma { write: true, addr } => machine.dma_write(addr),
-            WorkloadEvent::Dma { write: false, addr } => machine.dma_read(addr),
+        if apply_event(&mut machine, w.next_event()) {
+            done += 1;
         }
     }
     drop(machine.detach_listeners());
-    let Ok(cell) = Rc::try_unwrap(shared) else {
+    let Ok(emulator) = shared.try_unwrap() else {
         panic!("last handle");
     };
-    cell.into_inner()
+    emulator
 }
 
 #[test]
@@ -123,4 +106,67 @@ fn remote_cache_absorbs_repeat_remote_traffic() {
         c.remote_cache_hits > 0,
         "no remote-cache hits despite OLTP reuse"
     );
+}
+
+#[test]
+fn counters_are_pinned() {
+    // Every counter of two directory sizes, as the firmware's own LRU
+    // directory produced them before directories became tag stores.
+    let small = run(64, true, 60_000);
+    assert_eq!(
+        *small.counters(),
+        NumaCounters {
+            local_requests: 14831,
+            remote_requests: 42759,
+            directory_hits: 2173,
+            directory_misses: 55417,
+            directory_evictions: 54393,
+            eviction_invalidations: 55133,
+            write_invalidations: 1028,
+            remote_cache_hits: 301,
+            remote_cache_misses: 42458,
+        }
+    );
+    let large = run(4096, true, 60_000);
+    assert_eq!(
+        *large.counters(),
+        NumaCounters {
+            local_requests: 14831,
+            remote_requests: 42759,
+            directory_hits: 15289,
+            directory_misses: 42301,
+            directory_evictions: 10742,
+            eviction_invalidations: 9432,
+            write_invalidations: 5410,
+            remote_cache_hits: 5845,
+            remote_cache_misses: 36914,
+        }
+    );
+}
+
+#[test]
+fn bad_directory_shapes_are_errors() {
+    let mut config =
+        NumaConfig::four_node((0..8).map(ProcId::new), l3(), directory(64, 8)).unwrap();
+    let cases = [
+        (
+            directory(3, 2),
+            ParamError::Geometry(GeometryError::SetsNotPowerOfTwo { sets: 3 }),
+        ),
+        (directory(64, 9), ParamError::BadAssociativity { ways: 9 }),
+    ];
+    for (shape, want) in cases {
+        config.directory = shape;
+        assert!(
+            matches!(NumaEmulator::new(config.clone()), Err(BoardError::Params(e)) if e == want),
+            "{shape:?} must be rejected with {want:?}"
+        );
+        assert!(
+            matches!(
+                NumaConfig::four_node((0..8).map(ProcId::new), l3(), shape),
+                Err(BoardError::Params(e)) if e == want
+            ),
+            "four_node must reject {shape:?}"
+        );
+    }
 }

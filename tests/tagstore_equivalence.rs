@@ -4,8 +4,12 @@
 //!
 //! Random sequences of `state` / `touch` / `set_state` / `allocate` /
 //! `invalidate` drive both stores across 1, 2, 4 and 8 ways under every
-//! replacement policy. After every step the two must agree on the call's
+//! replacement policy. The `TagStore` runs each one as the node
+//! controller does: one `probe`, then `update` on a hit or `fill` on an
+//! allocating miss. After every step the two must agree on the call's
 //! result (victims included), `resident_lines` and the sorted `iter()`.
+//! The wide cases set bit 40 of a quarter of the line numbers, so tags at
+//! and above 2^32 share sets with small ones.
 
 use memories::{CacheParams, EvictedLine, ReplacementPolicy, TagStore};
 use memories_bus::{Address, Geometry, LineAddr};
@@ -16,6 +20,8 @@ use proptest::prelude::*;
 const SETS: u64 = 4;
 /// Distinct lines a sequence touches: three times the largest capacity.
 const LINES: u64 = SETS * 8 * 3;
+/// The line-number bit the wide cases set: above it, tags pass 2^32.
+const WIDE: u64 = 1 << 40;
 
 fn plru_touch(bits: u8, way: u32, ways: u32) -> u8 {
     let full = if ways >= 8 { 0xffu8 } else { (1u8 << ways) - 1 };
@@ -205,6 +211,30 @@ enum Op {
     Invalidate(u64),
 }
 
+impl Op {
+    /// The line number the operation names.
+    fn line(self) -> u64 {
+        match self {
+            Op::State(n)
+            | Op::Touch(n)
+            | Op::SetState(n, _)
+            | Op::Allocate(n, _)
+            | Op::Invalidate(n) => n,
+        }
+    }
+
+    /// The same operation on the line `WIDE` above: same set, wide tag.
+    fn widen(self) -> Op {
+        match self {
+            Op::State(n) => Op::State(n | WIDE),
+            Op::Touch(n) => Op::Touch(n | WIDE),
+            Op::SetState(n, s) => Op::SetState(n | WIDE, s),
+            Op::Allocate(n, s) => Op::Allocate(n | WIDE, s),
+            Op::Invalidate(n) => Op::Invalidate(n | WIDE),
+        }
+    }
+}
+
 #[derive(Debug, PartialEq, Eq)]
 enum Out {
     State(StateId),
@@ -226,6 +256,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
+/// `arb_op` with bit 40 set on a quarter of the line numbers.
+fn arb_wide_op() -> impl Strategy<Value = Op> {
+    (arb_op(), 0u8..4).prop_map(|(op, q)| if q == 0 { op.widen() } else { op })
+}
+
 fn params(ways: u32, policy: ReplacementPolicy) -> CacheParams {
     CacheParams::builder()
         .capacity(u64::from(ways) * SETS * 128)
@@ -243,6 +278,31 @@ fn sorted(iter: impl Iterator<Item = (LineAddr, StateId)>) -> Vec<(u64, StateId)
     v
 }
 
+/// Applies `op` to `store` through one probe and one transition.
+fn apply(store: &mut TagStore, op: Op, line: LineAddr) -> Out {
+    let probe = store.probe(line);
+    match op {
+        Op::State(_) => Out::State(probe.state()),
+        Op::Touch(_) => {
+            store.update(&probe, probe.state(), true);
+            Out::Touch(probe.hit())
+        }
+        Op::SetState(_, s) => {
+            store.update(&probe, StateId::new(s), false);
+            Out::SetState(probe.hit().then_some(probe.state()))
+        }
+        Op::Allocate(_, s) if probe.hit() => {
+            store.update(&probe, StateId::new(s), true);
+            Out::Allocate(None)
+        }
+        Op::Allocate(_, s) => Out::Allocate(store.fill(&probe, line, StateId::new(s))),
+        Op::Invalidate(_) => {
+            store.update(&probe, StateId::INVALID, false);
+            Out::State(probe.state())
+        }
+    }
+}
+
 /// Runs `ops` against both stores, returning the first divergence.
 fn diverges(ways: u32, policy: ReplacementPolicy, ops: &[Op]) -> Option<String> {
     let p = params(ways, policy);
@@ -251,27 +311,14 @@ fn diverges(ways: u32, policy: ReplacementPolicy, ops: &[Op]) -> Option<String> 
     let geom = *store.geometry();
     let line = |n: u64| geom.line_addr(Address::new(n * 128));
     for (step, op) in ops.iter().enumerate() {
-        let (got, want) = match *op {
-            Op::State(n) => (
-                Out::State(store.state(line(n))),
-                Out::State(reference.state(line(n))),
-            ),
-            Op::Touch(n) => (
-                Out::Touch(store.touch(line(n))),
-                Out::Touch(reference.touch(line(n))),
-            ),
-            Op::SetState(n, s) => (
-                Out::SetState(store.set_state(line(n), StateId::new(s))),
-                Out::SetState(reference.set_state(line(n), StateId::new(s))),
-            ),
-            Op::Allocate(n, s) => (
-                Out::Allocate(store.allocate(line(n), StateId::new(s))),
-                Out::Allocate(reference.allocate(line(n), StateId::new(s))),
-            ),
-            Op::Invalidate(n) => (
-                Out::State(store.invalidate(line(n))),
-                Out::State(reference.invalidate(line(n))),
-            ),
+        let line = line(op.line());
+        let got = apply(&mut store, *op, line);
+        let want = match *op {
+            Op::State(_) => Out::State(reference.state(line)),
+            Op::Touch(_) => Out::Touch(reference.touch(line)),
+            Op::SetState(_, s) => Out::SetState(reference.set_state(line, StateId::new(s))),
+            Op::Allocate(_, s) => Out::Allocate(reference.allocate(line, StateId::new(s))),
+            Op::Invalidate(_) => Out::State(reference.invalidate(line)),
         };
         let context = format!("{ways}-way {policy}, step {step} ({op:?})");
         if got != want {
@@ -305,26 +352,58 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn wide_tags_match_three_array_store(
+        ops in prop::collection::vec(arb_wide_op(), 1..400),
+    ) {
+        for ways in [1u32, 2, 4, 8] {
+            for policy in ReplacementPolicy::ALL {
+                let divergence = diverges(ways, policy, &ops);
+                prop_assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
+            }
+        }
+    }
 }
 
-#[test]
-fn long_eviction_heavy_sequences_agree() {
-    // A deterministic stream long enough to wrap every set many times.
+/// A deterministic stream long enough to wrap every set many times; with
+/// `wide`, bit 40 is set on a quarter of its line numbers.
+fn long_ops(wide: bool) -> Vec<Op> {
     let mut rng = XorShift(0x5EED);
-    let ops: Vec<Op> = (0..20_000)
+    (0..20_000)
         .map(|_| {
             let r = rng.next();
             let line = (r >> 8) % LINES;
             let s = ((r >> 40) % StateId::MAX_STATES as u64) as u8;
-            match r % 10 {
+            let op = match r % 10 {
                 0 => Op::State(line),
                 1 | 2 => Op::Touch(line),
                 3 => Op::SetState(line, s),
                 4 => Op::Invalidate(line),
                 _ => Op::Allocate(line, s.max(1)),
+            };
+            if wide && (r >> 60).is_multiple_of(4) {
+                op.widen()
+            } else {
+                op
             }
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn long_eviction_heavy_sequences_agree() {
+    let ops = long_ops(false);
+    for ways in [1u32, 2, 4, 8] {
+        for policy in ReplacementPolicy::ALL {
+            assert_eq!(diverges(ways, policy, &ops), None);
+        }
+    }
+}
+
+#[test]
+fn long_wide_tag_sequences_agree() {
+    let ops = long_ops(true);
     for ways in [1u32, 2, 4, 8] {
         for policy in ReplacementPolicy::ALL {
             assert_eq!(diverges(ways, policy, &ops), None);
