@@ -42,7 +42,9 @@ pub enum BoardError {
     /// Invalid cache parameters for a node slot.
     Params(ParamError),
     /// [`MemoriesBoard::assemble`](crate::MemoriesBoard::assemble) was
-    /// given shards that do not cover the front end's partition exactly.
+    /// given shards, or
+    /// [`BoardSnapshot::assemble`](crate::BoardSnapshot::assemble) node
+    /// reports, that do not cover the board's nodes exactly.
     ShardAssembly {
         /// Which node was missing, duplicated, or foreign.
         detail: String,

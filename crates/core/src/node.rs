@@ -150,8 +150,8 @@ impl NodeController {
         self.tags.probe(self.params.geometry().line_addr(addr))
     }
 
-    /// Reads the directory set [`NodeController::tag_probe`] searches for
-    /// `addr`, and nothing else (see [`TagStore::read_set`]).
+    /// Touches the directory set [`NodeController::tag_probe`] searches
+    /// for `addr`, and nothing else (see [`TagStore::read_set`]).
     pub(crate) fn read_tag_set(&self, addr: Address) -> u64 {
         self.tags.read_set(self.params.geometry().line_addr(addr))
     }

@@ -10,10 +10,10 @@ use std::str::FromStr;
 /// A victim-selection policy for one emulated cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
-    /// True least-recently-used (per-way timestamps).
+    /// True least-recently-used (each set's order of use).
     #[default]
     Lru,
-    /// First-in first-out (timestamps updated only on fill).
+    /// First-in first-out (each set's order of fill; uses do not count).
     Fifo,
     /// Pseudo-random (deterministic xorshift stream per tag store).
     Random,

@@ -161,12 +161,14 @@ impl NodeShard {
     /// healthy runs.
     ///
     /// The block goes in groups of eight. Before a group is snooped, the
-    /// shard reads the directory set each member will search for every
-    /// transaction of the *next* group, so those host cache misses are in
-    /// flight together instead of one probe at a time (the board's node
-    /// controllers likewise keep many SDRAM accesses open through their
-    /// transaction buffers, §3.1). The reads change nothing, so the
-    /// outcome is that of snooping the transactions one by one.
+    /// shard touches, for every transaction of the *next* group and every
+    /// member that will probe it, the directory set's tag words (what the
+    /// probe reads first) and its rank/state bytes (what the update or
+    /// fill then reads), so those host cache misses are in flight together
+    /// instead of one probe at a time (the board's node controllers
+    /// likewise keep many SDRAM accesses open through their transaction
+    /// buffers, §3.1). The reads change nothing, so the outcome is that of
+    /// snooping the transactions one by one.
     ///
     /// Admission filtering, buffer occupancy and retries are the front
     /// end's; the shard only snoops.
@@ -188,9 +190,9 @@ impl NodeShard {
         }
     }
 
-    /// Reads the directory set that every member which probes a
-    /// transaction of `group` will search, and folds the words read into
-    /// one value so the reads stay in the program.
+    /// Touches the directory set (tag words and rank/state bytes) that
+    /// every member which probes a transaction of `group` will search, and
+    /// folds the values read into one so the reads stay in the program.
     fn read_sets(&self, group: &[Transaction]) -> u64 {
         let mut sink = 0;
         for txn in group {

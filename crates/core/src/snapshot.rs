@@ -19,6 +19,7 @@
 
 use crate::board::GlobalCounters;
 use crate::counters::NodeCounters;
+use crate::error::BoardError;
 use crate::filter::FilterStats;
 
 /// A point-in-time copy of every counter the console can read.
@@ -42,30 +43,54 @@ pub struct BoardSnapshot {
 
 impl BoardSnapshot {
     /// Assembles a snapshot from a front-end view plus per-shard node
-    /// reports `(node id, counters)` — the engine's path. Parts
-    /// may arrive in any order; missing nodes read as zero banks.
+    /// reports `(node id, counters)` — the engine's path. Parts may
+    /// arrive in any order, but every node of the `node_count`-node board
+    /// must report exactly once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoardError::ShardAssembly`] if a part names a node
+    /// outside the board or one that already reported, or if a node has
+    /// no part: a short or diverged barrier, whose zero counters would
+    /// otherwise read as real ones.
     pub fn assemble<I>(
         global: GlobalCounters,
         filter: FilterStats,
         retries_posted: u64,
         node_count: usize,
         parts: I,
-    ) -> Self
+    ) -> Result<Self, BoardError>
     where
         I: IntoIterator<Item = (u8, NodeCounters)>,
     {
-        let mut nodes = vec![NodeCounters::new(); node_count];
+        let mut slots: Vec<Option<NodeCounters>> = vec![None; node_count];
         for (id, counters) in parts {
-            if let Some(slot) = nodes.get_mut(usize::from(id)) {
-                *slot = counters;
+            let slot = slots
+                .get_mut(usize::from(id))
+                .ok_or_else(|| BoardError::ShardAssembly {
+                    detail: format!("node{id} reported outside the {node_count}-node board"),
+                })?;
+            if slot.replace(counters).is_some() {
+                return Err(BoardError::ShardAssembly {
+                    detail: format!("node{id} reported twice"),
+                });
             }
         }
-        BoardSnapshot {
+        let nodes = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.ok_or_else(|| BoardError::ShardAssembly {
+                    detail: format!("node{i} missing from the snapshot's reports"),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(BoardSnapshot {
             global,
             filter,
             retries_posted,
             nodes,
-        }
+        })
     }
 
     /// Transactions the filter admitted to the node controllers — the
@@ -85,24 +110,58 @@ mod tests {
     use super::*;
     use crate::counters::NodeCounter;
 
+    fn assemble(
+        node_count: usize,
+        parts: Vec<(u8, NodeCounters)>,
+    ) -> Result<BoardSnapshot, BoardError> {
+        BoardSnapshot::assemble(
+            GlobalCounters::default(),
+            FilterStats::default(),
+            0,
+            node_count,
+            parts,
+        )
+    }
+
     #[test]
     fn assemble_places_parts_by_node_id() {
         let mut n2 = NodeCounters::new();
         n2.add(NodeCounter::ReadMisses, 7);
         let mut n0 = NodeCounters::new();
         n0.add(NodeCounter::ReadHits, 3);
-        let snap = BoardSnapshot::assemble(
-            GlobalCounters::default(),
-            FilterStats::default(),
-            0,
-            3,
-            vec![(2, n2), (0, n0)],
-        );
+        let snap = assemble(3, vec![(2, n2), (0, n0), (1, NodeCounters::new())]).unwrap();
         assert_eq!(snap.node_count(), 3);
         assert_eq!(snap.nodes[0].get(NodeCounter::ReadHits), 3);
         assert_eq!(snap.nodes[1].get(NodeCounter::ReadHits), 0);
         assert_eq!(snap.nodes[2].get(NodeCounter::ReadMisses), 7);
         assert_eq!(snap.nodes[2].demand_misses(), 7);
+    }
+
+    #[test]
+    fn assemble_rejects_a_node_outside_the_board() {
+        let parts = vec![
+            (0, NodeCounters::new()),
+            (1, NodeCounters::new()),
+            (2, NodeCounters::new()),
+        ];
+        let err = assemble(2, parts).unwrap_err();
+        assert!(matches!(err, BoardError::ShardAssembly { .. }), "{err}");
+        assert!(err.to_string().contains("node2"), "{err}");
+    }
+
+    #[test]
+    fn assemble_rejects_a_missing_node() {
+        let err =
+            assemble(3, vec![(2, NodeCounters::new()), (0, NodeCounters::new())]).unwrap_err();
+        assert!(matches!(err, BoardError::ShardAssembly { .. }), "{err}");
+        assert!(err.to_string().contains("node1"), "{err}");
+    }
+
+    #[test]
+    fn assemble_rejects_a_node_reported_twice() {
+        let parts = vec![(0, NodeCounters::new()), (0, NodeCounters::new())];
+        let err = assemble(1, parts).unwrap_err();
+        assert!(matches!(err, BoardError::ShardAssembly { .. }), "{err}");
     }
 
     #[test]

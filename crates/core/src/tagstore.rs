@@ -1,5 +1,6 @@
 //! The emulated cache's tag/state/LRU tables — the board's SDRAM arrays.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use memories_bus::{Geometry, LineAddr};
@@ -52,29 +53,121 @@ impl TagProbe {
     }
 }
 
-/// One way of a set: `[tag, age << 3 | state]`. Four ways fill one 64 B
-/// cache line.
-type Way = [u64; 2];
-
-/// Bits of a way's second word that hold the state (`StateId::MAX_STATES`
-/// is 8); the replacement age sits above them.
+/// Bits of a `meta` byte that hold the state (`StateId::MAX_STATES` is
+/// 8); the way's rank sits above them.
 const STATE_BITS: u32 = 3;
-const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+const STATE_MASK: u8 = (1 << STATE_BITS) - 1;
+/// One step of rank in a `meta` byte.
+const RANK_ONE: u8 = 1 << STATE_BITS;
 
-fn way_state(way: &Way) -> StateId {
-    StateId::new((way[1] & STATE_MASK) as u8)
+// Ranks run `0..ways`, so a `meta` byte holds three bits of rank and
+// three of state, and stays below 64.
+const _: () = assert!(CacheParams::MAX_WAYS <= 8 && StateId::MAX_STATES <= 8);
+
+/// Decodes the state bits of a `meta` byte, without the range check of
+/// `StateId::new` (an out-of-line call from this crate).
+const STATES: [StateId; 8] = {
+    let mut states = [StateId::INVALID; 8];
+    let mut s = 0;
+    while s < 8 {
+        states[s] = StateId::new_const(s as u8);
+        s += 1;
+    }
+    states
+};
+
+fn state_of(meta: u8) -> StateId {
+    STATES[usize::from(meta & STATE_MASK)]
+}
+
+/// The `tags` word of a way whose `tag + 1` does not fit below it; the
+/// way's full tag is in [`TagStore`]'s side map.
+const WIDE: u32 = u32::MAX;
+
+/// The `tags` word for `tag`: `tag + 1`, or [`WIDE`].
+fn key_of(tag: u64) -> u32 {
+    if tag < u64::from(WIDE - 1) {
+        tag as u32 + 1
+    } else {
+        WIDE
+    }
+}
+
+/// A set's `meta` bytes are handled as one little-endian word, its byte
+/// `w` being way `w`. Every `meta` byte is below 64, so a byte-wise
+/// compare is one subtraction that never borrows across bytes.
+const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
+const BYTE_HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The top bit of every byte of `word` that is at least `v` (at most 128).
+fn at_least(word: u64, v: u8) -> u64 {
+    ((word | BYTE_HIGH) - BYTE_LOW * u64::from(v)) & BYTE_HIGH
+}
+
+/// One rank step in every byte whose top bit is set in `mask`.
+fn rank_steps(mask: u64) -> u64 {
+    (mask >> 7) * u64::from(RANK_ONE)
+}
+
+/// The byte of way `w` in a set's word.
+fn byte(word: u64, w: usize) -> u8 {
+    (word >> (8 * w)) as u8
+}
+
+/// Sets the byte of way `w` in a set's word to `m`.
+fn with_byte(word: u64, w: usize, m: u8) -> u64 {
+    (word & !(0xFF << (8 * w))) | u64::from(m) << (8 * w)
+}
+
+/// Makes way `w` of a set the newest, in `state`. `own` has the top bit
+/// of each of the set's bytes. The valid ways newer than `w` move one
+/// rank older; an empty `w` counts as older than every valid way.
+fn promote(word: u64, own: u64, w: usize, state: StateId) -> u64 {
+    let m = byte(word, w);
+    let rank = if m == 0 { 8 } else { m >> STATE_BITS };
+    let newer = at_least(word, 1) & !at_least(word, rank * RANK_ONE) & own;
+    with_byte(word + rank_steps(newer), w, state.value())
+}
+
+/// Empties way `w` of a set (`own` as for [`promote`]). The valid ways
+/// older than `w` move one rank newer, so the ranks stay dense.
+fn release(word: u64, own: u64, w: usize) -> u64 {
+    let rank = byte(word, w) >> STATE_BITS;
+    let word = with_byte(word, w, 0);
+    word - rank_steps(at_least(word, (rank + 1) * RANK_ONE) & own)
 }
 
 /// The tag, state, and replacement-metadata tables of one emulated cache
 /// node — the structure the board keeps in four 64 MB SDRAM DIMMs per node
 /// controller (§3).
 ///
-/// The tables are one set-major array: each way is a `[tag, age << 3 |
-/// state]` record, and a set's ways sit side by side, so one lookup reads
-/// one contiguous run of memory (one 64 B line for a 4-way set). The age
-/// is the LRU/FIFO stamp; bit-PLRU keeps one mask byte per set beside it.
-/// The array starts as a zeroed allocation (tag 0, age 0, state 0), so
-/// sets that are never touched are never faulted in.
+/// The tables are set-major, and a way takes 5 B:
+///
+/// * `tags` holds `tag + 1` as a `u32`, so 0 is an empty way. A set's
+///   tags sit side by side, so a probe reads `4 * ways` bytes (16 B for a
+///   4-way set). A tag whose `tag + 1` is `u32::MAX` or more is stored as
+///   the sentinel `u32::MAX`, and its full tag sits in a side map keyed
+///   by the way's position. A probe looks the map up only for a way that
+///   holds the sentinel when the probed tag is wide too. Emptying a way
+///   and filling over it keep the map to exactly the wide ways.
+/// * `meta` holds `rank << 3 | state` for the same way, and 0 for an
+///   empty way. The rank of a valid way is the number of valid ways of
+///   its set that are newer: used more recently under LRU, filled more
+///   recently otherwise. A fill or an LRU touch makes the way rank 0 and
+///   moves the newer ways one rank older; emptying a way moves the older
+///   ones one rank newer, so the ranks stay dense and a full set holds
+///   `0..ways`. The bytes of a set are updated together, as one word.
+///
+/// A fill takes the lowest empty way by position, else the policy's
+/// victim: the oldest rank under LRU and FIFO, the mask's choice under
+/// bit-PLRU (one byte per set), or the next draw of a xorshift stream
+/// under random. Only the order of the fills and touches within a set
+/// decides an LRU or FIFO victim, and the ranks are that order, so no
+/// store-wide clock is kept (the host's outer store makes the same
+/// argument, DESIGN.md §4).
+///
+/// The tables start as zeroed allocations (all ways empty); the store
+/// writes a set only when it is filled.
 ///
 /// [`TagStore::probe`] reads a set once and returns a [`TagProbe`];
 /// [`TagStore::update`] and [`TagStore::fill`] apply a transition through
@@ -111,10 +204,18 @@ fn way_state(way: &Way) -> StateId {
 pub struct TagStore {
     geom: Geometry,
     policy: ReplacementPolicy,
-    ways: Vec<Way>,
+    ways: usize,
+    tags: Vec<u32>,
+    /// One byte per way, then seven bytes of padding, so that the last
+    /// set's word can be read as eight bytes too.
+    meta: Vec<u8>,
+    /// The top bit of each of a set's bytes in its word.
+    own: u64,
+    /// The full tag of every way that holds [`WIDE`], keyed by the way's
+    /// position (`set * ways + way`). Empty unless some tag is that wide.
+    wide: HashMap<usize, u64>,
     plru: Vec<u8>,
     rng: XorShift,
-    tick: u64,
     resident: u64,
 }
 
@@ -123,18 +224,22 @@ impl TagStore {
     pub fn new(params: &CacheParams) -> Self {
         let geom = *params.geometry();
         let policy = params.replacement();
+        let ways = geom.ways() as usize;
+        let lines = geom.lines() as usize;
         TagStore {
             geom,
             policy,
-            // A zeroed allocation: untouched sets stay unfaulted.
-            ways: vec![[0u64; 2]; geom.lines() as usize],
+            ways,
+            tags: vec![0; lines],
+            meta: vec![0; lines + 7],
+            own: BYTE_HIGH >> (64 - 8 * ways),
+            wide: HashMap::new(),
             plru: if matches!(policy, ReplacementPolicy::PlruBits) {
                 vec![0; geom.sets()]
             } else {
                 Vec::new()
             },
             rng: XorShift(0x9E37_79B9_7F4A_7C15),
-            tick: 0,
             resident: 0,
         }
     }
@@ -154,64 +259,85 @@ impl TagStore {
         self.resident
     }
 
-    fn base(&self, set: usize) -> usize {
-        set * self.geom.ways() as usize
+    /// The position of `set`'s first way in `tags` and `meta`.
+    fn first(&self, set: usize) -> usize {
+        set * self.ways
     }
 
-    /// Looks `line` up: one pass over its set.
+    /// The word of the set whose first way is at `first`.
+    fn word(&self, first: usize) -> u64 {
+        let bytes = &self.meta[first..first + 8];
+        u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+    }
+
+    /// Stores the word of the set whose first way is at `first`; the
+    /// bytes past the set's ways are written back unchanged.
+    fn set_word(&mut self, first: usize, word: u64) {
+        self.meta[first..first + 8].copy_from_slice(&word.to_le_bytes());
+    }
+
+    /// Looks `line` up: one pass over its set's tags.
     pub fn probe(&self, line: LineAddr) -> TagProbe {
         let set = self.geom.set_index(line);
         let tag = self.geom.tag(line);
-        let base = self.base(set);
-        let ways = &self.ways[base..base + self.geom.ways() as usize];
-        for (w, way) in ways.iter().enumerate() {
-            if way[1] & STATE_MASK != 0 && way[0] == tag {
-                return TagProbe {
-                    set,
-                    way: Some(w as u32),
-                    state: way_state(way),
-                };
-            }
-        }
+        let key = key_of(tag);
+        let first = self.first(set);
+        let tags = &self.tags[first..first + self.ways];
+        let way = tags
+            .iter()
+            .zip(first..)
+            .position(|(&t, pos)| t == key && (key != WIDE || self.wide.get(&pos) == Some(&tag)))
+            .map(|w| w as u32);
         TagProbe {
             set,
-            way: None,
-            state: StateId::INVALID,
+            way,
+            state: way.map_or(StateId::INVALID, |w| {
+                state_of(self.meta[first + w as usize])
+            }),
         }
     }
 
-    /// Reads one word of the set `line` maps to, without searching it: a
-    /// read-only touch that brings the set into the host cache ahead of
-    /// its [`TagStore::probe`]. The word itself means nothing.
+    /// Reads the first tag word and the first `meta` byte of the set
+    /// `line` maps to, without searching it: a read-only touch that brings
+    /// what [`TagStore::probe`] reads, and what [`TagStore::update`] or
+    /// [`TagStore::fill`] then reads, into the host cache ahead of them.
+    /// The value read means nothing.
     pub(crate) fn read_set(&self, line: LineAddr) -> u64 {
-        self.ways[self.base(self.geom.set_index(line))][1]
+        let first = self.first(self.geom.set_index(line));
+        u64::from(self.tags[first]) ^ u64::from(self.meta[first])
     }
 
     /// Moves the line a hit `probe` found to state `next`; a move to state
     /// 0 frees its way. With `touch`, a line that stays resident also
-    /// records a use for the replacement policy (LRU stamp / PLRU bit; no
+    /// records a use for the replacement policy (LRU rank / PLRU bit; no
     /// effect under FIFO or random). A no-op for a miss.
     pub fn update(&mut self, probe: &TagProbe, next: StateId, touch: bool) {
         let Some(way) = probe.way else {
             return;
         };
-        let i = self.base(probe.set) + way as usize;
-        let entry = &mut self.ways[i];
-        entry[1] = (entry[1] & !STATE_MASK) | u64::from(next.value());
+        let w = way as usize;
+        let first = self.first(probe.set);
+        let i = first + w;
         if next.is_invalid() {
             self.resident -= 1;
-        } else if touch {
-            match self.policy {
-                ReplacementPolicy::Lru => {
-                    self.tick += 1;
-                    entry[1] = (self.tick << STATE_BITS) | u64::from(next.value());
-                }
-                ReplacementPolicy::PlruBits => {
-                    self.plru[probe.set] = plru_touch(self.plru[probe.set], way, self.geom.ways());
-                }
-                ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
+            if self.tags[i] == WIDE {
+                self.wide.remove(&i);
             }
+            self.tags[i] = 0;
+            self.set_word(first, release(self.word(first), self.own, w));
+            return;
         }
+        match self.policy {
+            ReplacementPolicy::Lru if touch => {
+                self.set_word(first, promote(self.word(first), self.own, w, next));
+                return;
+            }
+            ReplacementPolicy::PlruBits if touch => {
+                self.plru[probe.set] = plru_touch(self.plru[probe.set], way, self.geom.ways());
+            }
+            _ => {}
+        }
+        self.meta[i] = (self.meta[i] & !STATE_MASK) | next.value();
     }
 
     /// Allocates `line`, which a miss `probe` did not find, in `state`:
@@ -236,64 +362,67 @@ impl TagStore {
         debug_assert_eq!(probe.set, self.geom.set_index(line));
         let set = probe.set;
         let ways = self.geom.ways();
-        let base = self.base(set);
-        let entries = &self.ways[base..base + ways as usize];
+        let first = self.first(set);
+        let word = self.word(first);
 
         // Prefer a free way.
-        let free = entries.iter().position(|w| w[1] & STATE_MASK == 0);
-        let (way, victim) = match free {
-            Some(w) => {
-                self.resident += 1;
-                (w as u32, None)
-            }
-            None => {
-                let way = match self.policy {
-                    // The lowest way with the smallest age (`min_by_key`
-                    // keeps the first of equal minima).
-                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, entry)| entry[1] >> STATE_BITS)
-                        .map_or(0, |(w, _)| w as u32),
-                    ReplacementPolicy::Random => (self.rng.next() % u64::from(ways)) as u32,
-                    ReplacementPolicy::PlruBits => plru_victim(self.plru[set], ways),
-                };
-                let entry = &entries[way as usize];
-                let victim = EvictedLine {
-                    line: self.geom.line_from_parts(entry[0], set),
-                    state: way_state(entry),
-                };
-                (way, Some(victim))
-            }
+        let free = !at_least(word, 1) & self.own;
+        let (w, victim) = if free != 0 {
+            self.resident += 1;
+            (free.trailing_zeros() as usize / 8, None)
+        } else {
+            let w = match self.policy {
+                // A full set holds every rank once: take the oldest.
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                    let oldest = at_least(word, (ways - 1) as u8 * RANK_ONE) & self.own;
+                    oldest.trailing_zeros() as usize / 8
+                }
+                ReplacementPolicy::Random => (self.rng.next() % u64::from(ways)) as usize,
+                ReplacementPolicy::PlruBits => plru_victim(self.plru[set], ways) as usize,
+            };
+            let tag = match self.tags[first + w] {
+                WIDE => self
+                    .wide
+                    .remove(&(first + w))
+                    .expect("every wide way has its tag in the side map"),
+                old => u64::from(old) - 1,
+            };
+            let victim = EvictedLine {
+                line: self.geom.line_from_parts(tag, set),
+                state: state_of(byte(word, w)),
+            };
+            (w, Some(victim))
         };
 
-        let age = match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                self.tick += 1;
-                self.tick
-            }
-            ReplacementPolicy::PlruBits => {
-                self.plru[set] = plru_touch(self.plru[set], way, ways);
-                0
-            }
-            ReplacementPolicy::Random => 0,
-        };
-        self.ways[base + way as usize] = [
-            self.geom.tag(line),
-            (age << STATE_BITS) | u64::from(state.value()),
-        ];
+        if self.policy == ReplacementPolicy::PlruBits {
+            self.plru[set] = plru_touch(self.plru[set], w as u32, ways);
+        }
+        let tag = self.geom.tag(line);
+        let key = key_of(tag);
+        if key == WIDE {
+            self.wide.insert(first + w, tag);
+        }
+        self.tags[first + w] = key;
+        self.set_word(first, promote(word, self.own, w, state));
         victim
     }
 
     /// Iterates over `(line, state)` for every resident entry (tests and
     /// statistics extraction).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, StateId)> + '_ {
-        let ways = self.geom.ways() as usize;
-        self.ways
+        self.tags
             .iter()
+            .zip(&self.meta)
             .enumerate()
-            .filter(|(_, w)| w[1] & STATE_MASK != 0)
-            .map(move |(i, w)| (self.geom.line_from_parts(w[0], i / ways), way_state(w)))
+            .filter(|(_, (&t, _))| t != 0)
+            .map(move |(pos, (&t, &m))| {
+                let tag = if t == WIDE {
+                    self.wide[&pos]
+                } else {
+                    u64::from(t) - 1
+                };
+                (self.geom.line_from_parts(tag, pos / self.ways), state_of(m))
+            })
     }
 }
 
@@ -463,6 +592,61 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].1, StateId::new(1));
         assert_eq!(got[1].1, StateId::new(2));
+    }
+
+    /// Line `n` of set `set` with a tag too wide for the `u32` tag word:
+    /// `u32::MAX` (whose `tag + 1` is the sentinel itself) plus `n`.
+    fn wide(set: u64, n: u64) -> LineAddr {
+        LineAddr::new((u64::from(u32::MAX) + n) << 1 | set)
+    }
+
+    #[test]
+    fn wide_side_map_empties_when_the_wide_lines_leave() {
+        for policy in ReplacementPolicy::ALL {
+            let mut t = store(4, policy);
+            for set in 0..2 {
+                for n in 0..4 {
+                    assert!(allocate(&mut t, wide(set, n), StateId::new(1)).is_none());
+                }
+            }
+            assert_eq!(t.wide.len(), 8, "{policy}");
+            let mut lines: Vec<u64> = t.iter().map(|(line, _)| line.value()).collect();
+            lines.sort_unstable();
+            let mut want: Vec<u64> = (0..2)
+                .flat_map(|set| (0..4).map(move |n| wide(set, n).value()))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(lines, want, "{policy}");
+
+            // Wide lines filled over wide victims replace their entries.
+            for n in 4..8 {
+                let victim = allocate(&mut t, wide(0, n), StateId::new(2)).unwrap();
+                assert!(victim.line.value() >> 1 >= u64::from(u32::MAX), "{policy}");
+            }
+            assert_eq!(t.wide.len(), 8, "{policy}");
+            // Narrow fills evict wide lines; the map keeps exactly the
+            // wide lines still resident.
+            let resident_wide = |t: &TagStore| {
+                t.iter()
+                    .filter(|(line, _)| line.value() >> 1 >= u64::from(u32::MAX))
+                    .map(|(line, _)| line)
+                    .collect::<Vec<_>>()
+            };
+            for n in 0..16 {
+                let line = l(&t, n);
+                allocate(&mut t, line, StateId::new(1));
+                assert_eq!(t.wide.len(), resident_wide(&t).len(), "{policy}");
+            }
+            // The rest leave by invalidation, every other one as an
+            // `update` that also records a use.
+            for (k, line) in resident_wide(&t).into_iter().enumerate() {
+                let probe = t.probe(line);
+                assert!(probe.hit(), "{policy}");
+                t.update(&probe, StateId::INVALID, k % 2 == 0);
+            }
+            assert!(t.wide.is_empty(), "{policy}: {:?}", t.wide);
+            assert_eq!(t.resident_lines() as usize, t.iter().count(), "{policy}");
+        }
     }
 
     #[test]

@@ -276,8 +276,9 @@ impl EmulationEngine {
     ///
     /// # Errors
     ///
-    /// Never fails at present; the `Result` keeps the signature of a
-    /// monitoring primitive that callers propagate with `?`.
+    /// Returns [`Error::Board`] if the shard reports do not cover the
+    /// board's nodes exactly once (cannot happen for the shards this
+    /// engine plans).
     ///
     /// # Panics
     ///
@@ -311,7 +312,7 @@ impl EmulationEngine {
             self.front.retries_posted(),
             node_count,
             parts,
-        ))
+        )?)
     }
 
     /// Joins the workers, if any, once they have drained their queues,

@@ -9,7 +9,12 @@
 //! allocating miss. After every step the two must agree on the call's
 //! result (victims included), `resident_lines` and the sorted `iter()`.
 //! The wide cases set bit 40 of a quarter of the line numbers, so tags at
-//! and above 2^32 share sets with small ones.
+//! and above 2^32 share sets with small ones. The edge cases move a
+//! quarter of the lines to the tags whose `tag + 1` is `u32::MAX - 1`,
+//! `u32::MAX` and `u32::MAX + 1`: the store keeps the first in its `u32`
+//! tag word and the other two in its side map of wide tags. The
+//! invalidation-heavy stream frees ways often, so the store's per-set
+//! ranks are compacted many times between fills.
 
 use memories::{CacheParams, EvictedLine, ReplacementPolicy, TagStore};
 use memories_bus::{Address, Geometry, LineAddr};
@@ -22,6 +27,9 @@ const SETS: u64 = 4;
 const LINES: u64 = SETS * 8 * 3;
 /// The line-number bit the wide cases set: above it, tags pass 2^32.
 const WIDE: u64 = 1 << 40;
+/// The tags the edge cases use: `tag + 1` is `u32::MAX - 1`, `u32::MAX`
+/// and `u32::MAX + 1`.
+const EDGE_TAGS: [u64; 3] = [u32::MAX as u64 - 2, u32::MAX as u64 - 1, u32::MAX as u64];
 
 fn plru_touch(bits: u8, way: u32, ways: u32) -> u8 {
     let full = if ways >= 8 { 0xffu8 } else { (1u8 << ways) - 1 };
@@ -223,6 +231,25 @@ impl Op {
         }
     }
 
+    /// The same operation on line `n`.
+    fn with_line(self, n: u64) -> Op {
+        match self {
+            Op::State(_) => Op::State(n),
+            Op::Touch(_) => Op::Touch(n),
+            Op::SetState(_, s) => Op::SetState(n, s),
+            Op::Allocate(_, s) => Op::Allocate(n, s),
+            Op::Invalidate(_) => Op::Invalidate(n),
+        }
+    }
+
+    /// The same operation on a line of the same set whose tag is one of
+    /// `EDGE_TAGS`, chosen by the line's own tag.
+    fn to_edge(self) -> Op {
+        let n = self.line();
+        let tag = EDGE_TAGS[(n / SETS % 3) as usize];
+        self.with_line(tag * SETS + n % SETS)
+    }
+
     /// The same operation on the line `WIDE` above: same set, wide tag.
     fn widen(self) -> Op {
         match self {
@@ -259,6 +286,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// `arb_op` with bit 40 set on a quarter of the line numbers.
 fn arb_wide_op() -> impl Strategy<Value = Op> {
     (arb_op(), 0u8..4).prop_map(|(op, q)| if q == 0 { op.widen() } else { op })
+}
+
+/// `arb_op` with a quarter of the lines moved to the sentinel-edge tags.
+fn arb_edge_op() -> impl Strategy<Value = Op> {
+    (arb_op(), 0u8..4).prop_map(|(op, q)| if q == 0 { op.to_edge() } else { op })
 }
 
 fn params(ways: u32, policy: ReplacementPolicy) -> CacheParams {
@@ -364,6 +396,18 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn sentinel_edge_tags_match_three_array_store(
+        ops in prop::collection::vec(arb_edge_op(), 1..400),
+    ) {
+        for ways in [1u32, 2, 4, 8] {
+            for policy in ReplacementPolicy::ALL {
+                let divergence = diverges(ways, policy, &ops);
+                prop_assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
+            }
+        }
+    }
 }
 
 /// A deterministic stream long enough to wrap every set many times; with
@@ -407,6 +451,54 @@ fn long_wide_tag_sequences_agree() {
     for ways in [1u32, 2, 4, 8] {
         for policy in ReplacementPolicy::ALL {
             assert_eq!(diverges(ways, policy, &ops), None);
+        }
+    }
+}
+
+/// A deterministic stream in which 40% of the operations free a way
+/// (`Invalidate`, or `SetState` to state 0); with `edge`, a quarter of
+/// its lines take the sentinel-edge tags.
+fn invalidation_heavy_ops(edge: bool) -> Vec<Op> {
+    let mut rng = XorShift(0xF2EE);
+    (0..20_000)
+        .map(|_| {
+            let r = rng.next();
+            let line = (r >> 8) % LINES;
+            let s = ((r >> 40) % StateId::MAX_STATES as u64) as u8;
+            let op = match r % 10 {
+                0 => Op::State(line),
+                1 => Op::Touch(line),
+                2 | 3 => Op::Invalidate(line),
+                4 | 5 => Op::SetState(line, 0),
+                6 => Op::SetState(line, s),
+                _ => Op::Allocate(line, s.max(1)),
+            };
+            if edge && (r >> 60).is_multiple_of(4) {
+                op.to_edge()
+            } else {
+                op
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn invalidation_heavy_sequences_agree() {
+    for edge in [false, true] {
+        let ops = invalidation_heavy_ops(edge);
+        let frees = ops
+            .iter()
+            .filter(|op| matches!(op, Op::Invalidate(_) | Op::SetState(_, 0)))
+            .count();
+        assert!(
+            frees * 10 >= ops.len() * 3,
+            "{frees} of {} free a way",
+            ops.len()
+        );
+        for ways in [1u32, 2, 4, 8] {
+            for policy in ReplacementPolicy::ALL {
+                assert_eq!(diverges(ways, policy, &ops), None);
+            }
         }
     }
 }
